@@ -394,7 +394,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--verbose", action="store_true", help="step-level logs on stderr"
+        "--verbose", action="store_true", help="per-run progress lines on stderr"
     )
 
     parser = argparse.ArgumentParser(

@@ -1,22 +1,20 @@
-"""Right-hand sides of the epidemic flow in its different guises.
+"""Right-hand sides of the epidemic flow that are not canonical flows.
 
 The basic model for the infectious and susceptible fractions reads
 
     dI/dt = beta*S*I - gamma*I,      dS/dt = -beta*S*I,
 
-with the recovered fraction closed by R = 1 - S - I.  Three equivalent
-reshapings of the same flow are provided alongside it:
+with the recovered fraction closed by R = 1 - S - I; :func:`sir_rhs`
+evaluates it.  The canonical reshapings of the same flow live in
+:mod:`sirham.hamiltonian` only: the rescaled-clock rates
+``dI/dtau = beta - gamma/S``, ``dS/dtau = -beta`` (with ``dtau = S*I dt``)
+are ``hamilton_rhs_direct``, and the logarithmic-chart rates
+``di/dt = beta*exp(s) - gamma``, ``ds/dt = -beta*exp(i)`` are
+``hamilton_rhs_log``.  What remains here are the *second-order
+reductions*: eliminating the partner variable gives one scalar equation
+per chart, whose right-hand sides are the ``*_accel`` functions below.
 
-* *rescaled time*: with the intrinsic clock ``dtau = S*I dt`` the rates
-  become ``dI/dtau = beta - gamma/S`` and ``dS/dtau = -beta``;
-* *logarithmic chart*: for ``(i, s) = (ln I, ln S)`` ordinary time already
-  yields polynomial-in-exponentials rates ``di/dt = beta*exp(s) - gamma``
-  and ``ds/dt = -beta*exp(i)``;
-* *second-order reductions*: eliminating the partner variable gives one
-  scalar equation per chart, whose right-hand sides are the ``*_accel``
-  functions below.
-
-All functions take plain ``(float, float)`` tuples and already-resolved
+All functions take plain float arguments and already-resolved
 parameters, and are pure: schedule lookup happens in the caller.
 """
 
@@ -25,15 +23,12 @@ from __future__ import annotations
 import math
 
 from .core import EpidemicParams
-from .errors import NonFiniteInput, NonPositiveCoordinate, SingularDenominator
+from .errors import NonFiniteInput
 
 __all__ = [
     "log_accel",
-    "log_forcing",
     "rescaled_accel",
-    "rescaled_forcing",
     "sir_rhs",
-    "time_dilation",
 ]
 
 
@@ -48,29 +43,6 @@ def sir_rhs(
     return (flux - params.gamma * i, -flux)
 
 
-def time_dilation(state: tuple[float, float]) -> float:
-    """Rate of the intrinsic clock, ``dtau/dt = S*I``, at ``(I, S)``."""
-    return state[1] * state[0]
-
-
-def rescaled_forcing(
-    z: tuple[float, float], params: EpidemicParams
-) -> tuple[float, float]:
-    """Rescaled-time rates ``(dI/dtau, dS/dtau)`` at ``z = (I, S)``.
-
-    The susceptible equation integrates to a straight line in tau; all the
-    nonlinearity sits in the gamma/S term of the infectious equation.
-    """
-    i, s = z
-    if not (math.isfinite(i) and math.isfinite(s)):
-        raise NonFiniteInput(f"state must be finite, got {z}")
-    if s == 0.0:
-        raise SingularDenominator("gamma/S undefined at S = 0")
-    if s < 0.0:
-        raise NonPositiveCoordinate(f"susceptible fraction must be positive, got {s}")
-    return (params.beta - params.gamma / s, -params.beta)
-
-
 def rescaled_accel(i_rate: float, params: EpidemicParams) -> float:
     """Second derivative of I in rescaled time, given its first derivative.
 
@@ -82,16 +54,6 @@ def rescaled_accel(i_rate: float, params: EpidemicParams) -> float:
         raise NonFiniteInput(f"rate must be finite, got {i_rate}")
     d = params.beta - i_rate
     return -params.r0 * d * d
-
-
-def log_forcing(
-    z: tuple[float, float], params: EpidemicParams
-) -> tuple[float, float]:
-    """Ordinary-time rates ``(di/dt, ds/dt)`` at ``z = (ln I, ln S)``."""
-    li, ls = z
-    if not (math.isfinite(li) and math.isfinite(ls)):
-        raise NonFiniteInput(f"state must be finite, got {z}")
-    return (params.beta * math.exp(ls) - params.gamma, -params.beta * math.exp(li))
 
 
 def log_accel(i_log: float, i_rate: float, params: EpidemicParams) -> float:

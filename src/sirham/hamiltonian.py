@@ -49,7 +49,6 @@ __all__ = [
     "gradient_log",
     "hamilton_rhs_direct",
     "hamilton_rhs_log",
-    "hamilton_rhs_ordinary",
     "hamiltonian_direct",
     "hamiltonian_log",
 ]
@@ -90,15 +89,6 @@ def hamilton_rhs_direct(
 ) -> tuple[float, float]:
     """Canonical rescaled-time rates ``J grad H`` at ``z = (I, S)``."""
     return apply_J(gradient_direct(z, params))
-
-
-def hamilton_rhs_ordinary(
-    z: tuple[float, float], params: EpidemicParams
-) -> tuple[float, float]:
-    """Ordinary-time rates ``(S*I) J grad H``; equals the basic model rates."""
-    gi, gs = gradient_direct(z, params)
-    dil = z[1] * z[0]
-    return (dil * gs, -dil * gi)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ fractions, and the conserved energy at every sample.  Runs whose native
 clock is tau obtain the ordinary-time column by trapezoidal accumulation
 of 1/(S*I) during the march; :func:`reconstruct_ordinary_time` performs
 the same quadrature on an existing trajectory's samples.
+
+Each :class:`Formulation` is defined in one place, its private record in
+``_RECORDS``: initial state, rhs factory, S*I dilation, map from sampled
+coordinates to (I, S), and state remap at a parameter switch.  The march
+and the trajectory build read only the record and name no formulation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +46,6 @@ from .core import (
 from .errors import (
     MissingDiagnostic,
     NewtonDivergence,
-    NonFiniteInput,
     OutsideLegendreDomain,
     ScenarioError,
     StepAcrossSingularity,
@@ -115,6 +119,118 @@ class Formulation(Enum):
     EXTENDED_4D_DIRECT = ("extended_4d_direct", "tau", Chart.DIRECT, 4)
     #: coordinates plus constrained momenta, log chart
     EXTENDED_4D_LOG = ("extended_4d_log", "t", Chart.LOGARITHMIC, 4)
+
+
+class _Record(NamedTuple):
+    """What the march knows about one formulation.
+
+    ``start(i0, s0, params)`` is the initial state; ``rhs(params,
+    constraint_tol)`` builds the rate closure for one parameter segment;
+    ``dilation(y, params)`` is S*I, the rate of the intrinsic clock;
+    ``fractions(coords, beta, gamma)`` maps sampled coordinates to the
+    (I, S) columns.  ``remap(y, old, new)`` carries the state across a
+    parameter switch: the chart point is continuous, so only reductions
+    that carry a parameter-dependent rate as state need more than the
+    identity.
+    """
+
+    start: Callable[[float, float, EpidemicParams], tuple]
+    rhs: Callable[[EpidemicParams, float], Rhs]
+    dilation: Callable[[tuple, EpidemicParams], float]
+    fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+    remap: Callable[[tuple, EpidemicParams, EpidemicParams], tuple] = lambda y, old, new: y
+
+
+def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
+    z = to_log(PhasePoint2(i0, s0, Chart.DIRECT))
+    return (z.q, z.p)
+
+
+#: the canonical flow of each chart; the other formulations reuse its pieces
+_DIRECT = _Record(
+    start=lambda i0, s0, params: (i0, s0),
+    rhs=lambda params, tol: lambda y: hamiltonian.hamilton_rhs_direct(y, params),
+    dilation=lambda y, params: y[0] * y[1],
+    fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
+)
+_LOG = _Record(
+    start=_log_start,
+    rhs=lambda params, tol: lambda y: hamiltonian.hamilton_rhs_log(y, params),
+    dilation=lambda y, params: math.exp(y[0] + y[1]),
+    fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
+)
+
+
+def _single_ode(base: _Record, to_rate, to_momentum, rhs, dilation, fractions) -> _Record:
+    """Scalar reduction: the chart's S slot carries the rate of I instead."""
+
+    def start(i0: float, s0: float, params: EpidemicParams) -> tuple:
+        q, p = base.start(i0, s0, params)
+        return (q, to_rate(p, params))
+
+    def remap(y: tuple, old: EpidemicParams, new: EpidemicParams) -> tuple:
+        return (y[0], to_rate(to_momentum(y[1], old), new))
+
+    return _Record(start, rhs, dilation, fractions, remap)
+
+
+def _extended(base: _Record, chart: Chart) -> _Record:
+    """Chart coordinates followed by the momenta the constraint pins to them."""
+
+    def start(i0: float, s0: float, params: EpidemicParams) -> tuple:
+        q = base.start(i0, s0, params)
+        return q + hamiltonian.consistent_momenta(q)
+
+    def rhs(params: EpidemicParams, tol: float) -> Rhs:
+        return lambda y: hamiltonian._extended_rates(y, params, chart, tol)
+
+    return base._replace(start=start, rhs=rhs)
+
+
+def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
+    beta = params.beta
+    if y[1] >= beta:
+        raise OutsideLegendreDomain(
+            f"rate {y[1]} reached beta = {beta}; susceptible fraction undefined"
+        )
+    return y[0] * params.gamma / (beta - y[1])
+
+
+def _rate_dilation_log(y: tuple, params: EpidemicParams) -> float:
+    gamma = params.gamma
+    if y[1] <= -gamma:
+        raise OutsideLegendreDomain(
+            f"rate {y[1]} reached -gamma = {-gamma}; susceptible fraction undefined"
+        )
+    return math.exp(y[0]) * (y[1] + gamma) / params.beta
+
+
+#: the one place each formulation is defined; the march reads only this
+_RECORDS = {
+    Formulation.BASIC_T: _DIRECT._replace(
+        rhs=lambda params, tol: lambda y: dynamics.sir_rhs(y, params)
+    ),
+    Formulation.RESCALED_TAU: _DIRECT,
+    Formulation.LOG_T: _LOG,
+    Formulation.SINGLE_ODE_DIRECT: _single_ode(
+        _DIRECT,
+        lagrangian.rate_from_momentum_direct,
+        lagrangian.momentum_from_rate_direct,
+        lambda params, tol: lambda y: (y[1], dynamics.rescaled_accel(y[1], params)),
+        _rate_dilation_direct,
+        lambda coords, beta, gamma: (coords[:, 0], gamma / (beta - coords[:, 1])),
+    ),
+    Formulation.SINGLE_ODE_LOG: _single_ode(
+        _LOG,
+        lagrangian.rate_from_momentum_log,
+        lagrangian.momentum_from_rate_log,
+        lambda params, tol: lambda y: (y[1], dynamics.log_accel(y[0], y[1], params)),
+        _rate_dilation_log,
+        lambda coords, beta, gamma: (np.exp(coords[:, 0]), (coords[:, 1] + gamma) / beta),
+    ),
+    Formulation.EXTENDED_4D_DIRECT: _extended(_DIRECT, Chart.DIRECT),
+    Formulation.EXTENDED_4D_LOG: _extended(_LOG, Chart.LOGARITHMIC),
+}
 
 
 @dataclass(frozen=True)
@@ -404,91 +520,7 @@ def step_time_fe_cg1(
 
 
 # ---------------------------------------------------------------------------
-# per-formulation plumbing for the march
-
-def _make_rhs(form: Formulation, params: EpidemicParams, constraint_tol: float) -> Rhs:
-    if form is Formulation.BASIC_T:
-        return lambda y: dynamics.sir_rhs(y, params)
-    if form is Formulation.RESCALED_TAU:
-        return lambda y: hamiltonian.hamilton_rhs_direct(y, params)
-    if form is Formulation.LOG_T:
-        return lambda y: hamiltonian.hamilton_rhs_log(y, params)
-    if form is Formulation.SINGLE_ODE_DIRECT:
-        return lambda y: (y[1], dynamics.rescaled_accel(y[1], params))
-    if form is Formulation.SINGLE_ODE_LOG:
-        return lambda y: (y[1], dynamics.log_accel(y[0], y[1], params))
-    if form in (Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG):
-        chart = form.chart
-        return lambda y: hamiltonian._extended_rates(y, params, chart, constraint_tol)
-    raise ScenarioError(f"unknown formulation {form!r}")
-
-
-def _make_dilation(
-    form: Formulation, params: EpidemicParams
-) -> Callable[[tuple], float]:
-    """S*I as a function of the raw state; the rate of the intrinsic clock."""
-    beta, gamma = params.beta, params.gamma
-    if form in (Formulation.BASIC_T, Formulation.RESCALED_TAU, Formulation.EXTENDED_4D_DIRECT):
-        return lambda y: y[0] * y[1]
-    if form in (Formulation.LOG_T, Formulation.EXTENDED_4D_LOG):
-        return lambda y: math.exp(y[0] + y[1])
-    if form is Formulation.SINGLE_ODE_DIRECT:
-        def dil_direct(y: tuple) -> float:
-            if y[1] >= beta:
-                raise OutsideLegendreDomain(
-                    f"rate {y[1]} reached beta = {beta}; susceptible fraction undefined"
-                )
-            return y[0] * gamma / (beta - y[1])
-        return dil_direct
-    if form is Formulation.SINGLE_ODE_LOG:
-        def dil_log(y: tuple) -> float:
-            if y[1] <= -gamma:
-                raise OutsideLegendreDomain(
-                    f"rate {y[1]} reached -gamma = {-gamma}; susceptible fraction undefined"
-                )
-            return math.exp(y[0]) * (y[1] + gamma) / beta
-        return dil_log
-    raise ScenarioError(f"unknown formulation {form!r}")
-
-
-def _initial_state(
-    form: Formulation, init: CompartmentState, params: EpidemicParams
-) -> tuple:
-    i0, s0 = init.i, init.s
-    if form in (Formulation.BASIC_T, Formulation.RESCALED_TAU):
-        return (i0, s0)
-    if form is Formulation.SINGLE_ODE_DIRECT:
-        return (i0, lagrangian.rate_from_momentum_direct(s0, params))
-    if form is Formulation.EXTENDED_4D_DIRECT:
-        return (i0, s0) + hamiltonian.consistent_momenta((i0, s0))
-    # everything below needs the logarithmic chart
-    z = to_log(PhasePoint2(i0, s0, Chart.DIRECT))
-    if form is Formulation.LOG_T:
-        return (z.q, z.p)
-    if form is Formulation.SINGLE_ODE_LOG:
-        return (z.q, lagrangian.rate_from_momentum_log(z.p, params))
-    if form is Formulation.EXTENDED_4D_LOG:
-        return (z.q, z.p) + hamiltonian.consistent_momenta((z.q, z.p))
-    raise ScenarioError(f"unknown formulation {form!r}")
-
-
-def _remap_at_switch(
-    form: Formulation, y: tuple, old: EpidemicParams, new: EpidemicParams
-) -> tuple:
-    """Carry the state across a parameter switch.
-
-    The physical chart point is continuous; only reductions that carry a
-    rate as state need a remap, because the rate depends on the rates'
-    parameters on each side of the switch.
-    """
-    if form is Formulation.SINGLE_ODE_LOG:
-        s_log = lagrangian.momentum_from_rate_log(y[1], old)
-        return (y[0], lagrangian.rate_from_momentum_log(s_log, new))
-    if form is Formulation.SINGLE_ODE_DIRECT:
-        s = lagrangian.momentum_from_rate_direct(y[1], old)
-        return (y[0], lagrangian.rate_from_momentum_direct(s, new))
-    return y
-
+# plumbing for the march
 
 def _make_stepper(
     spec: RunSpec, params: EpidemicParams, chart: Chart
@@ -506,11 +538,6 @@ def _make_stepper(
     if m is Method.TIME_FE_CG1_GAUSS2:
         return lambda rhs, y, h: step_time_fe_cg1(rhs, y, h, **kw)
     if m is Method.VARIATIONAL_MIDPOINT:
-        if spec.formulation not in (Formulation.RESCALED_TAU, Formulation.LOG_T):
-            raise ScenarioError(
-                "variational midpoint steps the 2-d canonical charts only; "
-                "use formulation rescaled_tau or log_t"
-            )
         return lambda rhs, y, h: step_variational_midpoint(y, h, params, chart, **kw)
     raise ScenarioError(f"unknown method {m!r}")
 
@@ -564,9 +591,10 @@ def integrate(
         else [(0.0, spec.t_end, schedule.params[0])]
     )
 
-    y = _initial_state(form, init, segments[0][2])
-    dil_fn = _make_dilation(form, segments[0][2])
-    dil_prev = dil_fn(y)
+    rec = _RECORDS[form]
+    dilation = rec.dilation
+    y = rec.start(init.i, init.s, segments[0][2])
+    dil_prev = dilation(y, segments[0][2])
     if not clock_is_t and dil_prev < START_DILATION_FLOOR:
         raise StepAcrossSingularity(
             f"S*I = {dil_prev:.3e} at the initial state; the intrinsic clock "
@@ -581,18 +609,15 @@ def integrate(
     sec = 0.0
     step_no = 0
     last_kept = 0
-    prev_params = segments[0][2]
 
     for seg_id, (a, b, pars) in enumerate(segments):
         if seg_id > 0:
             # the boundary sample keeps the outgoing segment's representation;
             # only the state marched onward is re-expressed
-            y = _remap_at_switch(form, y, prev_params, pars)
-        prev_params = pars
-        rhs = _make_rhs(form, pars, spec.constraint_tol)
-        dil_fn = _make_dilation(form, pars)
+            y = rec.remap(y, segments[seg_id - 1][2], pars)
+        rhs = rec.rhs(pars, spec.constraint_tol)
         stepper = _make_stepper(spec, pars, form.chart)
-        dil_prev = dil_fn(y)
+        dil_prev = dilation(y, pars)
         n_full, tail = _segment_steps(b - a, dt)
         for k in range(n_full + (1 if tail else 0)):
             h = dt if k < n_full else tail
@@ -600,7 +625,7 @@ def integrate(
             t_now = a + (k + 1) * dt if k < n_full else b
             if k == n_full - 1 and not tail:
                 t_now = b
-            dil_now = dil_fn(y)
+            dil_now = dilation(y, pars)
             if clock_is_t:
                 sec += 0.5 * h * (dil_prev + dil_now)
             else:
@@ -624,9 +649,7 @@ def integrate(
         states.append(y)
         seg_ids.append(len(segments) - 1)
 
-    return _build_trajectory(
-        spec, form, schedule, segments, prim, sec_list, states, seg_ids
-    )
+    return _build_trajectory(spec, schedule, segments, prim, sec_list, states, seg_ids)
 
 
 def _integrate_reconstruct(
@@ -641,8 +664,7 @@ def _integrate_reconstruct(
     base = replace(spec, formulation=base_form, extended_mode="direct4d")
     traj = integrate(base, init, schedule)
     q = traj.coords
-    momenta = np.column_stack((0.5 * q[:, 1], -0.5 * q[:, 0]))
-    traj.coords = np.column_stack((q, momenta))
+    traj.coords = np.column_stack((q, *hamiltonian.consistent_momenta(q.T)))
     traj.formulation = spec.formulation
     traj.spec = spec
     return traj
@@ -650,7 +672,6 @@ def _integrate_reconstruct(
 
 def _build_trajectory(
     spec: RunSpec,
-    form: Formulation,
     schedule: ParamSchedule,
     segments: Sequence[tuple[float, float, EpidemicParams]],
     prim: list[float],
@@ -658,6 +679,7 @@ def _build_trajectory(
     states: list[tuple],
     seg_ids: list[int],
 ) -> Trajectory:
+    form = spec.formulation
     coords = np.asarray(states, dtype=float)
     prim_arr = np.asarray(prim)
     sec_arr = np.asarray(sec)
@@ -674,18 +696,7 @@ def _build_trajectory(
         beta[mask] = pars.beta
         gamma[mask] = pars.gamma
 
-    c0, c1 = coords[:, 0], coords[:, 1]
-    if form is Formulation.SINGLE_ODE_DIRECT:
-        i_col = c0
-        s_col = gamma / (beta - c1)
-    elif form is Formulation.SINGLE_ODE_LOG:
-        i_col = np.exp(c0)
-        s_col = (c1 + gamma) / beta
-    elif form.chart is Chart.LOGARITHMIC:
-        i_col = np.exp(c0)
-        s_col = np.exp(c1)
-    else:
-        i_col, s_col = c0, c1
+    i_col, s_col = _RECORDS[form].fractions(coords, beta, gamma)
     r_col = 1.0 - s_col - i_col
     h_col = beta * (i_col + s_col) - gamma * np.log(s_col)
 

@@ -20,11 +20,9 @@ from sirham import (
     gradient_log,
     hamilton_rhs_direct,
     hamilton_rhs_log,
-    hamilton_rhs_ordinary,
     hamiltonian_direct,
     hamiltonian_log,
 )
-from sirham.dynamics import sir_rhs
 
 P = EpidemicParams(beta=0.3, gamma=0.1)
 fraction = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False)
@@ -52,17 +50,6 @@ class TestDirectChart:
     def test_rhs_is_J_of_gradient(self, params):
         z = (0.2, 0.5)
         assert hamilton_rhs_direct(z, params) == apply_J(gradient_direct(z, params))
-
-    @given(i=fraction, s=fraction)
-    def test_ordinary_rhs_equals_basic_model(self, i, s):
-        """Undoing the clock rescaling must recover the plain rates."""
-        want = sir_rhs((i, s), P)
-        got = hamilton_rhs_ordinary((i, s), P)
-        # the two routes associate the products differently, so near the
-        # threshold S = gamma/beta the I-rate is pure cancellation noise and
-        # only agrees to a few ulp of the intermediate terms
-        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=5e-16)
-        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=5e-16)
 
     @given(i=fraction, s=fraction)
     def test_energy_is_stationary_along_the_flow(self, i, s):

@@ -6,6 +6,7 @@ import pytest
 from sirham import (
     Chart,
     CompartmentState,
+    ConstraintViolation,
     EpidemicParams,
     Formulation,
     Method,
@@ -295,6 +296,53 @@ class TestIntegrate:
             assert scheduled.i[-1] == pytest.approx(second.i[-1], abs=1e-12)
             assert scheduled.s[-1] == pytest.approx(second.s[-1], abs=1e-12)
             assert scheduled.i[k] == pytest.approx(first.i[-1], abs=1e-14)
+
+
+#: accepted combinations that fail at the first step: the finite-difference
+#: Jacobian of the Newton solve bumps the state off the constraint manifold
+#: by far more than constraint_tol (ROADMAP item B)
+EXTENDED_FD_JACOBIAN_DEFECT = pytest.mark.xfail(
+    strict=True,
+    raises=ConstraintViolation,
+    reason="finite-difference Newton Jacobian leaves the constraint manifold (ROADMAP B)",
+)
+NEWTON_METHODS = (Method.SYMPLECTIC_EULER, Method.IMPLICIT_MIDPOINT, Method.TIME_FE_CG1_GAUSS2)
+
+
+def _matrix_cases():
+    for method in Method:
+        for formulation in Formulation:
+            for mode in ("direct4d", "reconstruct"):
+                defect = (
+                    formulation.dim == 4 and mode == "direct4d" and method in NEWTON_METHODS
+                )
+                yield pytest.param(
+                    method,
+                    formulation,
+                    mode,
+                    marks=[EXTENDED_FD_JACOBIAN_DEFECT] if defect else [],
+                    id=f"{method.value}-{formulation.value}-{mode}",
+                )
+
+
+@pytest.mark.parametrize("method,formulation,mode", list(_matrix_cases()))
+def test_every_combination_runs_or_is_refused(init, schedule, method, formulation, mode):
+    """RunSpec refuses exactly the variational stepper off the two 2-d
+    canonical charts; every combination it accepts marches."""
+    kwargs = dict(
+        method=method, formulation=formulation, dt=0.01, t_end=0.05, extended_mode=mode
+    )
+    if method is Method.VARIATIONAL_MIDPOINT and formulation not in (
+        Formulation.RESCALED_TAU,
+        Formulation.LOG_T,
+    ):
+        with pytest.raises(ScenarioError):
+            RunSpec(**kwargs)
+        return
+    traj = integrate(RunSpec(**kwargs), init, schedule)
+    assert traj.n_samples == 6
+    assert traj.coords.shape == (6, formulation.dim)
+    assert np.max(np.abs(traj.s + traj.i + traj.r - 1.0)) <= 1e-12
 
 
 class TestExtendedModes:
