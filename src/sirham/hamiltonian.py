@@ -16,6 +16,10 @@ In the logarithmic chart ``(i, s) = (ln I, ln S)`` the conserved quantity
 generates the flow in *ordinary* time with the same constant J, which is
 what makes that chart attractive for structure-preserving stepping.
 
+Both energies are separable, so their Hessians are diagonal and closed
+form (``hessian_direct``, ``hessian_log``); every Newton Jacobian of the
+implicit integrators is built from them.
+
 The extended phase space doubles each chart with conjugate momenta.  The
 price of the doubling is a constraint: momenta are not free but pinned to
 the coordinates by ``C(Q, P) = Q + 2 J P = 0``.  The flow
@@ -51,6 +55,8 @@ __all__ = [
     "hamilton_rhs_log",
     "hamiltonian_direct",
     "hamiltonian_log",
+    "hessian_direct",
+    "hessian_log",
 ]
 
 #: default ceiling on the constraint norm accepted by extended_rhs
@@ -84,6 +90,18 @@ def gradient_direct(
     return (params.beta, params.beta - params.gamma / s)
 
 
+def hessian_direct(
+    z: tuple[float, float], params: EpidemicParams
+) -> tuple[float, float]:
+    """Diagonal of the direct-chart energy's Hessian, ``(0, gamma/S**2)``.
+
+    The energy is separable, so the off-diagonal entries vanish.  Defined
+    where :func:`gradient_direct` is; callers evaluate that first.
+    """
+    s = z[1]
+    return (0.0, params.gamma / (s * s))
+
+
 def hamilton_rhs_direct(
     z: tuple[float, float], params: EpidemicParams
 ) -> tuple[float, float]:
@@ -112,6 +130,17 @@ def gradient_log(
     return (params.beta * math.exp(li), params.beta * math.exp(ls) - params.gamma)
 
 
+def hessian_log(
+    z: tuple[float, float], params: EpidemicParams
+) -> tuple[float, float]:
+    """Diagonal of the log-chart energy's Hessian, ``(beta*I, beta*S)``.
+
+    The energy is separable, so the off-diagonal entries vanish.
+    """
+    beta = params.beta
+    return (beta * math.exp(z[0]), beta * math.exp(z[1]))
+
+
 def hamilton_rhs_log(
     z: tuple[float, float], params: EpidemicParams
 ) -> tuple[float, float]:
@@ -123,6 +152,12 @@ def _gradient(z: tuple[float, float], params: EpidemicParams, chart: Chart):
     if chart is Chart.DIRECT:
         return gradient_direct(z, params)
     return gradient_log(z, params)
+
+
+def _hessian(z: tuple[float, float], params: EpidemicParams, chart: Chart):
+    if chart is Chart.DIRECT:
+        return hessian_direct(z, params)
+    return hessian_log(z, params)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ on plain float tuples.  They realise the one-parameter update family
 at alpha = 0 (explicit Euler), alpha = 1/2 (implicit midpoint and its
 variational and Galerkin relatives), and a per-component mix of 0 and 1
 (symplectic Euler); classical RK4 is the reference non-conservative
-high-order scheme.  Implicit equations are solved by Newton iteration with
-a finite-difference Jacobian and an explicit-Euler predictor.
+high-order scheme.  Implicit equations are solved by Newton iteration from
+an explicit-Euler predictor, with the exact Jacobian each scheme assembles
+from the analytic Jacobian of the rhs and a small elimination solve.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -20,9 +21,10 @@ of 1/(S*I) during the march; :func:`reconstruct_ordinary_time` performs
 the same quadrature on an existing trajectory's samples.
 
 Each :class:`Formulation` is defined in one place, its private record in
-``_RECORDS``: initial state, rhs factory, S*I dilation, map from sampled
-coordinates to (I, S), and state remap at a parameter switch.  The march
-and the trajectory build read only the record and name no formulation.
+``_RECORDS``: initial state, rhs and rhs-Jacobian factories, S*I dilation,
+map from sampled coordinates to (I, S), and state remap at a parameter
+switch.  The march and the trajectory build read only the record and name
+no formulation.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ __all__ = [
 ]
 
 Rhs = Callable[[tuple], tuple]
+#: the Jacobian of an Rhs at a state, as a tuple of rows
+Jac = Callable[[tuple], tuple]
 
 #: a rescaled-clock run refuses to start below this dilation
 START_DILATION_FLOOR = 1e-10
@@ -125,10 +129,11 @@ class _Record(NamedTuple):
     """What the march knows about one formulation.
 
     ``start(i0, s0, params)`` is the initial state; ``rhs(params,
-    constraint_tol)`` builds the rate closure for one parameter segment;
-    ``dilation(y, params)`` is S*I, the rate of the intrinsic clock;
-    ``fractions(coords, beta, gamma)`` maps sampled coordinates to the
-    (I, S) columns.  ``remap(y, old, new)`` carries the state across a
+    constraint_tol)`` builds the rate closure for one parameter segment and
+    ``jac(params)`` its exact Jacobian, which the implicit schemes' Newton
+    solves use; ``dilation(y, params)`` is S*I, the rate of the intrinsic
+    clock; ``fractions(coords, beta, gamma)`` maps sampled coordinates to
+    the (I, S) columns.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
     identity.
@@ -136,6 +141,7 @@ class _Record(NamedTuple):
 
     start: Callable[[float, float, EpidemicParams], tuple]
     rhs: Callable[[EpidemicParams, float], Rhs]
+    jac: Callable[[EpidemicParams], Jac]
     dilation: Callable[[tuple, EpidemicParams], float]
     fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     remap: Callable[[tuple, EpidemicParams, EpidemicParams], tuple] = lambda y, old, new: y
@@ -146,22 +152,36 @@ def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
     return (z.q, z.p)
 
 
+def _canonical_jac(params: EpidemicParams, chart: Chart) -> Jac:
+    """``J Hess``: the Jacobian of ``J grad H`` for a diagonal Hessian."""
+
+    def jac(y: tuple) -> tuple:
+        h0, h1 = hamiltonian._hessian(y, params, chart)
+        return ((0.0, h1), (-h0, 0.0))
+
+    return jac
+
+
 #: the canonical flow of each chart; the other formulations reuse its pieces
 _DIRECT = _Record(
     start=lambda i0, s0, params: (i0, s0),
     rhs=lambda params, tol: lambda y: hamiltonian.hamilton_rhs_direct(y, params),
+    jac=lambda params: _canonical_jac(params, Chart.DIRECT),
     dilation=lambda y, params: y[0] * y[1],
     fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
 )
 _LOG = _Record(
     start=_log_start,
     rhs=lambda params, tol: lambda y: hamiltonian.hamilton_rhs_log(y, params),
+    jac=lambda params: _canonical_jac(params, Chart.LOGARITHMIC),
     dilation=lambda y, params: math.exp(y[0] + y[1]),
     fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
 )
 
 
-def _single_ode(base: _Record, to_rate, to_momentum, rhs, dilation, fractions) -> _Record:
+def _single_ode(
+    base: _Record, to_rate, to_momentum, rhs, jac, dilation, fractions
+) -> _Record:
     """Scalar reduction: the chart's S slot carries the rate of I instead."""
 
     def start(i0: float, s0: float, params: EpidemicParams) -> tuple:
@@ -171,7 +191,7 @@ def _single_ode(base: _Record, to_rate, to_momentum, rhs, dilation, fractions) -
     def remap(y: tuple, old: EpidemicParams, new: EpidemicParams) -> tuple:
         return (y[0], to_rate(to_momentum(y[1], old), new))
 
-    return _Record(start, rhs, dilation, fractions, remap)
+    return _Record(start, rhs, jac, dilation, fractions, remap)
 
 
 def _extended(base: _Record, chart: Chart) -> _Record:
@@ -184,7 +204,21 @@ def _extended(base: _Record, chart: Chart) -> _Record:
     def rhs(params: EpidemicParams, tol: float) -> Rhs:
         return lambda y: hamiltonian._extended_rates(y, params, chart, tol)
 
-    return base._replace(start=start, rhs=rhs)
+    def jac(params: EpidemicParams) -> Jac:
+        # coordinate rows J Hess, momentum rows -Hess/2; no rate depends on
+        # the momenta, so their columns are zero
+        def df(y: tuple) -> tuple:
+            h0, h1 = hamiltonian._hessian((y[0], y[1]), params, chart)
+            return (
+                (0.0, h1, 0.0, 0.0),
+                (-h0, 0.0, 0.0, 0.0),
+                (-0.5 * h0, 0.0, 0.0, 0.0),
+                (0.0, -0.5 * h1, 0.0, 0.0),
+            )
+
+        return df
+
+    return base._replace(start=start, rhs=rhs, jac=jac)
 
 
 def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
@@ -208,7 +242,11 @@ def _rate_dilation_log(y: tuple, params: EpidemicParams) -> float:
 #: the one place each formulation is defined; the march reads only this
 _RECORDS = {
     Formulation.BASIC_T: _DIRECT._replace(
-        rhs=lambda params, tol: lambda y: dynamics.sir_rhs(y, params)
+        rhs=lambda params, tol: lambda y: dynamics.sir_rhs(y, params),
+        jac=lambda params: lambda y: (
+            (params.beta * y[1] - params.gamma, params.beta * y[0]),
+            (-params.beta * y[1], -params.beta * y[0]),
+        ),
     ),
     Formulation.RESCALED_TAU: _DIRECT,
     Formulation.LOG_T: _LOG,
@@ -217,6 +255,7 @@ _RECORDS = {
         lagrangian.rate_from_momentum_direct,
         lagrangian.momentum_from_rate_direct,
         lambda params, tol: lambda y: (y[1], dynamics.rescaled_accel(y[1], params)),
+        lambda params: lambda y: ((0.0, 1.0), (0.0, 2.0 * params.r0 * (params.beta - y[1]))),
         _rate_dilation_direct,
         lambda coords, beta, gamma: (coords[:, 0], gamma / (beta - coords[:, 1])),
     ),
@@ -225,6 +264,10 @@ _RECORDS = {
         lagrangian.rate_from_momentum_log,
         lagrangian.momentum_from_rate_log,
         lambda params, tol: lambda y: (y[1], dynamics.log_accel(y[0], y[1], params)),
+        lambda params: lambda y: (
+            (0.0, 1.0),
+            (-params.beta * math.exp(y[0]) * (y[1] + params.gamma), -params.beta * math.exp(y[0])),
+        ),
         _rate_dilation_log,
         lambda coords, beta, gamma: (np.exp(coords[:, 0]), (coords[:, 1] + gamma) / beta),
     ),
@@ -290,6 +333,16 @@ class RunSpec:
                 "variational midpoint steps the 2-d canonical charts only "
                 f"(rescaled_tau or log_t), not {self.formulation.value}"
             )
+        if (
+            self.method is Method.SYMPLECTIC_EULER
+            and self.formulation.dim == 4
+            and self.extended_mode == "direct4d"
+        ):
+            # the partitioned step moves Q + 2JP by dt*J(grad H(Q_n) - grad H(Q_n+1))
+            raise ScenarioError(
+                "symplectic Euler does not keep the momentum constraint of "
+                f"{self.formulation.value}; use extended_mode: reconstruct"
+            )
 
     @property
     def name(self) -> str:
@@ -327,32 +380,69 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Newton iteration for the implicit schemes
 
+def _solve2(a00, a01, a10, a11, b0, b1) -> tuple:
+    """Solve a 2x2 system by elimination with partial pivoting."""
+    if abs(a10) > abs(a00):
+        a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
+    if a00 == 0.0:
+        raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+    m = a10 / a00
+    u11 = a11 - m * a01
+    if u11 == 0.0:
+        raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+    x1 = (b1 - m * b0) / u11
+    return ((b0 - a01 * x1) / a00, x1)
+
+
+def _solve(a: tuple, b: tuple) -> tuple:
+    """Solve ``a x = b`` for the 1-, 2- and 4-d Newton systems.
+
+    The 4-d systems come from the extended formulations, where no rate
+    depends on the momenta: the matrix is block lower triangular,
+    ``[[A, 0], [C, D]]``, so the coordinate block is solved first and the
+    momentum block after it.
+    """
+    n = len(b)
+    if n == 2:
+        return _solve2(a[0][0], a[0][1], a[1][0], a[1][1], b[0], b[1])
+    if n == 1:
+        if a[0][0] == 0.0:
+            raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+        return (b[0] / a[0][0],)
+    if n == 4 and not (a[0][2] or a[0][3] or a[1][2] or a[1][3]):
+        a2, a3 = a[2], a[3]
+        x0, x1 = _solve2(a[0][0], a[0][1], a[1][0], a[1][1], b[0], b[1])
+        return (x0, x1) + _solve2(
+            a2[2], a2[3], a3[2], a3[3],
+            b[2] - a2[0] * x0 - a2[1] * x1,
+            b[3] - a3[0] * x0 - a3[1] * x1,
+        )
+    raise ValueError(f"no solver for this {n}x{n} Newton system")
+
+
+def _shifted(c: float, d: tuple) -> tuple:
+    """``I - c*d`` for a square matrix given as rows."""
+    return tuple(
+        tuple((1.0 - c * x) if j == k else -c * x for j, x in enumerate(row))
+        for k, row in enumerate(d)
+    )
+
+
 def _newton(
     residual: Callable[[tuple], tuple],
+    jacobian: Callable[[tuple], tuple],
     y0: tuple,
     tol: float,
     max_iter: int,
 ) -> tuple:
-    """Solve residual(y) = 0 by Newton with a finite-difference Jacobian."""
+    """Solve residual(y) = 0 by Newton iteration with the given Jacobian."""
     y = y0
     r = residual(y)
-    n = len(y)
-    jac = np.empty((n, n))
     for _ in range(max_iter):
         norm = max(abs(c) for c in r)
         if norm <= tol:
             return y
-        for j in range(n):
-            h = 1e-7 * max(1.0, abs(y[j]))
-            bumped = list(y)
-            bumped[j] += h
-            rp = residual(tuple(bumped))
-            for k in range(n):
-                jac[k, j] = (rp[k] - r[k]) / h
-        try:
-            delta = np.linalg.solve(jac, np.asarray(r, dtype=float))
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(f"singular Jacobian in Newton iteration: {exc}") from exc
+        delta = _solve(jacobian(y), r)
         y = tuple(yi - di for yi, di in zip(y, delta))
         if not all(math.isfinite(c) for c in y):
             raise NewtonDivergence(f"Newton iterate left the finite range: {y}")
@@ -390,6 +480,7 @@ def step_rk4(rhs: Rhs, y: tuple, dt: float) -> tuple:
 
 def step_symplectic_euler(
     rhs: Rhs,
+    jac: Jac,
     y: tuple,
     dt: float,
     *,
@@ -399,10 +490,13 @@ def step_symplectic_euler(
     """Mixed-endpoint Euler on a state split into (coordinates, momenta).
 
     The first half of the state advances explicitly with the old second
-    half; the second half then advances with the updated first half (an
-    implicit equation in general, solved by Newton, but explicit for both
-    epidemic charts, where the momentum rate does not depend on the
-    momenta).  First order; symplectic on the canonical charts.
+    half; the second half then advances with the updated first half.  That
+    second update is an implicit equation wherever the momentum rate
+    depends on the momenta, as on ``basic_t`` (dS/dt = -beta*S*I) and both
+    ``single_ode_*`` reductions; it is solved by Newton with the momentum
+    block of ``jac``.  On the canonical and extended charts the block is
+    the identity and one Newton update is exact.  First order; symplectic
+    on the canonical charts.
     """
     n = len(y)
     if n % 2:
@@ -415,13 +509,18 @@ def step_symplectic_euler(
         f = rhs(q_new + p)
         return tuple(p[k] - y[nq + k] - dt * f[nq + k] for k in range(n - nq))
 
+    def jacobian(p: tuple) -> tuple:
+        d = jac(q_new + p)
+        return _shifted(dt, tuple(row[nq:] for row in d[nq:]))
+
     p_pred = tuple(y[nq + k] + dt * f0[nq + k] for k in range(n - nq))
-    p_new = _newton(residual, p_pred, tol, max_iter)
+    p_new = _newton(residual, jacobian, p_pred, tol, max_iter)
     return q_new + p_new
 
 
 def step_implicit_midpoint(
     rhs: Rhs,
+    jac: Jac,
     y: tuple,
     dt: float,
     *,
@@ -435,7 +534,10 @@ def step_implicit_midpoint(
         f = rhs(mid)
         return tuple(ui - yi - dt * fi for ui, yi, fi in zip(u, y, f))
 
-    return _newton(residual, step_explicit_euler(rhs, y, dt), tol, max_iter)
+    def jacobian(u: tuple) -> tuple:
+        return _shifted(0.5 * dt, jac(tuple(0.5 * (yi + ui) for yi, ui in zip(y, u))))
+
+    return _newton(residual, jacobian, step_explicit_euler(rhs, y, dt), tol, max_iter)
 
 
 def step_variational_midpoint(
@@ -476,16 +578,24 @@ def step_variational_midpoint(
             p_now[1] + 0.5 * dt * d_mid[1] - d_rate[1],
         )
 
+    def jacobian(q_new: tuple) -> tuple:
+        # the residual is p_now - (1/2) J q_new - (dt/2) grad H(mid)
+        mid = (0.5 * (coords[0] + q_new[0]), 0.5 * (coords[1] + q_new[1]))
+        h0, h1 = hamiltonian._hessian(mid, params, chart)
+        c = 0.25 * dt
+        return ((-c * h0, -0.5), (0.5, -c * h1))
+
     if chart is Chart.DIRECT:
         flow = hamiltonian.hamilton_rhs_direct
     else:
         flow = hamiltonian.hamilton_rhs_log
     predictor = step_explicit_euler(lambda z: flow(z, params), coords, dt)
-    return _newton(residual, predictor, tol, max_iter)
+    return _newton(residual, jacobian, predictor, tol, max_iter)
 
 
 def step_time_fe_cg1(
     rhs: Rhs,
+    jac: Jac,
     y: tuple,
     dt: float,
     *,
@@ -516,7 +626,19 @@ def step_time_fe_cg1(
                 acc[k] += w * fk
         return tuple(ui - yi - dt * ak for ui, yi, ak in zip(u, y, acc))
 
-    return _newton(residual, step_explicit_euler(rhs, y, dt), tol, max_iter)
+    def jacobian(u: tuple) -> tuple:
+        # a stage moves with weight sigma as the endpoint u does
+        n = len(y)
+        acc = [[0.0] * n for _ in range(n)]
+        for sigma, w in zip(nodes, weights):
+            d = jac(tuple((1.0 - sigma) * yi + sigma * ui for yi, ui in zip(y, u)))
+            ws = w * sigma
+            for row, drow in zip(acc, d):
+                for j in range(n):
+                    row[j] += ws * drow[j]
+        return _shifted(dt, acc)
+
+    return _newton(residual, jacobian, step_explicit_euler(rhs, y, dt), tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -524,21 +646,21 @@ def step_time_fe_cg1(
 
 def _make_stepper(
     spec: RunSpec, params: EpidemicParams, chart: Chart
-) -> Callable[[Rhs, tuple, float], tuple]:
+) -> Callable[[Rhs, Jac, tuple, float], tuple]:
     m = spec.method
     if m is Method.EXPLICIT_EULER:
-        return lambda rhs, y, h: step_explicit_euler(rhs, y, h)
+        return lambda rhs, jac, y, h: step_explicit_euler(rhs, y, h)
     if m is Method.RK4:
-        return lambda rhs, y, h: step_rk4(rhs, y, h)
+        return lambda rhs, jac, y, h: step_rk4(rhs, y, h)
     kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
     if m is Method.SYMPLECTIC_EULER:
-        return lambda rhs, y, h: step_symplectic_euler(rhs, y, h, **kw)
+        return lambda rhs, jac, y, h: step_symplectic_euler(rhs, jac, y, h, **kw)
     if m is Method.IMPLICIT_MIDPOINT:
-        return lambda rhs, y, h: step_implicit_midpoint(rhs, y, h, **kw)
+        return lambda rhs, jac, y, h: step_implicit_midpoint(rhs, jac, y, h, **kw)
     if m is Method.TIME_FE_CG1_GAUSS2:
-        return lambda rhs, y, h: step_time_fe_cg1(rhs, y, h, **kw)
+        return lambda rhs, jac, y, h: step_time_fe_cg1(rhs, jac, y, h, **kw)
     if m is Method.VARIATIONAL_MIDPOINT:
-        return lambda rhs, y, h: step_variational_midpoint(y, h, params, chart, **kw)
+        return lambda rhs, jac, y, h: step_variational_midpoint(y, h, params, chart, **kw)
     raise ScenarioError(f"unknown method {m!r}")
 
 
@@ -616,12 +738,13 @@ def integrate(
             # only the state marched onward is re-expressed
             y = rec.remap(y, segments[seg_id - 1][2], pars)
         rhs = rec.rhs(pars, spec.constraint_tol)
+        jac = rec.jac(pars)
         stepper = _make_stepper(spec, pars, form.chart)
         dil_prev = dilation(y, pars)
         n_full, tail = _segment_steps(b - a, dt)
         for k in range(n_full + (1 if tail else 0)):
             h = dt if k < n_full else tail
-            y = stepper(rhs, y, h)
+            y = stepper(rhs, jac, y, h)
             t_now = a + (k + 1) * dt if k < n_full else b
             if k == n_full - 1 and not tail:
                 t_now = b

@@ -227,6 +227,18 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "unknown key" in proc.stderr
 
+    def test_refused_combination_exits_2(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            ONE_RUN.replace(
+                "method: rk4, formulation: basic_t",
+                "method: symplectic_euler, formulation: extended_4d_log",
+            )
+        )
+        proc = cli("run", scenario, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "extended_mode: reconstruct" in proc.stderr
+
     def test_singular_clock_exits_3(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(

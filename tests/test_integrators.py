@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sirham import integrators
 from sirham import (
     Chart,
     CompartmentState,
-    ConstraintViolation,
     EpidemicParams,
     Formulation,
     Method,
@@ -22,6 +22,7 @@ from sirham import (
 )
 from sirham.hamiltonian import hamilton_rhs_log
 from sirham.integrators import (
+    _RECORDS,
     step_explicit_euler,
     step_implicit_midpoint,
     step_rk4,
@@ -36,6 +37,9 @@ LOG_START = (math.log(0.01), math.log(0.99))
 
 def log_rhs(z):
     return hamilton_rhs_log(z, P)
+
+
+log_jac = _RECORDS[Formulation.LOG_T].jac(P)
 
 
 def rotation(z):
@@ -66,34 +70,34 @@ class TestSteppers:
         assert abs(y1[1] + math.sin(h)) < 1e-7
 
     def test_implicit_midpoint(self):
-        y1 = step_implicit_midpoint(log_rhs, LOG_START, 0.05, tol=1e-14)
+        y1 = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
         assert y1[0] == pytest.approx(-4.595321305194035394045, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020107634130862215029, abs=5e-13)
 
     def test_time_finite_element_gauss2(self):
-        y1 = step_time_fe_cg1(log_rhs, LOG_START, 0.05, tol=1e-14)
+        y1 = step_time_fe_cg1(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
         assert y1[0] == pytest.approx(-4.595321305184499989125, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020107695055540187324, abs=5e-13)
 
     def test_time_finite_element_midpoint_rule_collapses(self):
         """With one-point midpoint quadrature the weak step IS the implicit
         midpoint step: identical fixed point, identical arithmetic."""
-        a = step_time_fe_cg1(log_rhs, LOG_START, 0.05, quadrature="midpoint")
-        b = step_implicit_midpoint(log_rhs, LOG_START, 0.05)
+        a = step_time_fe_cg1(log_rhs, log_jac, LOG_START, 0.05, quadrature="midpoint")
+        b = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-14
 
     def test_time_finite_element_rejects_unknown_quadrature(self):
         with pytest.raises(ScenarioError):
-            step_time_fe_cg1(log_rhs, LOG_START, 0.05, quadrature="lobatto9")
+            step_time_fe_cg1(log_rhs, log_jac, LOG_START, 0.05, quadrature="lobatto9")
 
     def test_symplectic_euler(self):
-        y1 = step_symplectic_euler(log_rhs, LOG_START, 0.05, tol=1e-14)
+        y1 = step_symplectic_euler(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
         assert y1[0] == pytest.approx(-4.595320185988091368036, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020182065413968143557, abs=5e-13)
 
     def test_symplectic_euler_needs_pairs(self):
         with pytest.raises(ScenarioError):
-            step_symplectic_euler(lambda y: (0.0,), (1.0,), 0.1)
+            step_symplectic_euler(lambda y: (0.0,), lambda y: ((0.0,),), (1.0,), 0.1)
 
     def test_explicit_euler(self):
         y1 = step_explicit_euler(log_rhs, LOG_START, 0.05)
@@ -102,25 +106,137 @@ class TestSteppers:
 
     def test_variational_equals_implicit_midpoint(self):
         a = step_variational_midpoint(LOG_START, 0.05, P, Chart.LOGARITHMIC)
-        b = step_implicit_midpoint(log_rhs, LOG_START, 0.05)
+        b = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
 
     def test_midpoint_is_time_reversible(self):
-        forward = step_implicit_midpoint(log_rhs, LOG_START, 0.05, tol=1e-14)
-        back = step_implicit_midpoint(log_rhs, forward, -0.05, tol=1e-14)
+        forward = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
+        back = step_implicit_midpoint(log_rhs, log_jac, forward, -0.05, tol=1e-14)
         assert max(abs(x - y) for x, y in zip(back, LOG_START)) <= 1e-13
 
     def test_newton_reports_exhaustion(self):
         # an unreachable tolerance forces the iteration cap
         with pytest.raises(NewtonDivergence):
-            step_implicit_midpoint(log_rhs, LOG_START, 0.05, tol=0.0, max_iter=2)
+            step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05, tol=0.0, max_iter=2)
+
+    def test_newton_reports_a_singular_jacobian(self):
+        # I - (dt/2) Df vanishes when Df = (2/dt) I: every pivot is zero
+        def degenerate(z):
+            return ((40.0, 0.0), (0.0, 40.0))
+
+        with pytest.raises(NewtonDivergence, match="singular"):
+            step_implicit_midpoint(log_rhs, degenerate, LOG_START, 0.05)
 
     def test_newton_reports_non_finite_iterates(self):
         def broken(z):
             return (math.nan, math.nan)
 
         with pytest.raises(NewtonDivergence):
-            step_implicit_midpoint(broken, LOG_START, 0.05)
+            step_implicit_midpoint(broken, log_jac, LOG_START, 0.05)
+
+
+def central_jacobian(f, y, rel=1e-6):
+    """Central finite differences of ``f`` at ``y``, as rows."""
+    cols = []
+    for j in range(len(y)):
+        h = rel * max(1.0, abs(y[j]))
+        up, down = list(y), list(y)
+        up[j] += h
+        down[j] -= h
+        cols.append([(a - b) / (2.0 * h) for a, b in zip(f(tuple(up)), f(tuple(down)))])
+    return [[col[k] for col in cols] for k in range(len(cols[0]))]
+
+
+def assert_jacobian_matches(analytic, f, y):
+    reference = central_jacobian(f, y)
+    assert [len(row) for row in analytic] == [len(row) for row in reference]
+    scale = max(1.0, max(abs(x) for row in reference for x in row))
+    err = max(abs(a - b) for ra, rb in zip(analytic, reference) for a, b in zip(ra, rb))
+    assert err <= 1e-9 * scale
+
+
+#: (i0, s0, beta, gamma) points the Jacobian checks visit
+JACOBIAN_POINTS = [
+    (0.01, 0.99, 0.3, 0.1),
+    (0.2, 0.5, 0.3, 0.1),
+    (0.05, 0.3, 0.5, 0.2),
+    (0.4, 0.45, 0.25, 0.15),
+]
+#: loose enough that the finite-difference bumps of an extended state pass
+#: the constraint check, which the rates themselves never read
+FD_CONSTRAINT_TOL = 1.0
+
+
+class TestJacobians:
+    """The analytic Jacobians the Newton solves use, against central
+    differences of the functions they differentiate."""
+
+    @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
+    def test_record_jacobian_matches_the_rhs(self, formulation):
+        rec = _RECORDS[formulation]
+        for i0, s0, beta, gamma in JACOBIAN_POINTS:
+            params = EpidemicParams(beta, gamma)
+            y = rec.start(i0, s0, params)
+            assert_jacobian_matches(
+                rec.jac(params)(y), rec.rhs(params, FD_CONSTRAINT_TOL), y
+            )
+
+    @staticmethod
+    def newton_system(monkeypatch, step, *args):
+        """The residual, Jacobian and predictor a stepper hands to Newton."""
+        seen = []
+        newton = integrators._newton
+
+        def capture(residual, jacobian, y0, tol, max_iter):
+            seen.append((residual, jacobian, y0))
+            return newton(residual, jacobian, y0, tol, max_iter)
+
+        monkeypatch.setattr(integrators, "_newton", capture)
+        step(*args)
+        return seen[0]
+
+    @pytest.mark.parametrize(
+        "step",
+        [step_implicit_midpoint, step_time_fe_cg1, step_symplectic_euler],
+        ids=lambda s: s.__name__,
+    )
+    @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
+    def test_residual_jacobian_matches_the_residual(self, monkeypatch, step, formulation):
+        rec = _RECORDS[formulation]
+        for i0, s0, beta, gamma in JACOBIAN_POINTS:
+            params = EpidemicParams(beta, gamma)
+            y = rec.start(i0, s0, params)
+            rhs = rec.rhs(params, FD_CONSTRAINT_TOL)
+            residual, jacobian, u = self.newton_system(
+                monkeypatch, step, rhs, rec.jac(params), y, 0.05
+            )
+            assert_jacobian_matches(jacobian(u), residual, u)
+
+    @pytest.mark.parametrize("chart", list(Chart), ids=lambda c: c.value)
+    def test_variational_residual_jacobian(self, monkeypatch, chart):
+        formulation = Formulation.RESCALED_TAU if chart is Chart.DIRECT else Formulation.LOG_T
+        for i0, s0, beta, gamma in JACOBIAN_POINTS:
+            params = EpidemicParams(beta, gamma)
+            y = _RECORDS[formulation].start(i0, s0, params)
+            residual, jacobian, u = self.newton_system(
+                monkeypatch, step_variational_midpoint, y, 0.05, params, chart
+            )
+            assert_jacobian_matches(jacobian(u), residual, u)
+
+    def test_implicit_midpoint_takes_one_newton_update(self):
+        """Predictor, first residual and one exact update: three rhs
+        evaluations per step on log_t at dt = 0.05."""
+        calls = []
+
+        def counting_rhs(z):
+            calls.append(z)
+            return log_rhs(z)
+
+        y = LOG_START
+        for _ in range(400):
+            calls.clear()
+            y = step_implicit_midpoint(counting_rhs, log_jac, y, 0.05)
+            assert len(calls) <= 3
 
 
 class TestRunSpec:
@@ -298,44 +414,31 @@ class TestIntegrate:
             assert scheduled.i[k] == pytest.approx(first.i[-1], abs=1e-14)
 
 
-#: accepted combinations that fail at the first step: the finite-difference
-#: Jacobian of the Newton solve bumps the state off the constraint manifold
-#: by far more than constraint_tol (ROADMAP item B)
-EXTENDED_FD_JACOBIAN_DEFECT = pytest.mark.xfail(
-    strict=True,
-    raises=ConstraintViolation,
-    reason="finite-difference Newton Jacobian leaves the constraint manifold (ROADMAP B)",
-)
-NEWTON_METHODS = (Method.SYMPLECTIC_EULER, Method.IMPLICIT_MIDPOINT, Method.TIME_FE_CG1_GAUSS2)
-
-
 def _matrix_cases():
     for method in Method:
         for formulation in Formulation:
             for mode in ("direct4d", "reconstruct"):
-                defect = (
-                    formulation.dim == 4 and mode == "direct4d" and method in NEWTON_METHODS
-                )
                 yield pytest.param(
-                    method,
-                    formulation,
-                    mode,
-                    marks=[EXTENDED_FD_JACOBIAN_DEFECT] if defect else [],
-                    id=f"{method.value}-{formulation.value}-{mode}",
+                    method, formulation, mode, id=f"{method.value}-{formulation.value}-{mode}"
                 )
+
+
+def _refused(method, formulation, mode):
+    if method is Method.VARIATIONAL_MIDPOINT:
+        return formulation not in (Formulation.RESCALED_TAU, Formulation.LOG_T)
+    # symplectic Euler's partitioned step drifts off the extended constraint
+    return method is Method.SYMPLECTIC_EULER and formulation.dim == 4 and mode == "direct4d"
 
 
 @pytest.mark.parametrize("method,formulation,mode", list(_matrix_cases()))
 def test_every_combination_runs_or_is_refused(init, schedule, method, formulation, mode):
     """RunSpec refuses exactly the variational stepper off the two 2-d
-    canonical charts; every combination it accepts marches."""
+    canonical charts and symplectic Euler on the full extended system;
+    every combination it accepts marches."""
     kwargs = dict(
         method=method, formulation=formulation, dt=0.01, t_end=0.05, extended_mode=mode
     )
-    if method is Method.VARIATIONAL_MIDPOINT and formulation not in (
-        Formulation.RESCALED_TAU,
-        Formulation.LOG_T,
-    ):
+    if _refused(method, formulation, mode):
         with pytest.raises(ScenarioError):
             RunSpec(**kwargs)
         return
@@ -346,6 +449,26 @@ def test_every_combination_runs_or_is_refused(init, schedule, method, formulatio
 
 
 class TestExtendedModes:
+    @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
+    @pytest.mark.parametrize(
+        "formulation,t_end", [("extended_4d_direct", 2.4), ("extended_4d_log", 60.0)]
+    )
+    def test_implicit_direct4d_matches_reconstruct(
+        self, init, schedule, method, formulation, t_end
+    ):
+        """With the exact Newton Jacobian the 4-d implicit march stays on
+        the constraint manifold and retraces the closed coordinate block."""
+        kwargs = dict(method=method, formulation=formulation, dt=t_end / 2400, t_end=t_end)
+        direct = integrate(RunSpec(extended_mode="direct4d", **kwargs), init, schedule)
+        rebuilt = integrate(RunSpec(extended_mode="reconstruct", **kwargs), init, schedule)
+        assert direct.n_samples == rebuilt.n_samples == 2401
+        assert np.max(np.abs(direct.coords - rebuilt.coords)) <= 1e-12
+        assert np.max(np.abs(direct.t - rebuilt.t)) <= 1e-12
+        assert np.max(np.abs(direct.tau - rebuilt.tau)) <= 1e-12
+        q0, q1, p0, p1 = direct.coords.T
+        assert np.max(np.abs(q0 + 2.0 * p1)) <= 1e-12
+        assert np.max(np.abs(q1 - 2.0 * p0)) <= 1e-12
+
     def test_reconstruction_pins_the_constraint_to_zero(self, init, schedule):
         spec = RunSpec(
             method="rk4",
