@@ -23,7 +23,8 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -55,22 +56,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     """
     h0 = traj.h[0]
     drift = (traj.h - h0) / abs(h0)
+    table = np.column_stack((traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift))
     lines = [CSV_HEADER]
-    for k in range(traj.n_samples):
-        lines.append(
-            ",".join(
-                f"{v:.17g}"
-                for v in (
-                    traj.t[k],
-                    traj.tau[k],
-                    traj.s[k],
-                    traj.i[k],
-                    traj.r[k],
-                    traj.h[k],
-                    drift[k],
-                )
-            )
-        )
+    lines.extend(",".join(f"{v:.17g}" for v in row) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -79,24 +67,23 @@ def _safe_name(label: str) -> str:
 
 
 def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
-    """Stable 12-hex-digit digest of everything that determines a run."""
+    """Stable 12-hex-digit digest of everything that determines a run.
+
+    Every ``RunSpec`` field except the cosmetic ``label`` is hashed, enums
+    by their value.
+    """
+    run = {}
+    for field in fields(spec):
+        if field.name != "label":
+            value = getattr(spec, field.name)
+            run[field.name] = value.value if isinstance(value, Enum) else value
     payload = {
         "init": {"s": scenario.init.s, "i": scenario.init.i},
         "schedule": [
             [t, p.beta, p.gamma]
             for t, p in zip(scenario.schedule.switch_times, scenario.schedule.params)
         ],
-        "run": {
-            "method": spec.method.value,
-            "formulation": spec.formulation.value,
-            "dt": spec.dt,
-            "t_end": spec.t_end,
-            "sample_stride": spec.sample_stride,
-            "extended_mode": spec.extended_mode,
-            "newton_tol": spec.newton_tol,
-            "newton_max_iter": spec.newton_max_iter,
-            "constraint_tol": spec.constraint_tol,
-        },
+        "run": run,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -138,12 +125,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # check
 
-def _report_line(name: str, value: float, tol: float) -> tuple[str, bool]:
-    ok = value <= tol
-    verdict = "PASS" if ok else "FAIL"
-    return f"{name:<44} {value:12.5e}  tol {tol:8.1e}  {verdict}", ok
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     tol = scenario.tolerances
@@ -153,36 +134,29 @@ def cmd_check(args: argparse.Namespace) -> int:
         trajectories.append(integrate(spec, scenario.init, scenario.schedule))
         log.info("integrated %s in %.2fs", spec.name, time.perf_counter() - started)
 
-    lines: list[str] = []
-    all_ok = True
+    graded: list[tuple[str, float, float]] = []
     for spec, traj in zip(scenario.runs, trajectories):
         report = conservation_report(traj)
-        drift = max(report.per_segment_rel_h_drift)
-        line, ok = _report_line(f"h_drift {spec.name}", drift, tol.h_drift)
-        lines.append(line)
-        all_ok &= ok
-        line, ok = _report_line(
-            f"population {spec.name}", report.max_population_residual, tol.population
+        graded.append(
+            (f"h_drift {spec.name}", max(report.per_segment_rel_h_drift), tol.h_drift)
         )
-        lines.append(line)
-        all_ok &= ok
+        graded.append(
+            (f"population {spec.name}", report.max_population_residual, tol.population)
+        )
         if report.max_constraint_norm is not None:
-            line, ok = _report_line(
-                f"constraint {spec.name}", report.max_constraint_norm, tol.constraint
+            graded.append(
+                (f"constraint {spec.name}", report.max_constraint_norm, tol.constraint)
             )
-            lines.append(line)
-            all_ok &= ok
     if len(trajectories) >= 2:
-        matrix = pairwise_sup_diff(trajectories)
-        worst = float(np.max(matrix))
-        line, ok = _report_line(
-            f"equivalence ({len(trajectories)} runs)", worst, tol.equivalence
-        )
-        lines.append(line)
-        all_ok &= ok
+        worst = float(np.max(pairwise_sup_diff(trajectories)))
+        graded.append((f"equivalence ({len(trajectories)} runs)", worst, tol.equivalence))
 
-    for line in lines:
-        print(line)
+    all_ok = True
+    for name, value, bound in graded:
+        ok = value <= bound
+        all_ok &= ok
+        verdict = "PASS" if ok else "FAIL"
+        print(f"{name:<44} {value:12.5e}  tol {bound:8.1e}  {verdict}")
     print("all checks passed" if all_ok else "CHECK FAILED")
     return 0 if all_ok else 1
 
@@ -235,7 +209,11 @@ def _parse_grid(grid: str) -> list[tuple[str, list]]:
 def _sweep_point(
     scenario: Scenario, index: int, overrides: dict, out_dir: Path
 ) -> dict:
-    """Run one grid point; returns the summary row as a dict."""
+    """Run one grid point, serially or in a pool worker.
+
+    Returns the complete summary row; its keys, in order, are the
+    ``summary.csv`` header.
+    """
     spec = scenario.runs[0]
     params = scenario.schedule.params[0]
     if "beta" in overrides or "gamma" in overrides:
@@ -280,31 +258,6 @@ def _sweep_point(
     return row
 
 
-def _sweep_worker(payload: tuple) -> dict:
-    scenario_path, index, overrides, out_dir = payload
-    scenario = load_scenario(scenario_path)
-    try:
-        return _sweep_point(scenario, index, overrides, Path(out_dir))
-    except SirhamError as exc:  # belt and braces; _sweep_point catches most
-        return {"point": index, "status": type(exc).__name__}
-
-
-_SUMMARY_COLUMNS = (
-    "point",
-    "label",
-    "beta",
-    "gamma",
-    "dt",
-    "method",
-    "formulation",
-    "status",
-    "final_S",
-    "final_I",
-    "peak_I",
-    "max_rel_h_drift",
-)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     axes = _parse_grid(args.grid)
@@ -321,32 +274,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     log.info("sweeping %d point(s) over %s", len(points), ", ".join(keys))
 
+    point_args = (
+        itertools.repeat(scenario), itertools.count(), points, itertools.repeat(out_dir)
+    )
     if args.jobs > 1:
-        payloads = [
-            (str(args.scenario), k, overrides, str(out_dir))
-            for k, overrides in enumerate(points)
-        ]
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+            rows = list(pool.map(_sweep_point, *point_args))
     else:
-        rows = [
-            _sweep_point(scenario, k, overrides, out_dir)
-            for k, overrides in enumerate(points)
-        ]
+        rows = list(map(_sweep_point, *point_args))
 
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row.get(col, "")) for col in _SUMMARY_COLUMNS))
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(str(value) for value in row.values()) for row in rows)
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
-    n_ok = sum(1 for row in rows if row.get("status") == "ok")
-    for row in rows:
-        if row.get("status") != "ok":
-            print(
-                f"point {row.get('point')}: {row.get('status')}", file=sys.stderr
-            )
-    log.info("%d/%d point(s) succeeded", n_ok, len(rows))
-    return 0 if n_ok >= 1 else 3
+    failed = [row for row in rows if row["status"] != "ok"]
+    for row in failed:
+        print(f"point {row['point']}: {row['status']}", file=sys.stderr)
+    log.info("%d/%d point(s) succeeded", len(rows) - len(failed), len(rows))
+    return 0 if len(failed) < len(rows) else 3
 
 
 # ---------------------------------------------------------------------------

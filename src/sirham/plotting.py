@@ -9,14 +9,11 @@ them directly.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .errors import MissingDiagnostic
-from .integrators import Trajectory
 
-__all__ = ["render_curves", "render_svg", "write_svg"]
+__all__ = ["render_curves"]
 
 _COLORS = {"S": "#4477aa", "I": "#cc3311", "R": "#228833"}
 _DRIFT_COLOR = "#aa3377"
@@ -135,12 +132,3 @@ def render_curves(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def render_svg(traj: Trajectory, **kwargs) -> str:
-    """Render a trajectory; the panel title names its formulation."""
-    kwargs.setdefault("title", f"compartment fractions ({traj.formulation.value})")
-    return render_curves(traj.t, traj.s, traj.i, traj.r, traj.h, **kwargs)
-
-
-def write_svg(traj: Trajectory, path: str | Path, **kwargs) -> None:
-    Path(path).write_text(render_svg(traj, **kwargs))

@@ -12,13 +12,15 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from sirham import (
+    CompartmentState,
     EpidemicParams,
+    ParamSchedule,
     ScenarioError,
     final_size_oracle,
     parse_scenario,
 )
-from sirham.cli import CSV_HEADER, _parse_grid
-from sirham.integrators import Method
+from sirham.cli import CSV_HEADER, _parse_grid, trajectory_csv
+from sirham.integrators import Formulation, Method, RunSpec, integrate
 from sirham.scenario import load_scenario
 
 TWO_RUNS = """\
@@ -45,6 +47,15 @@ schedule:
 run:
   - {method: rk4, formulation: basic_t, dt: 0.05, t_end: 400.0,
      sample_stride: 20, label: base}
+"""
+
+# beta = 0.3 reaches the S*I singularity before t_end = 3.3; beta = 0.2 does not
+SINGULAR_TAU_RUN = """\
+init: {s: 0.99, i: 0.01}
+schedule:
+  - {t: 0.0, beta: 0.3, gamma: 0.1}
+run:
+  - {method: rk4, formulation: rescaled_tau, dt: 0.01, t_end: 3.3}
 """
 
 
@@ -183,12 +194,14 @@ class TestRunCommand:
         assert (out / "log.csv").exists()
         manifest = (out / "manifest.tsv").read_text().splitlines()
         assert len(manifest) == 2
+        digests = {}
         for line in manifest:
             name, digest, status, wall = line.split("\t")
             assert status == "ok"
-            assert len(digest) == 12
-            int(digest, 16)
+            digests[name] = digest
             float(wall)
+        # the digest hashes JSON of the input numbers only, so it is portable
+        assert digests == {"basic": "f95583efab15", "log": "e06eea3ae053"}
 
     def test_csv_schema_and_population_rows(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
@@ -256,6 +269,37 @@ class TestRunCommand:
         assert not (out / "stuck.csv").exists()
         manifest = (out / "manifest.tsv").read_text()
         assert "StepAcrossSingularity" in manifest
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize(
+        "formulation, t_end, stride, n_samples",
+        [
+            (Formulation.EXTENDED_4D_LOG, 10.0, 7, 30),  # 200 steps, final kept
+            (Formulation.LOG_T, 0.0, 1, 1),
+        ],
+    )
+    def test_matches_per_cell_formatting(self, formulation, t_end, stride, n_samples):
+        spec = RunSpec(
+            method=Method.RK4,
+            formulation=formulation,
+            dt=0.05,
+            t_end=t_end,
+            sample_stride=stride,
+        )
+        traj = integrate(
+            spec,
+            CompartmentState(s=0.99, i=0.01, r=0.0),
+            ParamSchedule.constant(EpidemicParams(0.3, 0.1)),
+        )
+        assert traj.n_samples == n_samples
+        drift = (traj.h - traj.h[0]) / abs(traj.h[0])
+        columns = (traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift)
+        expected = [CSV_HEADER] + [
+            ",".join(f"{column[k]:.17g}" for column in columns)
+            for k in range(n_samples)
+        ]
+        assert trajectory_csv(traj) == "\n".join(expected) + "\n"
 
 
 class TestCheckCommand:
@@ -360,17 +404,26 @@ class TestSweepCommand:
         summary = (out / "summary.csv").read_text()
         assert "StepAcrossSingularity" in summary
 
-    def test_parallel_workers_agree_with_serial(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, grid, statuses",
+        [
+            (ONE_RUN, "beta=0.25,0.3", ["ok", "ok"]),
+            (SINGULAR_TAU_RUN, "beta=0.2,0.3", ["ok", "StepAcrossSingularity"]),
+        ],
+        ids=["all_ok", "one_failing"],
+    )
+    def test_parallel_workers_agree_with_serial(self, tmp_path, text, grid, statuses):
         scenario = tmp_path / "scenario.yaml"
-        scenario.write_text(ONE_RUN)
+        scenario.write_text(text)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        grid = "beta=0.25,0.3"
-        assert cli("sweep", scenario, "--grid", grid, "--out", serial).returncode == 0
+        first = cli("sweep", scenario, "--grid", grid, "--out", serial)
+        assert first.returncode == 0, first.stderr
         proc = cli("sweep", scenario, "--grid", grid, "--out", parallel, "--jobs", 2)
         assert proc.returncode == 0, proc.stderr
-        assert (serial / "summary.csv").read_text() == (
-            parallel / "summary.csv"
-        ).read_text()
+        summary = (serial / "summary.csv").read_text()
+        assert summary == (parallel / "summary.csv").read_text()
+        assert proc.stderr == first.stderr
+        assert [line.split(",")[7] for line in summary.splitlines()[1:]] == statuses
 
 
 class TestPlotCommand:
