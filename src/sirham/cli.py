@@ -4,7 +4,8 @@ Exit codes form the contract batch harnesses rely on:
 
 * 0  success (for ``check``: every graded quantity within tolerance)
 * 1  a check ran to completion and failed its tolerance
-* 2  configuration problem (bad file, bad key, bad grid, malformed CSV)
+* 2  configuration problem (bad file, bad key, bad grid value or ``--jobs``,
+     malformed CSV)
 * 3  numerical failure (domain violation, Newton divergence, singular clock)
 
 ``run`` writes one CSV per run plus a manifest; ``check`` integrates the
@@ -21,6 +22,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EpidemicParams, ParamSchedule
+from .core import CompartmentState, EpidemicParams, ParamSchedule
 from .diagnostics import conservation_report, pairwise_sup_diff
 from .errors import ScenarioError, SirhamError
 from .integrators import Method, RunSpec, Trajectory, integrate
@@ -137,9 +139,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     graded: list[tuple[str, float, float]] = []
     for spec, traj in zip(scenario.runs, trajectories):
         report = conservation_report(traj)
-        graded.append(
-            (f"h_drift {spec.name}", max(report.per_segment_rel_h_drift), tol.h_drift)
-        )
+        h_drift = float(np.max(report.per_segment_rel_h_drift))  # max() drops a NaN
+        graded.append((f"h_drift {spec.name}", h_drift, tol.h_drift))
         graded.append(
             (f"population {spec.name}", report.max_population_residual, tol.population)
         )
@@ -153,7 +154,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     all_ok = True
     for name, value, bound in graded:
-        ok = value <= bound
+        ok = math.isfinite(value) and value <= bound
         all_ok &= ok
         verdict = "PASS" if ok else "FAIL"
         print(f"{name:<44} {value:12.5e}  tol {bound:8.1e}  {verdict}")
@@ -206,36 +207,46 @@ def _parse_grid(grid: str) -> list[tuple[str, list]]:
     return axes
 
 
+def _grid_points(
+    scenario: Scenario, axes: list[tuple[str, list]]
+) -> tuple[list[RunSpec], list[EpidemicParams]]:
+    """Every grid point's run and rates, built from the first run.
+
+    The constructors refuse a bad value here, before anything is written.
+    """
+    spec, params = scenario.runs[0], scenario.schedule.params[0]
+    keys = [k for k, _ in axes]
+    specs, rates = [], []
+    for index, combo in enumerate(itertools.product(*(v for _, v in axes))):
+        point = dict(zip(keys, combo))
+        point_rates = {k: point.pop(k) for k in ("beta", "gamma") if k in point}
+        try:
+            rates.append(replace(params, **point_rates))
+            specs.append(replace(spec, label=f"point{index:04d}", **point))
+        except (ScenarioError, ValueError) as exc:
+            raise ScenarioError(f"grid point {index}: {exc}") from exc
+    return specs, rates
+
+
 def _sweep_point(
-    scenario: Scenario, index: int, overrides: dict, out_dir: Path
+    init: CompartmentState,
+    index: int,
+    spec: RunSpec,
+    params: EpidemicParams,
+    out_dir: Path,
 ) -> dict:
     """Run one grid point, serially or in a pool worker.
 
     Returns the complete summary row; its keys, in order, are the
     ``summary.csv`` header.
     """
-    spec = scenario.runs[0]
-    params = scenario.schedule.params[0]
-    if "beta" in overrides or "gamma" in overrides:
-        params = EpidemicParams(
-            beta=overrides.get("beta", params.beta),
-            gamma=overrides.get("gamma", params.gamma),
-        )
-    schedule = ParamSchedule.constant(params)
-    spec_fields = {"label": f"point{index:04d}"}
-    if "dt" in overrides:
-        spec_fields["dt"] = overrides["dt"]
-    if "method" in overrides:
-        spec_fields["method"] = overrides["method"]
     row = {
         "point": index,
-        "label": spec_fields["label"],
+        "label": spec.label,
         "beta": params.beta,
         "gamma": params.gamma,
-        "dt": spec_fields.get("dt", spec.dt),
-        "method": (
-            spec_fields["method"].value if "method" in spec_fields else spec.method.value
-        ),
+        "dt": spec.dt,
+        "method": spec.method.value,
         "formulation": spec.formulation.value,
         "status": "ok",
         "final_S": "",
@@ -244,8 +255,7 @@ def _sweep_point(
         "max_rel_h_drift": "",
     }
     try:
-        point_spec = replace(spec, **spec_fields)
-        traj = integrate(point_spec, scenario.init, schedule)
+        traj = integrate(spec, init, ParamSchedule.constant(params))
     except SirhamError as exc:
         row["status"] = type(exc).__name__
         return row
@@ -259,23 +269,21 @@ def _sweep_point(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = load_scenario(args.scenario)
     axes = _parse_grid(args.grid)
     if ("beta" in dict(axes) or "gamma" in dict(axes)) and not scenario.schedule.is_constant:
         raise ScenarioError("parameter sweeps need a constant schedule")
     if len(scenario.runs) > 1:
         log.info("sweep uses the first run (%s) as template", scenario.runs[0].name)
+    specs, rates = _grid_points(scenario, axes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    keys = [k for k, _ in axes]
-    points = [
-        dict(zip(keys, combo)) for combo in itertools.product(*(v for _, v in axes))
-    ]
-    log.info("sweeping %d point(s) over %s", len(points), ", ".join(keys))
-
+    log.info("sweeping %d point(s) over %s", len(specs), ", ".join(k for k, _ in axes))
     point_args = (
-        itertools.repeat(scenario), itertools.count(), points, itertools.repeat(out_dir)
+        itertools.repeat(scenario.init), itertools.count(), specs, rates, itertools.repeat(out_dir)
     )
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -16,6 +16,7 @@ phase-space formulation; :func:`apply_J` is the shared primitive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,8 +51,22 @@ class Chart(Enum):
     LOGARITHMIC = "logarithmic"
 
 
+def _require_real(name: str, value: float) -> float:
+    """``value`` as a float; bools and non-numbers are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_int(name: str, value: int) -> int:
+    """``value`` as an int; bools and non-integral numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _require_real(name, value)
     if not math.isfinite(value):
         raise NonFiniteInput(f"{name} must be finite, got {value!r}")
     return value
@@ -164,7 +179,9 @@ class CompartmentState:
 
 def recovered_from(s: float, i: float) -> CompartmentState:
     """Build a full compartment state with r closed as 1 - s - i."""
-    return CompartmentState(s, i, 1.0 - float(s) - float(i))
+    s = _require_real("s", s)
+    i = _require_real("i", i)
+    return CompartmentState(s, i, 1.0 - s - i)
 
 
 @dataclass(frozen=True)

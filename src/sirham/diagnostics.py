@@ -98,7 +98,7 @@ def constraint_drift(traj: Trajectory) -> float:
     q0, q1, p0, p1 = traj.coords.T
     c0 = q0 + 2.0 * p1
     c1 = q1 - 2.0 * p0
-    return float(max(np.max(np.abs(c0)), np.max(np.abs(c1))))
+    return float(np.max(np.abs((c0, c1))))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ from .core import (
     EpidemicParams,
     ParamSchedule,
     PhasePoint2,
+    _require_int,
+    _require_real,
     to_log,
 )
 from .errors import (
@@ -303,26 +305,26 @@ class RunSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method(self.method))
         object.__setattr__(self, "formulation", Formulation(self.formulation))
-        dt = float(self.dt)
-        t_end = float(self.t_end)
-        if not (math.isfinite(dt) and dt > 0.0):
+        for name in ("dt", "t_end", "newton_tol", "constraint_tol"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        for name in ("sample_stride", "newton_max_iter"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
+        if self.label is not None and not isinstance(self.label, str):
+            raise ScenarioError(f"label must be a string, got {self.label!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(t_end) and t_end >= 0.0):
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ScenarioError(f"t_end must be non-negative, got {self.t_end}")
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t_end", t_end)
-        if int(self.sample_stride) < 1:
+        if self.sample_stride < 1:
             raise ScenarioError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        object.__setattr__(self, "sample_stride", int(self.sample_stride))
         if self.extended_mode not in ("direct4d", "reconstruct"):
             raise ScenarioError(
                 f"extended_mode must be 'direct4d' or 'reconstruct', got {self.extended_mode!r}"
             )
         if not (self.newton_tol > 0.0 and math.isfinite(self.newton_tol)):
             raise ScenarioError(f"newton_tol must be positive, got {self.newton_tol}")
-        if int(self.newton_max_iter) < 1:
+        if self.newton_max_iter < 1:
             raise ScenarioError("newton_max_iter must be >= 1")
-        object.__setattr__(self, "newton_max_iter", int(self.newton_max_iter))
         if not (self.constraint_tol > 0.0 and math.isfinite(self.constraint_tol)):
             raise ScenarioError(f"constraint_tol must be positive, got {self.constraint_tol}")
         if self.method is Method.VARIATIONAL_MIDPOINT and self.formulation not in (
@@ -732,40 +734,46 @@ def integrate(
     step_no = 0
     last_kept = 0
 
-    for seg_id, (a, b, pars) in enumerate(segments):
-        if seg_id > 0:
-            # the boundary sample keeps the outgoing segment's representation;
-            # only the state marched onward is re-expressed
-            y = rec.remap(y, segments[seg_id - 1][2], pars)
-        rhs = rec.rhs(pars, spec.constraint_tol)
-        jac = rec.jac(pars)
-        stepper = _make_stepper(spec, pars, form.chart)
-        dil_prev = dilation(y, pars)
-        n_full, tail = _segment_steps(b - a, dt)
-        for k in range(n_full + (1 if tail else 0)):
-            h = dt if k < n_full else tail
-            y = stepper(rhs, jac, y, h)
-            t_now = a + (k + 1) * dt if k < n_full else b
-            if k == n_full - 1 and not tail:
-                t_now = b
-            dil_now = dilation(y, pars)
-            if clock_is_t:
-                sec += 0.5 * h * (dil_prev + dil_now)
-            else:
-                if dil_now < RUN_DILATION_FLOOR:
-                    raise StepAcrossSingularity(
-                        f"S*I fell to {dil_now:.3e} at clock {t_now:.6g}; the "
-                        "run crossed the singularity of the time map"
-                    )
-                sec += 0.5 * h * (1.0 / dil_prev + 1.0 / dil_now)
-            dil_prev = dil_now
-            step_no += 1
-            if step_no % stride == 0:
-                prim.append(t_now)
-                sec_list.append(sec)
-                states.append(y)
-                seg_ids.append(seg_id)
-                last_kept = step_no
+    t_now = 0.0
+    try:
+        for seg_id, (a, b, pars) in enumerate(segments):
+            if seg_id > 0:
+                # the boundary sample keeps the outgoing segment's representation;
+                # only the state marched onward is re-expressed
+                y = rec.remap(y, segments[seg_id - 1][2], pars)
+            rhs = rec.rhs(pars, spec.constraint_tol)
+            jac = rec.jac(pars)
+            stepper = _make_stepper(spec, pars, form.chart)
+            dil_prev = dilation(y, pars)
+            n_full, tail = _segment_steps(b - a, dt)
+            for k in range(n_full + (1 if tail else 0)):
+                h = dt if k < n_full else tail
+                y = stepper(rhs, jac, y, h)
+                t_now = a + (k + 1) * dt if k < n_full else b
+                if k == n_full - 1 and not tail:
+                    t_now = b
+                dil_now = dilation(y, pars)
+                if clock_is_t:
+                    sec += 0.5 * h * (dil_prev + dil_now)
+                else:
+                    if dil_now < RUN_DILATION_FLOOR:
+                        raise StepAcrossSingularity(
+                            f"S*I fell to {dil_now:.3e} at clock {t_now:.6g}; the "
+                            "run crossed the singularity of the time map"
+                        )
+                    sec += 0.5 * h * (1.0 / dil_prev + 1.0 / dil_now)
+                dil_prev = dil_now
+                step_no += 1
+                if step_no % stride == 0:
+                    prim.append(t_now)
+                    sec_list.append(sec)
+                    states.append(y)
+                    seg_ids.append(seg_id)
+                    last_kept = step_no
+    except NewtonDivergence as exc:
+        raise NewtonDivergence(
+            f"step {step_no + 1} from clock {t_now:.6g}: {exc}"
+        ) from exc
     if last_kept != step_no:  # always keep the final state
         prim.append(spec.t_end)
         sec_list.append(sec)

@@ -6,18 +6,27 @@ runs, and the tolerances the ``check`` command grades against.  Parsing
 is deliberately strict: unknown keys anywhere in the document are an
 error, because a typo like ``t_end:`` vs ``tend:`` silently changing the
 horizon is the exact failure mode a validation layer exists to prevent.
+The parser checks only keys: every value is checked by the constructor it
+is handed to, so building the same objects from Python refuses the same
+inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import yaml
 
-from .core import CompartmentState, EpidemicParams, ParamSchedule
+from .core import (
+    CompartmentState,
+    EpidemicParams,
+    ParamSchedule,
+    _require_real,
+    recovered_from,
+)
 from .errors import ScenarioError
 from .integrators import RunSpec
 
@@ -32,12 +41,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Acceptance bounds used by the ``check`` command."""
+    """Acceptance bounds used by the ``check`` command; each must be > 0."""
 
     equivalence: float = 1e-4
     h_drift: float = 1e-5
     population: float = 1e-9
     constraint: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = _require_real(f.name, getattr(self, f.name))
+            if not value > 0.0:
+                raise ScenarioError(f"{f.name} must be positive, got {value}")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -54,8 +70,8 @@ def _require_mapping(node: Any, where: str) -> Mapping[str, Any]:
     return node
 
 
-def _check_keys(node: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(node) - allowed
+def _check_keys(node: Mapping[str, Any], allowed: Iterable[str], where: str) -> None:
+    unknown = set(node) - set(allowed)
     if unknown:
         raise ScenarioError(
             f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}; "
@@ -63,64 +79,37 @@ def _check_keys(node: Mapping[str, Any], allowed: set[str], where: str) -> None:
         )
 
 
-def _number(node: Mapping[str, Any], key: str, where: str) -> float:
-    if key not in node:
-        raise ScenarioError(f"{where} is missing required key '{key}'")
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+def _construct(where: str, factory: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Call a constructor; its refusal is re-raised with ``where`` in front."""
+    try:
+        return factory(*args, **kwargs)
+    except (ScenarioError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
-_RUN_KEYS = {
-    "method",
-    "formulation",
-    "dt",
-    "t_end",
-    "label",
-    "sample_stride",
-    "extended_mode",
-    "newton_tol",
-    "newton_max_iter",
-    "constraint_tol",
-}
+def _build(
+    where: str, factory: Callable[..., Any], node: Any, keys: Sequence[str] = ()
+) -> Any:
+    """Call ``factory`` with the mapping ``node`` as keyword arguments.
 
-
-def _parse_run(node: Any, where: str) -> RunSpec:
+    ``keys`` are all required.  Without them, the keys are the fields of
+    the dataclass ``factory``, required where they have no default.  Only
+    keys are checked here; every value rule belongs to the constructor.
+    """
     node = _require_mapping(node, where)
-    _check_keys(node, _RUN_KEYS, where)
-    for key in ("method", "formulation", "dt", "t_end"):
+    required = keys
+    if not keys:
+        keys = [f.name for f in fields(factory)]
+        required = [f.name for f in fields(factory) if f.default is MISSING]
+    _check_keys(node, keys, where)
+    for key in required:
         if key not in node:
             raise ScenarioError(f"{where} is missing required key '{key}'")
-    kwargs: dict[str, Any] = {
-        "method": node["method"],
-        "formulation": node["formulation"],
-        "dt": _number(node, "dt", where),
-        "t_end": _number(node, "t_end", where),
-    }
-    if "label" in node:
-        if not isinstance(node["label"], str):
-            raise ScenarioError(f"{where}.label must be a string")
-        kwargs["label"] = node["label"]
-    if "sample_stride" in node:
-        stride = node["sample_stride"]
-        if isinstance(stride, bool) or not isinstance(stride, int):
-            raise ScenarioError(f"{where}.sample_stride must be an integer")
-        kwargs["sample_stride"] = stride
-    if "extended_mode" in node:
-        kwargs["extended_mode"] = node["extended_mode"]
-    for key in ("newton_tol", "constraint_tol"):
-        if key in node:
-            kwargs[key] = _number(node, key, where)
-    if "newton_max_iter" in node:
-        iters = node["newton_max_iter"]
-        if isinstance(iters, bool) or not isinstance(iters, int):
-            raise ScenarioError(f"{where}.newton_max_iter must be an integer")
-        kwargs["newton_max_iter"] = iters
-    try:
-        return RunSpec(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    return _construct(where, factory, **node)
+
+
+def _switch(t: float, beta: float, gamma: float) -> tuple[float, EpidemicParams]:
+    return t, EpidemicParams(beta, gamma)
 
 
 def parse_scenario(document: Any) -> Scenario:
@@ -131,40 +120,23 @@ def parse_scenario(document: Any) -> Scenario:
         if key not in doc:
             raise ScenarioError(f"scenario is missing required section '{key}'")
 
-    init_node = _require_mapping(doc["init"], "init")
-    _check_keys(init_node, {"s", "i"}, "init")
-    s0 = _number(init_node, "s", "init")
-    i0 = _number(init_node, "i", "init")
-    try:
-        init = CompartmentState(s=s0, i=i0, r=1.0 - s0 - i0)
-    except ValueError as exc:
-        raise ScenarioError(f"init: {exc}") from exc
+    init = _build("init", recovered_from, doc["init"], ("s", "i"))
 
     sched_node = doc["schedule"]
     if not isinstance(sched_node, list) or not sched_node:
         raise ScenarioError("schedule must be a non-empty list")
-    times = []
-    params = []
-    for k, entry in enumerate(sched_node):
-        where = f"schedule[{k}]"
-        entry = _require_mapping(entry, where)
-        _check_keys(entry, {"t", "beta", "gamma"}, where)
-        times.append(_number(entry, "t", where))
-        try:
-            params.append(
-                EpidemicParams(
-                    beta=_number(entry, "beta", where),
-                    gamma=_number(entry, "gamma", where),
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-    schedule = ParamSchedule(switch_times=tuple(times), params=tuple(params))
+    times, params = zip(
+        *(
+            _build(f"schedule[{k}]", _switch, entry, ("t", "beta", "gamma"))
+            for k, entry in enumerate(sched_node)
+        )
+    )
+    schedule = _construct("schedule", ParamSchedule, times, params)
 
     run_node = doc["run"]
     if not isinstance(run_node, list) or not run_node:
         raise ScenarioError("run must be a non-empty list")
-    runs = tuple(_parse_run(entry, f"run[{k}]") for k, entry in enumerate(run_node))
+    runs = tuple(_build(f"run[{k}]", RunSpec, entry) for k, entry in enumerate(run_node))
     labels = [spec.name for spec in runs]
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
@@ -177,21 +149,7 @@ def parse_scenario(document: Any) -> Scenario:
                     "not support parameter switches scheduled in ordinary time"
                 )
 
-    tolerances = Tolerances()
-    if "tolerances" in doc:
-        tol_node = _require_mapping(doc["tolerances"], "tolerances")
-        allowed = {"equivalence", "h_drift", "population", "constraint"}
-        _check_keys(tol_node, allowed, "tolerances")
-        overrides = {
-            key: _number(tol_node, key, "tolerances")
-            for key in allowed
-            if key in tol_node
-        }
-        for key, value in overrides.items():
-            if value <= 0.0:
-                raise ScenarioError(f"tolerances.{key} must be positive, got {value}")
-        tolerances = Tolerances(**overrides)
-
+    tolerances = _build("tolerances", Tolerances, doc.get("tolerances", {}))
     return Scenario(init=init, schedule=schedule, runs=runs, tolerances=tolerances)
 
 

@@ -21,7 +21,7 @@ from sirham import (
 )
 from sirham.cli import CSV_HEADER, _parse_grid, trajectory_csv
 from sirham.integrators import Formulation, Method, RunSpec, integrate
-from sirham.scenario import load_scenario
+from sirham.scenario import Tolerances, load_scenario
 
 TWO_RUNS = """\
 init: {s: 0.99, i: 0.01}
@@ -134,6 +134,43 @@ class TestScenarioParsing:
         doc = minimal_doc()
         doc["tolerances"] = {"population": 0.0}
         with pytest.raises(ScenarioError, match="must be positive"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("path", ["yaml", "python"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "dt", True),
+            ("run", "dt", "0.1"),
+            ("run", "sample_stride", 2.7),
+            ("run", "newton_max_iter", 1.5),
+            ("run", "label", 5),
+            ("tolerances", "h_drift", True),
+        ],
+    )
+    def test_parser_and_constructor_refuse_alike(self, path, section, key, value):
+        # the parser only maps keys; the value rule lives in the constructor
+        doc = minimal_doc()
+        if section == "run":
+            doc["run"][0][key] = value
+            constructor, kwargs = RunSpec, doc["run"][0]
+        else:
+            doc["tolerances"] = {key: value}
+            constructor, kwargs = Tolerances, doc["tolerances"]
+        with pytest.raises(ScenarioError, match=f"{key} must be"):
+            if path == "yaml":
+                parse_scenario(doc)
+            else:
+                constructor(**kwargs)
+
+    def test_refusals_name_their_section(self):
+        doc = minimal_doc()
+        doc["schedule"][0]["gamma"] = 0.0
+        with pytest.raises(ScenarioError, match=r"^schedule\[0\]: rates must be positive"):
+            parse_scenario(doc)
+        doc = minimal_doc()
+        doc["run"][0]["sample_stride"] = 0
+        with pytest.raises(ScenarioError, match=r"^run\[0\]: sample_stride must be >= 1"):
             parse_scenario(doc)
 
     def test_bad_run_values_become_scenario_errors(self):
@@ -252,6 +289,21 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "extended_mode: reconstruct" in proc.stderr
 
+    def test_newton_failure_exits_3_with_its_step(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            ONE_RUN.replace(
+                "method: rk4, formulation: basic_t",
+                "method: implicit_midpoint, formulation: log_t, newton_max_iter: 1,"
+                " newton_tol: 1.0e-300",
+            )
+        )
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 3
+        assert "error: run base: step 1 from clock 0: no convergence" in proc.stderr
+        assert (out / "manifest.tsv").read_text().split("\t")[2] == "NewtonDivergence"
+
     def test_singular_clock_exits_3(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(
@@ -323,6 +375,26 @@ class TestCheckCommand:
 
     def test_missing_scenario_exits_2(self, tmp_path):
         assert cli("check", tmp_path / "absent.yaml").returncode == 2
+
+    def test_a_nan_segment_fails(self, tmp_path):
+        # dt = 40 throws explicit Euler out of the simplex in the second
+        # segment, whose energy is NaN; the first segment's drift is finite
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "init: {s: 0.99, i: 0.01}\n"
+            "schedule:\n"
+            "  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
+            "  - {t: 40.0, beta: 0.6, gamma: 0.1}\n"
+            "run:\n"
+            "  - {method: explicit_euler, formulation: basic_t, dt: 40.0, t_end: 80.0}\n"
+            "tolerances: {h_drift: 1.0}\n"
+        )
+        proc = cli("check", scenario)
+        assert proc.returncode == 1
+        (line,) = [x for x in proc.stdout.splitlines() if x.startswith("h_drift")]
+        assert line.split()[2] == "nan"
+        assert line.endswith("FAIL")
+        assert "CHECK FAILED" in proc.stdout
 
 
 class TestSweepCommand:
@@ -403,6 +475,27 @@ class TestSweepCommand:
         assert "StepAcrossSingularity" in proc.stderr
         summary = (out / "summary.csv").read_text()
         assert "StepAcrossSingularity" in summary
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("grid", ["beta=0.3,0", "beta=0.3,nan", "dt=0.1,-1", "dt=0.1,inf"])
+    def test_bad_grid_value_exits_2_before_any_write(self, tmp_path, grid, jobs):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN)
+        out = tmp_path / "sweep"
+        proc = cli("sweep", scenario, "--grid", grid, "--out", out, "--jobs", jobs)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: grid point 1:" in proc.stderr
+        assert not list(out.glob("**/*"))
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exits_2(self, tmp_path, jobs):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN)
+        out = tmp_path / "sweep"
+        proc = cli("sweep", scenario, "--grid", "beta=0.3", "--out", out, "--jobs", jobs)
+        assert proc.returncode == 2
+        assert "--jobs" in proc.stderr
+        assert not list(out.glob("**/*"))
 
     @pytest.mark.parametrize(
         "text, grid, statuses",

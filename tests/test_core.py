@@ -37,6 +37,11 @@ class TestEpidemicParams:
         with pytest.raises(NonFiniteInput):
             EpidemicParams(beta=math.nan, gamma=0.1)
 
+    @pytest.mark.parametrize("beta", [True, "0.3", None])
+    def test_rejects_non_numbers(self, beta):
+        with pytest.raises(ScenarioError, match="beta must be a number"):
+            EpidemicParams(beta=beta, gamma=0.1)
+
 
 class TestParamSchedule:
     def test_constant(self, params):
@@ -56,6 +61,10 @@ class TestParamSchedule:
     def test_length_mismatch(self, params):
         with pytest.raises(ScenarioError):
             ParamSchedule(switch_times=(0.0, 1.0), params=(params,))
+
+    def test_rejects_a_bool_switch_time(self, params):
+        with pytest.raises(ScenarioError, match="switch time must be a number"):
+            ParamSchedule(switch_times=(False,), params=(params,))
 
     def test_lookup_is_right_continuous(self):
         a = EpidemicParams(0.3, 0.1)
@@ -111,6 +120,12 @@ class TestCompartmentState:
         state = recovered_from(0.99, 0.01)
         assert state.r == pytest.approx(0.0, abs=1e-15)
         assert state.s + state.i + state.r == pytest.approx(1.0, abs=1e-15)
+
+    def test_refuses_non_numbers(self):
+        with pytest.raises(ScenarioError, match="i must be a number"):
+            CompartmentState(s=0.99, i=True, r=0.0)
+        with pytest.raises(ScenarioError, match="s must be a number"):
+            recovered_from("0.99", 0.01)
 
     @given(s=positive_fraction, i=positive_fraction)
     def test_recovered_from_any_valid_pair(self, s, i):

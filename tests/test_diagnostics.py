@@ -136,6 +136,13 @@ class TestConstraintDrift:
         )
         assert constraint_drift(traj) == 9.0
 
+    def test_a_nan_component_is_not_dropped(self):
+        coords = np.array([[1.0, 2.0, 1.0, -0.5], [1.0, 2.0, np.nan, 4.0]])
+        traj = synthetic(
+            [0.0, 1.0], [0.9] * 2, [0.05] * 2, [0.05] * 2, [0.5] * 2, coords
+        )
+        assert math.isnan(constraint_drift(traj))
+
     def test_marched_extended_run_stays_on_the_manifold(self):
         spec = RunSpec("rk4", "extended_4d_log", dt=0.05, t_end=10.0)
         traj = integrate(spec, INIT, SCHEDULE)

@@ -273,6 +273,36 @@ class TestRunSpec:
         with pytest.raises(ScenarioError):
             RunSpec(**base)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dt": "0.1"}, "dt must be a number"),
+            ({"t_end": None}, "t_end must be a number"),
+            ({"newton_tol": True}, "newton_tol must be a number"),
+            ({"sample_stride": 2.7}, "sample_stride must be an integer"),
+            ({"newton_max_iter": True}, "newton_max_iter must be an integer"),
+            ({"label": 5}, "label must be a string"),
+        ],
+    )
+    def test_types_are_refused_not_coerced(self, kwargs, message):
+        base = dict(method="rk4", formulation="log_t", dt=0.1, t_end=1.0)
+        base.update(kwargs)
+        with pytest.raises(ScenarioError, match=message):
+            RunSpec(**base)
+
+    def test_numeric_fields_are_stored_as_float_and_int(self):
+        spec = RunSpec(
+            method="rk4",
+            formulation="log_t",
+            dt=1,
+            t_end=np.int64(2),
+            sample_stride=np.int64(3),
+            newton_tol=1,
+        )
+        assert type(spec.dt) is float and type(spec.t_end) is float
+        assert type(spec.newton_tol) is float
+        assert type(spec.sample_stride) is int and spec.sample_stride == 3
+
     def test_unknown_method_or_formulation(self):
         with pytest.raises(ValueError):
             RunSpec(method="rk5", formulation="log_t", dt=0.1, t_end=1.0)
@@ -350,6 +380,39 @@ class TestIntegrate:
         assert traj.t[-1] == 5.0
         assert 0.0 < traj.tau[-1] < 5.0
         assert np.all(np.diff(traj.tau) > 0.0)
+
+    def test_newton_failure_names_the_step_and_the_clock(self, init, schedule):
+        spec = RunSpec(
+            method="implicit_midpoint",
+            formulation="log_t",
+            dt=0.1,
+            t_end=1.0,
+            newton_max_iter=1,
+            newton_tol=1e-300,
+        )
+        with pytest.raises(NewtonDivergence, match=r"^step 1 from clock 0: no convergence"):
+            integrate(spec, init, schedule)
+
+    def test_newton_failure_is_located_across_a_switch(self, init, monkeypatch):
+        # steps 1-4 close the first segment at 0.35 (the last one short);
+        # step 6 starts from 0.35 + 0.1
+        calls = []
+        real_step = integrators.step_implicit_midpoint
+
+        def failing_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:
+                raise NewtonDivergence("no convergence")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrators, "step_implicit_midpoint", failing_step)
+        sched = ParamSchedule(
+            switch_times=(0.0, 0.35),
+            params=(EpidemicParams(0.3, 0.1), EpidemicParams(0.15, 0.1)),
+        )
+        spec = RunSpec(method="implicit_midpoint", formulation="log_t", dt=0.1, t_end=1.0)
+        with pytest.raises(NewtonDivergence, match=r"^step 6 from clock 0\.45: no convergence$"):
+            integrate(spec, init, sched)
 
     def test_degenerate_start_is_refused(self, schedule):
         spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.01, t_end=1.0)
