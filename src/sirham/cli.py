@@ -6,7 +6,8 @@ Exit codes form the contract batch harnesses rely on:
 * 1  a check ran to completion and failed its tolerance
 * 2  configuration problem (bad file, bad key, bad grid value or ``--jobs``,
      malformed CSV)
-* 3  numerical failure (domain violation, Newton divergence, singular clock)
+* 3  numerical failure (domain violation, a trajectory that leaves the
+     simplex, Newton divergence, singular clock)
 
 ``run`` writes one CSV per run plus a manifest; ``check`` integrates the
 scenario's runs once and grades conservation and cross-formulation
@@ -286,7 +287,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         itertools.repeat(scenario.init), itertools.count(), specs, rates, itertools.repeat(out_dir)
     )
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(specs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, *point_args))
     else:
         rows = list(map(_sweep_point, *point_args))

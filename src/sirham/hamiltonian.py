@@ -205,6 +205,16 @@ def extended_hamiltonian(
     return h + multiplier[0] * c[0] + multiplier[1] * c[1]
 
 
+def _check_constraint(y: tuple[float, float, float, float], constraint_tol: float) -> None:
+    """Refuse a flattened extended state further than the tolerance off C = 0."""
+    norm = max(abs(y[0] + 2.0 * y[3]), abs(y[1] - 2.0 * y[2]))
+    if norm > constraint_tol:
+        raise ConstraintViolation(
+            f"constraint norm {norm:.3e} exceeds "
+            f"tolerance {constraint_tol:.3e} at coords {(y[0], y[1])}"
+        )
+
+
 def _extended_rates(
     y: tuple[float, float, float, float],
     params: EpidemicParams,
@@ -216,14 +226,8 @@ def _extended_rates(
     Shared by :func:`extended_rhs` and the integration loop, which cannot
     afford to build a dataclass per stage evaluation.
     """
+    _check_constraint(y, constraint_tol)
     q = (y[0], y[1])
-    c0 = y[0] + 2.0 * y[3]
-    c1 = y[1] - 2.0 * y[2]
-    if max(abs(c0), abs(c1)) > constraint_tol:
-        raise ConstraintViolation(
-            f"constraint norm {max(abs(c0), abs(c1)):.3e} exceeds "
-            f"tolerance {constraint_tol:.3e} at coords {q}"
-        )
     g = _gradient(q, params, chart)
     return (g[1], -g[0], -0.5 * g[0], -0.5 * g[1])
 

@@ -10,7 +10,15 @@ variational and Galerkin relatives), and a per-component mix of 0 and 1
 (symplectic Euler); classical RK4 is the reference non-conservative
 high-order scheme.  Implicit equations are solved by Newton iteration from
 an explicit-Euler predictor, with the exact Jacobian each scheme assembles
-from the analytic Jacobian of the rhs and a small elimination solve.
+from the analytic Jacobian of the rhs and a 1x1 or 2x2 elimination solve.
+
+Only what is implicit is solved.  Symplectic Euler is explicit wherever
+the momentum rate does not read the momenta (the separable canonical
+charts), so Newton runs only on ``basic_t`` and the ``single_ode_*``
+reductions.  The implicit steps of a 4-d extended state solve the 2-d
+coordinate block alone and carry the momenta by the linear invariant
+``C = Q + 2 J P``, which every Runge-Kutta-type step preserves exactly:
+``P_new = P + (1/2) J (Q_new - Q)``.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -38,6 +46,7 @@ import numpy as np
 
 from . import dynamics, hamiltonian, lagrangian
 from .core import (
+    FRACTION_TOL,
     Chart,
     CompartmentState,
     EpidemicParams,
@@ -48,6 +57,7 @@ from .core import (
     to_log,
 )
 from .errors import (
+    InvalidFractions,
     MissingDiagnostic,
     NewtonDivergence,
     OutsideLegendreDomain,
@@ -138,15 +148,21 @@ class _Record(NamedTuple):
     the (I, S) columns.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
-    identity.
+    identity.  ``separable`` says that the rate of the second half of the
+    state (the momenta) does not depend on that half, which makes
+    symplectic Euler explicit.  An extended record names in ``coords`` the
+    canonical record of its coordinate block; it has no Jacobian of its
+    own, because its implicit steps solve only that block.
     """
 
     start: Callable[[float, float, EpidemicParams], tuple]
     rhs: Callable[[EpidemicParams, float], Rhs]
-    jac: Callable[[EpidemicParams], Jac]
+    jac: Callable[[EpidemicParams], Jac] | None
     dilation: Callable[[tuple, EpidemicParams], float]
     fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     remap: Callable[[tuple, EpidemicParams, EpidemicParams], tuple] = lambda y, old, new: y
+    separable: bool = False
+    coords: _Record | None = None
 
 
 def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
@@ -164,13 +180,15 @@ def _canonical_jac(params: EpidemicParams, chart: Chart) -> Jac:
     return jac
 
 
-#: the canonical flow of each chart; the other formulations reuse its pieces
+#: the canonical flow of each chart; the other formulations reuse its pieces.
+#: The energy is separable, so the second rate, -dH/dq0, reads only q0.
 _DIRECT = _Record(
     start=lambda i0, s0, params: (i0, s0),
     rhs=lambda params, tol: lambda y: hamiltonian.hamilton_rhs_direct(y, params),
     jac=lambda params: _canonical_jac(params, Chart.DIRECT),
     dilation=lambda y, params: y[0] * y[1],
     fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
+    separable=True,
 )
 _LOG = _Record(
     start=_log_start,
@@ -178,6 +196,7 @@ _LOG = _Record(
     jac=lambda params: _canonical_jac(params, Chart.LOGARITHMIC),
     dilation=lambda y, params: math.exp(y[0] + y[1]),
     fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
+    separable=True,
 )
 
 
@@ -206,21 +225,8 @@ def _extended(base: _Record, chart: Chart) -> _Record:
     def rhs(params: EpidemicParams, tol: float) -> Rhs:
         return lambda y: hamiltonian._extended_rates(y, params, chart, tol)
 
-    def jac(params: EpidemicParams) -> Jac:
-        # coordinate rows J Hess, momentum rows -Hess/2; no rate depends on
-        # the momenta, so their columns are zero
-        def df(y: tuple) -> tuple:
-            h0, h1 = hamiltonian._hessian((y[0], y[1]), params, chart)
-            return (
-                (0.0, h1, 0.0, 0.0),
-                (-h0, 0.0, 0.0, 0.0),
-                (-0.5 * h0, 0.0, 0.0, 0.0),
-                (0.0, -0.5 * h1, 0.0, 0.0),
-            )
-
-        return df
-
-    return base._replace(start=start, rhs=rhs, jac=jac)
+    # no rate reads the momenta, so the record stays separable
+    return base._replace(start=start, rhs=rhs, jac=None, coords=base)
 
 
 def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
@@ -249,6 +255,7 @@ _RECORDS = {
             (params.beta * y[1] - params.gamma, params.beta * y[0]),
             (-params.beta * y[1], -params.beta * y[0]),
         ),
+        separable=False,
     ),
     Formulation.RESCALED_TAU: _DIRECT,
     Formulation.LOG_T: _LOG,
@@ -288,7 +295,10 @@ class RunSpec:
     every step, and the final state is always kept.  ``extended_mode``
     selects, for the 4-d formulations, between marching the full system
     ("direct4d") and marching the closed coordinate block with momenta
-    rebuilt from the constraint afterwards ("reconstruct").
+    rebuilt from the constraint afterwards ("reconstruct").  On "direct4d"
+    explicit Euler and RK4 step all four rates; the implicit methods solve
+    the coordinate block and carry the momenta by the constraint, checking
+    it against ``constraint_tol`` before every step.
     """
 
     method: Method
@@ -397,12 +407,11 @@ def _solve2(a00, a01, a10, a11, b0, b1) -> tuple:
 
 
 def _solve(a: tuple, b: tuple) -> tuple:
-    """Solve ``a x = b`` for the 1-, 2- and 4-d Newton systems.
+    """Solve ``a x = b`` for the Newton systems, which are 1x1 or 2x2.
 
-    The 4-d systems come from the extended formulations, where no rate
-    depends on the momenta: the matrix is block lower triangular,
-    ``[[A, 0], [C, D]]``, so the coordinate block is solved first and the
-    momentum block after it.
+    Symplectic Euler hands Newton a 1-d momentum block; the other implicit
+    steps hand it a 2-d chart state, the coordinate block of an extended
+    state included.
     """
     n = len(b)
     if n == 2:
@@ -411,14 +420,6 @@ def _solve(a: tuple, b: tuple) -> tuple:
         if a[0][0] == 0.0:
             raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
         return (b[0] / a[0][0],)
-    if n == 4 and not (a[0][2] or a[0][3] or a[1][2] or a[1][3]):
-        a2, a3 = a[2], a[3]
-        x0, x1 = _solve2(a[0][0], a[0][1], a[1][0], a[1][1], b[0], b[1])
-        return (x0, x1) + _solve2(
-            a2[2], a2[3], a3[2], a3[3],
-            b[2] - a2[0] * x0 - a2[1] * x1,
-            b[3] - a3[0] * x0 - a3[1] * x1,
-        )
     raise ValueError(f"no solver for this {n}x{n} Newton system")
 
 
@@ -488,17 +489,18 @@ def step_symplectic_euler(
     *,
     tol: float = 1e-12,
     max_iter: int = 50,
+    separable: bool = False,
 ) -> tuple:
     """Mixed-endpoint Euler on a state split into (coordinates, momenta).
 
     The first half of the state advances explicitly with the old second
-    half; the second half then advances with the updated first half.  That
-    second update is an implicit equation wherever the momentum rate
-    depends on the momenta, as on ``basic_t`` (dS/dt = -beta*S*I) and both
-    ``single_ode_*`` reductions; it is solved by Newton with the momentum
-    block of ``jac``.  On the canonical and extended charts the block is
-    the identity and one Newton update is exact.  First order; symplectic
-    on the canonical charts.
+    half; the second half then advances with the updated first half.  With
+    ``separable`` set the momentum rate does not read the momenta, as on
+    the canonical charts of the separable energy, and that update is
+    explicit too: two rhs evaluations and no solve.  Otherwise it is an
+    implicit equation, as on ``basic_t`` (dS/dt = -beta*S*I) and both
+    ``single_ode_*`` reductions, solved by Newton with the momentum block
+    of ``jac``.  First order; symplectic on the canonical charts.
     """
     n = len(y)
     if n % 2:
@@ -506,6 +508,9 @@ def step_symplectic_euler(
     nq = n // 2
     f0 = rhs(y)
     q_new = tuple(y[k] + dt * f0[k] for k in range(nq))
+    if separable:
+        f1 = rhs(q_new + y[nq:])
+        return q_new + tuple(y[k] + dt * f1[k] for k in range(nq, n))
 
     def residual(p: tuple) -> tuple:
         f = rhs(q_new + p)
@@ -647,23 +652,54 @@ def step_time_fe_cg1(
 # plumbing for the march
 
 def _make_stepper(
-    spec: RunSpec, params: EpidemicParams, chart: Chart
-) -> Callable[[Rhs, Jac, tuple, float], tuple]:
+    spec: RunSpec, rec: _Record, params: EpidemicParams
+) -> Callable[[tuple, float], tuple]:
+    """The one-step update ``y, h -> y_next`` of one parameter segment.
+
+    The step schemes are looked up by name at each call, so that a
+    wrapper put in their place sees every step.
+    """
     m = spec.method
-    if m is Method.EXPLICIT_EULER:
-        return lambda rhs, jac, y, h: step_explicit_euler(rhs, y, h)
-    if m is Method.RK4:
-        return lambda rhs, jac, y, h: step_rk4(rhs, y, h)
     kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
-    if m is Method.SYMPLECTIC_EULER:
-        return lambda rhs, jac, y, h: step_symplectic_euler(rhs, jac, y, h, **kw)
-    if m is Method.IMPLICIT_MIDPOINT:
-        return lambda rhs, jac, y, h: step_implicit_midpoint(rhs, jac, y, h, **kw)
-    if m is Method.TIME_FE_CG1_GAUSS2:
-        return lambda rhs, jac, y, h: step_time_fe_cg1(rhs, jac, y, h, **kw)
     if m is Method.VARIATIONAL_MIDPOINT:
-        return lambda rhs, jac, y, h: step_variational_midpoint(y, h, params, chart, **kw)
+        chart = spec.formulation.chart
+        return lambda y, h: step_variational_midpoint(y, h, params, chart, **kw)
+    if rec.coords is not None and m in (Method.IMPLICIT_MIDPOINT, Method.TIME_FE_CG1_GAUSS2):
+        return _lifted(_make_stepper(spec, rec.coords, params), spec.constraint_tol)
+    rhs = rec.rhs(params, spec.constraint_tol)
+    if m is Method.EXPLICIT_EULER:
+        return lambda y, h: step_explicit_euler(rhs, y, h)
+    if m is Method.RK4:
+        return lambda y, h: step_rk4(rhs, y, h)
+    jac = rec.jac(params)
+    if m is Method.SYMPLECTIC_EULER:
+        sep = rec.separable
+        return lambda y, h: step_symplectic_euler(rhs, jac, y, h, separable=sep, **kw)
+    if m is Method.IMPLICIT_MIDPOINT:
+        return lambda y, h: step_implicit_midpoint(rhs, jac, y, h, **kw)
+    if m is Method.TIME_FE_CG1_GAUSS2:
+        return lambda y, h: step_time_fe_cg1(rhs, jac, y, h, **kw)
     raise ScenarioError(f"unknown method {m!r}")
+
+
+def _lifted(
+    coords_step: Callable[[tuple, float], tuple], constraint_tol: float
+) -> Callable[[tuple, float], tuple]:
+    """An implicit step of an extended state ``(Q, P)``.
+
+    ``coords_step`` solves the canonical coordinate block alone; the
+    momenta follow from the linear invariant, ``P_new = P + (1/2) J (Q_new
+    - Q)``, so the constraint residual is carried over to rounding.  Each
+    incoming state is checked against the constraint first, as the 4-d
+    rates check theirs.
+    """
+
+    def step(y: tuple, h: float) -> tuple:
+        hamiltonian._check_constraint(y, constraint_tol)
+        q0, q1 = coords_step((y[0], y[1]), h)
+        return (q0, q1, y[2] + 0.5 * (q1 - y[1]), y[3] - 0.5 * (q0 - y[0]))
+
+    return step
 
 
 def _segment_steps(span: float, dt: float) -> tuple[int, float]:
@@ -741,14 +777,12 @@ def integrate(
                 # the boundary sample keeps the outgoing segment's representation;
                 # only the state marched onward is re-expressed
                 y = rec.remap(y, segments[seg_id - 1][2], pars)
-            rhs = rec.rhs(pars, spec.constraint_tol)
-            jac = rec.jac(pars)
-            stepper = _make_stepper(spec, pars, form.chart)
+            stepper = _make_stepper(spec, rec, pars)
             dil_prev = dilation(y, pars)
             n_full, tail = _segment_steps(b - a, dt)
             for k in range(n_full + (1 if tail else 0)):
                 h = dt if k < n_full else tail
-                y = stepper(rhs, jac, y, h)
+                y = stepper(y, h)
                 t_now = a + (k + 1) * dt if k < n_full else b
                 if k == n_full - 1 and not tail:
                     t_now = b
@@ -780,7 +814,7 @@ def integrate(
         states.append(y)
         seg_ids.append(len(segments) - 1)
 
-    return _build_trajectory(spec, schedule, segments, prim, sec_list, states, seg_ids)
+    return _build_trajectory(spec, schedule, segments, prim, sec_list, states, seg_ids, step_no)
 
 
 def _integrate_reconstruct(
@@ -809,7 +843,14 @@ def _build_trajectory(
     sec: list[float],
     states: list[tuple],
     seg_ids: list[int],
+    n_steps: int,
 ) -> Trajectory:
+    """Sampled columns of a finished march.
+
+    Refuses, with :class:`InvalidFractions`, a trajectory whose fractions
+    leave [0, 1] by more than ``FRACTION_TOL`` or are not finite, naming
+    the first such sample's step and clock value.
+    """
     form = spec.formulation
     coords = np.asarray(states, dtype=float)
     prim_arr = np.asarray(prim)
@@ -829,6 +870,16 @@ def _build_trajectory(
 
     i_col, s_col = _RECORDS[form].fractions(coords, beta, gamma)
     r_col = 1.0 - s_col - i_col
+    fractions = np.stack((s_col, i_col, r_col))
+    # a NaN fails both comparisons
+    inside = (fractions >= -FRACTION_TOL) & (fractions <= 1.0 + FRACTION_TOL)
+    bad = np.flatnonzero(~inside.all(axis=0))
+    if bad.size:
+        k = bad[0]
+        raise InvalidFractions(
+            f"step {min(k * spec.sample_stride, n_steps)} at clock {prim[k]:.6g}: "
+            f"S = {s_col[k]:.6g}, I = {i_col[k]:.6g}, R = {r_col[k]:.6g} left [0, 1]"
+        )
     h_col = beta * (i_col + s_col) - gamma * np.log(s_col)
 
     return Trajectory(

@@ -5,12 +5,16 @@ these tests go through a real subprocess (``python -m sirham ...``) rather
 than calling handlers in-process.
 """
 
+import concurrent.futures
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
+import sirham.cli as cli_module
 from sirham import (
     CompartmentState,
     EpidemicParams,
@@ -56,6 +60,18 @@ schedule:
   - {t: 0.0, beta: 0.3, gamma: 0.1}
 run:
   - {method: rk4, formulation: rescaled_tau, dt: 0.01, t_end: 3.3}
+"""
+
+
+# dt = 40 carries explicit Euler to S < 0 at the end of the second segment
+LEAVES_THE_SIMPLEX = """\
+init: {s: 0.99, i: 0.01}
+schedule:
+  - {t: 0.0, beta: 0.3, gamma: 0.1}
+  - {t: 40.0, beta: 0.6, gamma: 0.1}
+run:
+  - {method: explicit_euler, formulation: basic_t, dt: 40.0, t_end: 80.0}
+tolerances: {h_drift: 1.0}
 """
 
 
@@ -304,6 +320,19 @@ class TestRunCommand:
         assert "error: run base: step 1 from clock 0: no convergence" in proc.stderr
         assert (out / "manifest.tsv").read_text().split("\t")[2] == "NewtonDivergence"
 
+    def test_a_run_leaving_the_simplex_exits_3(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(LEAVES_THE_SIMPLEX)
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: run basic_t-explicit_euler: step 2 at clock 80: "
+            "S = -0.985501, I = 1.5903, R = 0.3952 left [0, 1]\n"
+        )
+        assert not (out / "basic_t-explicit_euler.csv").exists()
+        assert (out / "manifest.tsv").read_text().split("\t")[2] == "InvalidFractions"
+
     def test_singular_clock_exits_3(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(
@@ -378,23 +407,34 @@ class TestCheckCommand:
 
     def test_a_nan_segment_fails(self, tmp_path):
         # dt = 40 throws explicit Euler out of the simplex in the second
-        # segment, whose energy is NaN; the first segment's drift is finite
+        # segment, whose energy would be NaN: the march refuses the run
         scenario = tmp_path / "scenario.yaml"
-        scenario.write_text(
-            "init: {s: 0.99, i: 0.01}\n"
-            "schedule:\n"
-            "  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
-            "  - {t: 40.0, beta: 0.6, gamma: 0.1}\n"
-            "run:\n"
-            "  - {method: explicit_euler, formulation: basic_t, dt: 40.0, t_end: 80.0}\n"
-            "tolerances: {h_drift: 1.0}\n"
-        )
+        scenario.write_text(LEAVES_THE_SIMPLEX)
         proc = cli("check", scenario)
-        assert proc.returncode == 1
-        (line,) = [x for x in proc.stdout.splitlines() if x.startswith("h_drift")]
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "numerical failure: InvalidFractions: step 2 at clock 80: "
+            "S = -0.985501, I = 1.5903, R = 0.3952 left [0, 1]\n"
+        )
+        assert proc.stdout == ""
+
+    def test_a_nan_drift_fails(self, tmp_path, monkeypatch, capsys):
+        # a graded NaN that is not first in its list still reads FAIL
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN)
+        real_report = cli_module.conservation_report
+
+        def nan_second_segment(traj):
+            report = real_report(traj)
+            return replace(report, per_segment_rel_h_drift=(0.0, math.nan))
+
+        monkeypatch.setattr(cli_module, "conservation_report", nan_second_segment)
+        assert cli_module.main(["check", str(scenario)]) == 1
+        out = capsys.readouterr().out
+        (line,) = [x for x in out.splitlines() if x.startswith("h_drift")]
         assert line.split()[2] == "nan"
         assert line.endswith("FAIL")
-        assert "CHECK FAILED" in proc.stdout
+        assert "CHECK FAILED" in out
 
 
 class TestSweepCommand:
@@ -517,6 +557,24 @@ class TestSweepCommand:
         assert summary == (parallel / "summary.csv").read_text()
         assert proc.stderr == first.stderr
         assert [line.split(",")[7] for line in summary.splitlines()[1:]] == statuses
+
+    @pytest.mark.parametrize("grid, workers", [("beta=0.3", 1), ("beta=0.25,0.3", 2)])
+    def test_pool_has_no_more_workers_than_points(self, tmp_path, monkeypatch, grid, workers):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN)
+        out = tmp_path / "sweep"
+        argv = ["sweep", str(scenario), "--grid", grid, "--out", str(out), "--jobs", "3"]
+        assert cli_module.main(argv) == 0
+        assert sizes == [workers]
+        assert len((out / "summary.csv").read_text().splitlines()) == workers + 1
 
 
 class TestPlotCommand:

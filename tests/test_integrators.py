@@ -7,8 +7,10 @@ from sirham import integrators
 from sirham import (
     Chart,
     CompartmentState,
+    ConstraintViolation,
     EpidemicParams,
     Formulation,
+    InvalidFractions,
     Method,
     MissingDiagnostic,
     NewtonDivergence,
@@ -167,23 +169,60 @@ JACOBIAN_POINTS = [
 FD_CONSTRAINT_TOL = 1.0
 
 
+@pytest.fixture
+def newton_sizes(monkeypatch):
+    """The length of the state each Newton call solves for, in call order."""
+    sizes = []
+    newton = integrators._newton
+
+    def capture(residual, jacobian, y0, tol, max_iter):
+        sizes.append(len(y0))
+        return newton(residual, jacobian, y0, tol, max_iter)
+
+    monkeypatch.setattr(integrators, "_newton", capture)
+    return sizes
+
+
 class TestJacobians:
     """The analytic Jacobians the Newton solves use, against central
     differences of the functions they differentiate."""
 
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_record_jacobian_matches_the_rhs(self, formulation):
+        """An extended record has no Jacobian: its implicit steps solve the
+        coordinate block with the canonical record's, which must be the
+        coordinate block of the 4-d rates."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
-            assert_jacobian_matches(
-                rec.jac(params)(y), rec.rhs(params, FD_CONSTRAINT_TOL), y
-            )
+            rhs = rec.rhs(params, FD_CONSTRAINT_TOL)
+            if rec.coords is None:
+                assert_jacobian_matches(rec.jac(params)(y), rhs, y)
+                continue
+            assert rec.jac is None
+            q, p = y[:2], y[2:]
+            assert_jacobian_matches(rec.coords.jac(params)(q), lambda x: rhs(x + p)[:2], q)
+
+    @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
+    def test_separable_flag_matches_the_jacobian(self, formulation):
+        """The momentum-momentum block of the record's Jacobian (of its rhs,
+        for the extended records) is zero exactly where ``separable`` is set."""
+        rec = _RECORDS[formulation]
+        for i0, s0, beta, gamma in JACOBIAN_POINTS:
+            params = EpidemicParams(beta, gamma)
+            y = rec.start(i0, s0, params)
+            if rec.jac is None:
+                d = central_jacobian(rec.rhs(params, FD_CONSTRAINT_TOL), y)
+            else:
+                d = rec.jac(params)(y)
+            nq = len(y) // 2
+            block = [x for row in d[nq:] for x in row[nq:]]
+            assert all(x == 0.0 for x in block) is rec.separable, block
 
     @staticmethod
-    def newton_system(monkeypatch, step, *args):
-        """The residual, Jacobian and predictor a stepper hands to Newton."""
+    def newton_systems(monkeypatch, step, *args, **kwargs):
+        """The residual, Jacobian and predictor of each Newton call a step makes."""
         seen = []
         newton = integrators._newton
 
@@ -192,8 +231,8 @@ class TestJacobians:
             return newton(residual, jacobian, y0, tol, max_iter)
 
         monkeypatch.setattr(integrators, "_newton", capture)
-        step(*args)
-        return seen[0]
+        step(*args, **kwargs)
+        return seen
 
     @pytest.mark.parametrize(
         "step",
@@ -202,14 +241,35 @@ class TestJacobians:
     )
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_residual_jacobian_matches_the_residual(self, monkeypatch, step, formulation):
+        """Each step as the march builds it.  Symplectic Euler on a separable
+        record never reaches Newton; the implicit steps of an extended record
+        hand it the 2-d coordinate block."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
-            rhs = rec.rhs(params, FD_CONSTRAINT_TOL)
-            residual, jacobian, u = self.newton_system(
-                monkeypatch, step, rhs, rec.jac(params), y, 0.05
-            )
+            if step is step_symplectic_euler:
+                # RunSpec refuses this method on the 4-d records; call the step
+                # with the record's own rhs and flag
+                jac = rec.jac(params) if rec.jac else None
+                seen = self.newton_systems(
+                    monkeypatch, step, rec.rhs(params, FD_CONSTRAINT_TOL), jac, y, 0.05,
+                    separable=rec.separable,
+                )
+                if rec.separable:
+                    assert seen == []
+                    continue
+            else:
+                method = (
+                    Method.IMPLICIT_MIDPOINT
+                    if step is step_implicit_midpoint
+                    else Method.TIME_FE_CG1_GAUSS2
+                )
+                spec = RunSpec(method=method, formulation=formulation, dt=0.05, t_end=1.0)
+                stepper = integrators._make_stepper(spec, rec, params)
+                seen = self.newton_systems(monkeypatch, stepper, y, 0.05)
+            (residual, jacobian, u), = seen
+            assert len(u) == (1 if step is step_symplectic_euler else 2)
             assert_jacobian_matches(jacobian(u), residual, u)
 
     @pytest.mark.parametrize("chart", list(Chart), ids=lambda c: c.value)
@@ -218,7 +278,7 @@ class TestJacobians:
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
             y = _RECORDS[formulation].start(i0, s0, params)
-            residual, jacobian, u = self.newton_system(
+            (residual, jacobian, u), = self.newton_systems(
                 monkeypatch, step_variational_midpoint, y, 0.05, params, chart
             )
             assert_jacobian_matches(jacobian(u), residual, u)
@@ -237,6 +297,44 @@ class TestJacobians:
             calls.clear()
             y = step_implicit_midpoint(counting_rhs, log_jac, y, 0.05)
             assert len(calls) <= 3
+
+    @pytest.mark.parametrize(
+        "formulation,rhs_name,dt",
+        [("log_t", "hamilton_rhs_log", 0.05), ("rescaled_tau", "hamilton_rhs_direct", 0.005)],
+    )
+    def test_symplectic_euler_is_explicit_on_separable_charts(
+        self, init, schedule, monkeypatch, formulation, rhs_name, dt
+    ):
+        """Two rhs evaluations per step and no Newton call over 400 steps."""
+        calls = []
+        rhs = getattr(integrators.hamiltonian, rhs_name)
+
+        def counting(*args):
+            calls.append(None)
+            return rhs(*args)
+
+        def no_newton(*args):
+            raise AssertionError("symplectic Euler called Newton on a separable chart")
+
+        monkeypatch.setattr(integrators.hamiltonian, rhs_name, counting)
+        monkeypatch.setattr(integrators, "_newton", no_newton)
+        spec = RunSpec(method="symplectic_euler", formulation=formulation, dt=dt, t_end=400 * dt)
+        traj = integrate(spec, init, schedule)
+        assert traj.n_samples == 401
+        assert len(calls) == 2 * 400
+
+    @pytest.mark.parametrize("formulation", ["basic_t", "single_ode_direct", "single_ode_log"])
+    def test_symplectic_euler_keeps_newton_where_momenta_feed_back(
+        self, init, schedule, newton_sizes, formulation
+    ):
+        spec = RunSpec(method="symplectic_euler", formulation=formulation, dt=0.01, t_end=0.5)
+        integrate(spec, init, schedule)
+        assert newton_sizes == [1] * 50
+
+    def test_solve_refuses_a_4x4_system(self):
+        eye = tuple(tuple(float(j == k) for j in range(4)) for k in range(4))
+        with pytest.raises(ValueError, match="4x4"):
+            integrators._solve(eye, (1.0, 2.0, 3.0, 4.0))
 
 
 class TestRunSpec:
@@ -381,6 +479,30 @@ class TestIntegrate:
         assert 0.0 < traj.tau[-1] < 5.0
         assert np.all(np.diff(traj.tau) > 0.0)
 
+    def test_leaving_the_simplex_names_the_step_and_the_clock(self, init):
+        sched = ParamSchedule(
+            switch_times=(0.0, 40.0),
+            params=(EpidemicParams(0.3, 0.1), EpidemicParams(0.6, 0.1)),
+        )
+        spec = RunSpec(method="explicit_euler", formulation="basic_t", dt=40.0, t_end=80.0)
+        with pytest.raises(InvalidFractions, match=r"^step 2 at clock 80: S = -0\.985501, "):
+            integrate(spec, init, sched)
+
+    @pytest.mark.parametrize("sample, step, clock", [(2, 6, "0.6"), (4, 10, "1")])
+    def test_a_non_finite_fraction_is_refused(self, init, schedule, monkeypatch, sample, step, clock):
+        # stride 3 over 10 steps keeps steps 0, 3, 6, 9 and the final 10
+        rec = _RECORDS[Formulation.LOG_T]
+
+        def poisoned(coords, beta, gamma):
+            i_col, s_col = rec.fractions(coords, beta, gamma)
+            s_col[sample] = math.nan
+            return i_col, s_col
+
+        monkeypatch.setitem(_RECORDS, Formulation.LOG_T, rec._replace(fractions=poisoned))
+        spec = RunSpec(method="rk4", formulation="log_t", dt=0.1, t_end=1.0, sample_stride=3)
+        with pytest.raises(InvalidFractions, match=rf"^step {step} at clock {clock}: S = nan"):
+            integrate(spec, init, schedule)
+
     def test_newton_failure_names_the_step_and_the_clock(self, init, schedule):
         spec = RunSpec(
             method="implicit_midpoint",
@@ -519,8 +641,9 @@ class TestExtendedModes:
     def test_implicit_direct4d_matches_reconstruct(
         self, init, schedule, method, formulation, t_end
     ):
-        """With the exact Newton Jacobian the 4-d implicit march stays on
-        the constraint manifold and retraces the closed coordinate block."""
+        """The 4-d implicit march solves the coordinate block alone and
+        carries the momenta by the constraint, so it stays on the manifold
+        and retraces the reconstruction."""
         kwargs = dict(method=method, formulation=formulation, dt=t_end / 2400, t_end=t_end)
         direct = integrate(RunSpec(extended_mode="direct4d", **kwargs), init, schedule)
         rebuilt = integrate(RunSpec(extended_mode="reconstruct", **kwargs), init, schedule)
@@ -531,6 +654,36 @@ class TestExtendedModes:
         q0, q1, p0, p1 = direct.coords.T
         assert np.max(np.abs(q0 + 2.0 * p1)) <= 1e-12
         assert np.max(np.abs(q1 - 2.0 * p0)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
+    @pytest.mark.parametrize("formulation", ["extended_4d_direct", "extended_4d_log"])
+    def test_implicit_direct4d_solves_only_2_vectors(
+        self, init, schedule, newton_sizes, method, formulation
+    ):
+        spec = RunSpec(method=method, formulation=formulation, dt=0.01, t_end=0.5)
+        traj = integrate(spec, init, schedule)
+        assert traj.coords.shape == (51, 4)
+        assert newton_sizes == [2] * 50
+
+    @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
+    @pytest.mark.parametrize(
+        "formulation",
+        [Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG],
+        ids=lambda f: f.value,
+    )
+    def test_implicit_direct4d_refuses_an_off_manifold_start(
+        self, init, schedule, monkeypatch, method, formulation
+    ):
+        rec = _RECORDS[formulation]
+
+        def shifted_start(i0, s0, params):
+            q0, q1, p0, p1 = rec.start(i0, s0, params)
+            return (q0, q1, p0 + 1e-6, p1)
+
+        monkeypatch.setitem(_RECORDS, formulation, rec._replace(start=shifted_start))
+        spec = RunSpec(method=method, formulation=formulation, dt=0.01, t_end=0.5)
+        with pytest.raises(ConstraintViolation, match="constraint norm 2.000e-06 exceeds"):
+            integrate(spec, init, schedule)
 
     def test_reconstruction_pins_the_constraint_to_zero(self, init, schedule):
         spec = RunSpec(
