@@ -52,8 +52,10 @@ def rescaled_accel(i_rate: float, params: EpidemicParams) -> float:
     """
     if not math.isfinite(i_rate):
         raise NonFiniteInput(f"rate must be finite, got {i_rate}")
-    d = params.beta - i_rate
-    return -params.r0 * d * d
+    beta = params.beta
+    d = beta - i_rate
+    # r0 spelled out: the property would cost a frame per stage
+    return -(beta / params.gamma) * d * d
 
 
 def log_accel(i_log: float, i_rate: float, params: EpidemicParams) -> float:

@@ -40,6 +40,7 @@ from .errors import (
     ConstraintViolation,
     NonFiniteInput,
     NonPositiveCoordinate,
+    RhsDomainError,
     SingularDenominator,
 )
 
@@ -62,6 +63,23 @@ __all__ = [
 #: default ceiling on the constraint norm accepted by extended_rhs
 DEFAULT_CONSTRAINT_TOL = 1e-9
 
+#: looking a member up on its Enum class costs a descriptor call per stage
+_DIRECT_CHART = Chart.DIRECT
+
+
+def _domain_error(z: tuple[float, float]) -> RhsDomainError:
+    """Why a chart point failed the test of the rate evaluated there.
+
+    A NaN or infinite coordinate comes first; a finite point fails only in
+    the direct chart, at S = 0, where gamma/S is singular, or below it.
+    """
+    i, s = z
+    if not (math.isfinite(i) and math.isfinite(s)):
+        return NonFiniteInput(f"state must be finite, got {z}")
+    if s == 0.0:
+        return SingularDenominator("gamma/S undefined at S = 0")
+    return NonPositiveCoordinate(f"susceptible fraction must be positive, got {s}")
+
 
 # ---------------------------------------------------------------------------
 # direct chart
@@ -81,12 +99,8 @@ def gradient_direct(
 ) -> tuple[float, float]:
     """Gradient of the direct-chart energy, ``(beta, beta - gamma/S)``."""
     i, s = z
-    if not (math.isfinite(i) and math.isfinite(s)):
-        raise NonFiniteInput(f"state must be finite, got {z}")
-    if s == 0.0:
-        raise SingularDenominator("gamma/S undefined at S = 0")
-    if s < 0.0:
-        raise NonPositiveCoordinate(f"susceptible fraction must be positive, got {s}")
+    if not (math.isfinite(i) and math.isfinite(s) and s > 0.0):
+        raise _domain_error(z)
     return (params.beta, params.beta - params.gamma / s)
 
 
@@ -105,8 +119,15 @@ def hessian_direct(
 def hamilton_rhs_direct(
     z: tuple[float, float], params: EpidemicParams
 ) -> tuple[float, float]:
-    """Canonical rescaled-time rates ``J grad H`` at ``z = (I, S)``."""
-    return apply_J(gradient_direct(z, params))
+    """Canonical rescaled-time rates ``J grad H`` at ``z = (I, S)``.
+
+    ``J`` applied to :func:`gradient_direct` in one frame, with its tests.
+    """
+    i, s = z
+    if not (math.isfinite(i) and math.isfinite(s) and s > 0.0):
+        raise _domain_error(z)
+    beta = params.beta
+    return (beta - params.gamma / s, -beta)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +147,7 @@ def gradient_log(
     """Gradient of the log-chart energy, ``(beta*I, beta*S - gamma)``."""
     li, ls = z
     if not (math.isfinite(li) and math.isfinite(ls)):
-        raise NonFiniteInput(f"state must be finite, got {z}")
+        raise _domain_error(z)
     return (params.beta * math.exp(li), params.beta * math.exp(ls) - params.gamma)
 
 
@@ -144,8 +165,15 @@ def hessian_log(
 def hamilton_rhs_log(
     z: tuple[float, float], params: EpidemicParams
 ) -> tuple[float, float]:
-    """Canonical ordinary-time rates ``J grad h`` at ``z = (ln I, ln S)``."""
-    return apply_J(gradient_log(z, params))
+    """Canonical ordinary-time rates ``J grad h`` at ``z = (ln I, ln S)``.
+
+    ``J`` applied to :func:`gradient_log` in one frame, with its tests.
+    """
+    li, ls = z
+    if not (math.isfinite(li) and math.isfinite(ls)):
+        raise _domain_error(z)
+    beta = params.beta
+    return (beta * math.exp(ls) - params.gamma, -beta * math.exp(li))
 
 
 def _gradient(z: tuple[float, float], params: EpidemicParams, chart: Chart):
@@ -205,14 +233,31 @@ def extended_hamiltonian(
     return h + multiplier[0] * c[0] + multiplier[1] * c[1]
 
 
+def _constraint_violation(
+    y: tuple[float, float, float, float], constraint_tol: float
+) -> ConstraintViolation:
+    """The refusal of a flattened extended state off C = 0.
+
+    The norm reported is the larger residual, or NaN if either is NaN.
+    """
+    c0, c1 = abs(y[0] + 2.0 * y[3]), abs(y[1] - 2.0 * y[2])
+    norm = math.nan if math.isnan(c0) or math.isnan(c1) else max(c0, c1)
+    return ConstraintViolation(
+        f"constraint norm {norm:.3e} exceeds "
+        f"tolerance {constraint_tol:.3e} at coords {(y[0], y[1])}"
+    )
+
+
 def _check_constraint(y: tuple[float, float, float, float], constraint_tol: float) -> None:
-    """Refuse a flattened extended state further than the tolerance off C = 0."""
-    norm = max(abs(y[0] + 2.0 * y[3]), abs(y[1] - 2.0 * y[2]))
-    if norm > constraint_tol:
-        raise ConstraintViolation(
-            f"constraint norm {norm:.3e} exceeds "
-            f"tolerance {constraint_tol:.3e} at coords {(y[0], y[1])}"
-        )
+    """Refuse a flattened extended state further than the tolerance off C = 0.
+
+    Both residuals must be within the tolerance, so a NaN is refused.
+    """
+    if not (
+        abs(y[0] + 2.0 * y[3]) <= constraint_tol
+        and abs(y[1] - 2.0 * y[2]) <= constraint_tol
+    ):
+        raise _constraint_violation(y, constraint_tol)
 
 
 def _extended_rates(
@@ -224,12 +269,23 @@ def _extended_rates(
     """Rates for the flattened extended state ``(q0, q1, p0, p1)``.
 
     Shared by :func:`extended_rhs` and the integration loop, which cannot
-    afford to build a dataclass per stage evaluation.
+    afford to build a dataclass per stage evaluation.  The constraint test
+    of :func:`_check_constraint` and the chart gradient, with the tests of
+    ``gradient_*``, are done here in one frame.
     """
-    _check_constraint(y, constraint_tol)
-    q = (y[0], y[1])
-    g = _gradient(q, params, chart)
-    return (g[1], -g[0], -0.5 * g[0], -0.5 * g[1])
+    q0, q1, p0, p1 = y
+    if not (abs(q0 + 2.0 * p1) <= constraint_tol and abs(q1 - 2.0 * p0) <= constraint_tol):
+        raise _constraint_violation(y, constraint_tol)
+    beta = params.beta
+    if chart is _DIRECT_CHART:
+        if not (math.isfinite(q0) and math.isfinite(q1) and q1 > 0.0):
+            raise _domain_error((q0, q1))
+        g0, g1 = beta, beta - params.gamma / q1
+    else:
+        if not (math.isfinite(q0) and math.isfinite(q1)):
+            raise _domain_error((q0, q1))
+        g0, g1 = beta * math.exp(q0), beta * math.exp(q1) - params.gamma
+    return (g1, -g0, -0.5 * g0, -0.5 * g1)
 
 
 def extended_rhs(

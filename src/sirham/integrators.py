@@ -33,6 +33,14 @@ Each :class:`Formulation` is defined in one place, its private record in
 map from sampled coordinates to (I, S), and state remap at a parameter
 switch.  The march and the trajectory build read only the record and name
 no formulation.
+
+The rhs kernels and the step scheme are looked up by name once per
+parameter segment, when :func:`_make_stepper` builds that segment's
+stepper, and are bound into it; a wrapper put in their place before
+:func:`integrate` is called sees every step and every stage.  An explicit
+stage costs the record's closure and one flat kernel call, and
+:func:`step_rk4` and :func:`step_explicit_euler` step the 2-d (and RK4 the
+4-d) states on scalar locals, with the arithmetic of their general body.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,6 +69,7 @@ from .errors import (
     InvalidFractions,
     MissingDiagnostic,
     NewtonDivergence,
+    NonFiniteInput,
     OutsideLegendreDomain,
     ScenarioError,
     StepAcrossSingularity,
@@ -170,6 +180,11 @@ def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
     return (z.q, z.p)
 
 
+def _with_params(f: Callable[[tuple, EpidemicParams], tuple], params: EpidemicParams) -> Rhs:
+    """``y -> f(y, params)``, for an ``f`` the caller looked up once."""
+    return lambda y: f(y, params)
+
+
 def _canonical_jac(params: EpidemicParams, chart: Chart) -> Jac:
     """``J Hess``: the Jacobian of ``J grad H`` for a diagonal Hessian."""
 
@@ -184,7 +199,7 @@ def _canonical_jac(params: EpidemicParams, chart: Chart) -> Jac:
 #: The energy is separable, so the second rate, -dH/dq0, reads only q0.
 _DIRECT = _Record(
     start=lambda i0, s0, params: (i0, s0),
-    rhs=lambda params, tol: lambda y: hamiltonian.hamilton_rhs_direct(y, params),
+    rhs=lambda params, tol: _with_params(hamiltonian.hamilton_rhs_direct, params),
     jac=lambda params: _canonical_jac(params, Chart.DIRECT),
     dilation=lambda y, params: y[0] * y[1],
     fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
@@ -192,7 +207,7 @@ _DIRECT = _Record(
 )
 _LOG = _Record(
     start=_log_start,
-    rhs=lambda params, tol: lambda y: hamiltonian.hamilton_rhs_log(y, params),
+    rhs=lambda params, tol: _with_params(hamiltonian.hamilton_rhs_log, params),
     jac=lambda params: _canonical_jac(params, Chart.LOGARITHMIC),
     dilation=lambda y, params: math.exp(y[0] + y[1]),
     fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
@@ -223,10 +238,21 @@ def _extended(base: _Record, chart: Chart) -> _Record:
         return q + hamiltonian.consistent_momenta(q)
 
     def rhs(params: EpidemicParams, tol: float) -> Rhs:
-        return lambda y: hamiltonian._extended_rates(y, params, chart, tol)
+        rates = hamiltonian._extended_rates
+        return lambda y: rates(y, params, chart, tol)
 
     # no rate reads the momenta, so the record stays separable
     return base._replace(start=start, rhs=rhs, jac=None, coords=base)
+
+
+def _rate_rhs_direct(params: EpidemicParams, tol: float) -> Rhs:
+    accel = dynamics.rescaled_accel
+    return lambda y: (y[1], accel(y[1], params))
+
+
+def _rate_rhs_log(params: EpidemicParams, tol: float) -> Rhs:
+    accel = dynamics.log_accel
+    return lambda y: (y[1], accel(y[0], y[1], params))
 
 
 def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
@@ -250,7 +276,7 @@ def _rate_dilation_log(y: tuple, params: EpidemicParams) -> float:
 #: the one place each formulation is defined; the march reads only this
 _RECORDS = {
     Formulation.BASIC_T: _DIRECT._replace(
-        rhs=lambda params, tol: lambda y: dynamics.sir_rhs(y, params),
+        rhs=lambda params, tol: _with_params(dynamics.sir_rhs, params),
         jac=lambda params: lambda y: (
             (params.beta * y[1] - params.gamma, params.beta * y[0]),
             (-params.beta * y[1], -params.beta * y[0]),
@@ -263,7 +289,7 @@ _RECORDS = {
         _DIRECT,
         lagrangian.rate_from_momentum_direct,
         lagrangian.momentum_from_rate_direct,
-        lambda params, tol: lambda y: (y[1], dynamics.rescaled_accel(y[1], params)),
+        _rate_rhs_direct,
         lambda params: lambda y: ((0.0, 1.0), (0.0, 2.0 * params.r0 * (params.beta - y[1]))),
         _rate_dilation_direct,
         lambda coords, beta, gamma: (coords[:, 0], gamma / (beta - coords[:, 1])),
@@ -272,7 +298,7 @@ _RECORDS = {
         _LOG,
         lagrangian.rate_from_momentum_log,
         lagrangian.momentum_from_rate_log,
-        lambda params, tol: lambda y: (y[1], dynamics.log_accel(y[0], y[1], params)),
+        _rate_rhs_log,
         lambda params: lambda y: (
             (0.0, 1.0),
             (-params.beta * math.exp(y[0]) * (y[1] + params.gamma), -params.beta * math.exp(y[0])),
@@ -462,14 +488,49 @@ def _newton(
 # one-step schemes
 
 def step_explicit_euler(rhs: Rhs, y: tuple, dt: float) -> tuple:
-    """Forward Euler: first order, conserves nothing; the baseline."""
+    """Forward Euler: first order, conserves nothing; the baseline.
+
+    A 2-d state is stepped on scalar locals, with the arithmetic of the
+    general body.
+    """
+    if len(y) == 2:
+        f0, f1 = rhs(y)
+        return (y[0] + dt * f0, y[1] + dt * f1)
     f = rhs(y)
     return tuple(yi + dt * fi for yi, fi in zip(y, f))
 
 
 def step_rk4(rhs: Rhs, y: tuple, dt: float) -> tuple:
-    """Classical fourth-order Runge-Kutta step."""
+    """Classical fourth-order Runge-Kutta step.
+
+    A 2-d or 4-d state is stepped on scalar locals, with the arithmetic of
+    the general body in the same order, so the results are identical.
+    """
     half = 0.5 * dt
+    if len(y) == 2:
+        y0, y1 = y
+        a0, a1 = rhs(y)
+        b0, b1 = rhs((y0 + half * a0, y1 + half * a1))
+        c0, c1 = rhs((y0 + half * b0, y1 + half * b1))
+        d0, d1 = rhs((y0 + dt * c0, y1 + dt * c1))
+        sixth = dt / 6.0
+        return (
+            y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
+            y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
+        )
+    if len(y) == 4:
+        y0, y1, y2, y3 = y
+        a0, a1, a2, a3 = rhs(y)
+        b0, b1, b2, b3 = rhs((y0 + half * a0, y1 + half * a1, y2 + half * a2, y3 + half * a3))
+        c0, c1, c2, c3 = rhs((y0 + half * b0, y1 + half * b1, y2 + half * b2, y3 + half * b3))
+        d0, d1, d2, d3 = rhs((y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3))
+        sixth = dt / 6.0
+        return (
+            y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
+            y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
+            y2 + sixth * (a2 + 2.0 * (b2 + c2) + d2),
+            y3 + sixth * (a3 + 2.0 * (b3 + c3) + d3),
+        )
     k1 = rhs(y)
     k2 = rhs(tuple(yi + half * ki for yi, ki in zip(y, k1)))
     k3 = rhs(tuple(yi + half * ki for yi, ki in zip(y, k2)))
@@ -656,29 +717,30 @@ def _make_stepper(
 ) -> Callable[[tuple, float], tuple]:
     """The one-step update ``y, h -> y_next`` of one parameter segment.
 
-    The step schemes are looked up by name at each call, so that a
-    wrapper put in their place sees every step.
+    The step scheme and the rhs kernels are looked up by name here, when
+    the segment's stepper is built, and bound into it, so a stage costs
+    no lookup; a wrapper put in their place before the march starts sees
+    every step and every stage.
     """
     m = spec.method
     kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
     if m is Method.VARIATIONAL_MIDPOINT:
         chart = spec.formulation.chart
-        return lambda y, h: step_variational_midpoint(y, h, params, chart, **kw)
+        return partial(step_variational_midpoint, params=params, chart=chart, **kw)
     if rec.coords is not None and m in (Method.IMPLICIT_MIDPOINT, Method.TIME_FE_CG1_GAUSS2):
         return _lifted(_make_stepper(spec, rec.coords, params), spec.constraint_tol)
     rhs = rec.rhs(params, spec.constraint_tol)
     if m is Method.EXPLICIT_EULER:
-        return lambda y, h: step_explicit_euler(rhs, y, h)
+        return partial(step_explicit_euler, rhs)
     if m is Method.RK4:
-        return lambda y, h: step_rk4(rhs, y, h)
+        return partial(step_rk4, rhs)
     jac = rec.jac(params)
     if m is Method.SYMPLECTIC_EULER:
-        sep = rec.separable
-        return lambda y, h: step_symplectic_euler(rhs, jac, y, h, separable=sep, **kw)
+        return partial(step_symplectic_euler, rhs, jac, separable=rec.separable, **kw)
     if m is Method.IMPLICIT_MIDPOINT:
-        return lambda y, h: step_implicit_midpoint(rhs, jac, y, h, **kw)
+        return partial(step_implicit_midpoint, rhs, jac, **kw)
     if m is Method.TIME_FE_CG1_GAUSS2:
-        return lambda y, h: step_time_fe_cg1(rhs, jac, y, h, **kw)
+        return partial(step_time_fe_cg1, rhs, jac, **kw)
     raise ScenarioError(f"unknown method {m!r}")
 
 
@@ -783,10 +845,11 @@ def integrate(
             for k in range(n_full + (1 if tail else 0)):
                 h = dt if k < n_full else tail
                 y = stepper(y, h)
+                # before the clock moves on, so that a failure names the step's start
+                dil_now = dilation(y, pars)
                 t_now = a + (k + 1) * dt if k < n_full else b
                 if k == n_full - 1 and not tail:
                     t_now = b
-                dil_now = dilation(y, pars)
                 if clock_is_t:
                     sec += 0.5 * h * (dil_prev + dil_now)
                 else:
@@ -807,6 +870,11 @@ def integrate(
     except NewtonDivergence as exc:
         raise NewtonDivergence(
             f"step {step_no + 1} from clock {t_now:.6g}: {exc}"
+        ) from exc
+    except OverflowError as exc:
+        # math.exp of a runaway log-chart coordinate, in a rate or the dilation
+        raise NonFiniteInput(
+            f"step {step_no + 1} from clock {t_now:.6g}: a value overflowed ({exc})"
         ) from exc
     if last_kept != step_no:  # always keep the final state
         prim.append(spec.t_end)

@@ -333,6 +333,26 @@ class TestRunCommand:
         assert not (out / "basic_t-explicit_euler.csv").exists()
         assert (out / "manifest.tsv").read_text().split("\t")[2] == "InvalidFractions"
 
+    def test_an_overflowing_rate_exits_3_with_its_step(self, tmp_path):
+        # dt = 40 throws ln I far enough that exp(ln I) overflows in step 2
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "init: {s: 0.99, i: 0.01}\n"
+            "schedule:\n"
+            "  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
+            "run:\n"
+            "  - {method: rk4, formulation: single_ode_log, dt: 40.0, t_end: 80.0}\n"
+        )
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: run single_ode_log-rk4: step 2 from clock 40: "
+            "a value overflowed (math range error)\n"
+        )
+        assert not (out / "single_ode_log-rk4.csv").exists()
+        assert (out / "manifest.tsv").read_text().split("\t")[2] == "NonFiniteInput"
+
     def test_singular_clock_exits_3(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(

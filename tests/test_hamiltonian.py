@@ -23,6 +23,7 @@ from sirham import (
     hamiltonian_direct,
     hamiltonian_log,
 )
+from sirham.hamiltonian import _extended_rates
 
 P = EpidemicParams(beta=0.3, gamma=0.1)
 fraction = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False)
@@ -168,3 +169,13 @@ class TestExtendedSpace:
             extended_rhs(bad, params, constraint_tol=1e-9)
         # a loose tolerance admits the same point
         extended_rhs(bad, params, constraint_tol=1.0)
+
+    @pytest.mark.parametrize("slot", [2, 3], ids=["p0", "p1"])
+    @pytest.mark.parametrize("chart", list(Chart), ids=lambda c: c.value)
+    def test_a_nan_momentum_is_refused(self, params, chart, slot):
+        """Either residual may be the NaN one; neither is within tolerance."""
+        coords = (0.01, 0.99) if chart is Chart.DIRECT else (math.log(0.01), math.log(0.99))
+        y = list(coords + consistent_momenta(coords))
+        y[slot] = math.nan
+        with pytest.raises(ConstraintViolation, match="constraint norm nan exceeds"):
+            _extended_rates(tuple(y), params, chart, 1e-9)

@@ -685,6 +685,23 @@ class TestExtendedModes:
         with pytest.raises(ConstraintViolation, match="constraint norm 2.000e-06 exceeds"):
             integrate(spec, init, schedule)
 
+    @pytest.mark.parametrize("slot", [2, 3], ids=["p0", "p1"])
+    @pytest.mark.parametrize("method", [Method.IMPLICIT_MIDPOINT, Method.TIME_FE_CG1_GAUSS2])
+    @pytest.mark.parametrize(
+        "formulation",
+        [Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG],
+        ids=lambda f: f.value,
+    )
+    def test_implicit_direct4d_refuses_a_nan_momentum(self, params, method, formulation, slot):
+        """The lifted step checks the incoming state; a NaN residual fails it."""
+        rec = _RECORDS[formulation]
+        spec = RunSpec(method=method, formulation=formulation, dt=0.01, t_end=0.5)
+        stepper = integrators._make_stepper(spec, rec, params)
+        y = list(rec.start(0.01, 0.99, params))
+        y[slot] = math.nan
+        with pytest.raises(ConstraintViolation, match="constraint norm nan exceeds"):
+            stepper(tuple(y), 0.01)
+
     def test_reconstruction_pins_the_constraint_to_zero(self, init, schedule):
         spec = RunSpec(
             method="rk4",
