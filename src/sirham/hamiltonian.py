@@ -176,18 +176,6 @@ def hamilton_rhs_log(
     return (beta * math.exp(ls) - params.gamma, -beta * math.exp(li))
 
 
-def _gradient(z: tuple[float, float], params: EpidemicParams, chart: Chart):
-    if chart is Chart.DIRECT:
-        return gradient_direct(z, params)
-    return gradient_log(z, params)
-
-
-def _hessian(z: tuple[float, float], params: EpidemicParams, chart: Chart):
-    if chart is Chart.DIRECT:
-        return hessian_direct(z, params)
-    return hessian_log(z, params)
-
-
 # ---------------------------------------------------------------------------
 # extended phase space
 
@@ -211,7 +199,7 @@ def dirac_multiplier(
     coords: tuple[float, float], params: EpidemicParams, chart: Chart
 ) -> tuple[float, float]:
     """Multiplier enforcing the constraint, ``-(1/2) grad H`` at the point."""
-    g = _gradient(coords, params, chart)
+    g = (gradient_direct if chart is _DIRECT_CHART else gradient_log)(coords, params)
     return (-0.5 * g[0], -0.5 * g[1])
 
 

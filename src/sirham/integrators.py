@@ -10,7 +10,10 @@ variational and Galerkin relatives), and a per-component mix of 0 and 1
 (symplectic Euler); classical RK4 is the reference non-conservative
 high-order scheme.  Implicit equations are solved by Newton iteration from
 an explicit-Euler predictor, with the exact Jacobian each scheme assembles
-from the analytic Jacobian of the rhs and a 1x1 or 2x2 elimination solve.
+from the analytic Jacobian of the rhs.  :func:`_newton` is the one Newton
+loop: it iterates a 2-d unknown on scalar locals and solves each update by
+2x2 elimination; symplectic Euler's 1-d momentum equation is posed to it
+padded to two.
 
 Only what is implicit is solved.  Symplectic Euler is explicit wherever
 the momentum rate does not read the momenta (the separable canonical
@@ -34,13 +37,18 @@ map from sampled coordinates to (I, S), and state remap at a parameter
 switch.  The march and the trajectory build read only the record and name
 no formulation.
 
-The rhs kernels and the step scheme are looked up by name once per
-parameter segment, when :func:`_make_stepper` builds that segment's
-stepper, and are bound into it; a wrapper put in their place before
-:func:`integrate` is called sees every step and every stage.  An explicit
-stage costs the record's closure and one flat kernel call, and
-:func:`step_rk4` and :func:`step_explicit_euler` step the 2-d (and RK4 the
-4-d) states on scalar locals, with the arithmetic of their general body.
+The rhs kernels, the chart Hessians of the Jacobians and the step scheme
+are looked up by name once per parameter segment, when
+:func:`_make_stepper` builds that segment's stepper, and are bound into it;
+a wrapper put in their place before :func:`integrate` is called sees every
+step and every stage.  (The variational step, which takes no rhs, looks up
+its rates once per step.)  An explicit stage costs the record's closure and
+one flat kernel call, and :func:`step_rk4` and :func:`step_explicit_euler`
+step the 2-d (and RK4 the 4-d) states on scalar locals, with the arithmetic
+of their general body.  The implicit steps take 2-d states only, the
+coordinate block of an extended state included, and build their residual
+and Jacobian on scalar locals, with the arithmetic of the tuple bodies they
+replaced.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ from .errors import (
     ScenarioError,
     StepAcrossSingularity,
 )
+from .hamiltonian import _DIRECT_CHART
 
 __all__ = [
     "Formulation",
@@ -98,8 +107,17 @@ Jac = Callable[[tuple], tuple]
 START_DILATION_FLOOR = 1e-10
 #: and aborts once the dilation falls below this during the march
 RUN_DILATION_FLOOR = 1e-14
+#: the most steps a run may ask for: beyond, the clock (k + 1) * dt of the
+#: march no longer tells consecutive step indices k apart
+MAX_STEPS = 2.0**53
 
 _GAUSS2_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+#: the stages of the Galerkin step per quadrature: node sigma, 1 - sigma,
+#: weight w and w * sigma
+_CG1_STAGES = {
+    "gauss2": tuple((sigma, 1.0 - sigma, 0.5, 0.5 * sigma) for sigma in _GAUSS2_NODES),
+    "midpoint": ((0.5, 0.5, 1.0, 0.5),),
+}
 
 
 class Method(Enum):
@@ -185,11 +203,14 @@ def _with_params(f: Callable[[tuple, EpidemicParams], tuple], params: EpidemicPa
     return lambda y: f(y, params)
 
 
-def _canonical_jac(params: EpidemicParams, chart: Chart) -> Jac:
-    """``J Hess``: the Jacobian of ``J grad H`` for a diagonal Hessian."""
+def _canonical_jac(
+    hessian: Callable[[tuple, EpidemicParams], tuple], params: EpidemicParams
+) -> Jac:
+    """``J Hess``: the Jacobian of ``J grad H`` for a diagonal Hessian, from
+    a ``hessian`` the caller looked up once."""
 
     def jac(y: tuple) -> tuple:
-        h0, h1 = hamiltonian._hessian(y, params, chart)
+        h0, h1 = hessian(y, params)
         return ((0.0, h1), (-h0, 0.0))
 
     return jac
@@ -200,7 +221,7 @@ def _canonical_jac(params: EpidemicParams, chart: Chart) -> Jac:
 _DIRECT = _Record(
     start=lambda i0, s0, params: (i0, s0),
     rhs=lambda params, tol: _with_params(hamiltonian.hamilton_rhs_direct, params),
-    jac=lambda params: _canonical_jac(params, Chart.DIRECT),
+    jac=lambda params: _canonical_jac(hamiltonian.hessian_direct, params),
     dilation=lambda y, params: y[0] * y[1],
     fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
     separable=True,
@@ -208,7 +229,7 @@ _DIRECT = _Record(
 _LOG = _Record(
     start=_log_start,
     rhs=lambda params, tol: _with_params(hamiltonian.hamilton_rhs_log, params),
-    jac=lambda params: _canonical_jac(params, Chart.LOGARITHMIC),
+    jac=lambda params: _canonical_jac(hamiltonian.hessian_log, params),
     dilation=lambda y, params: math.exp(y[0] + y[1]),
     fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
     separable=True,
@@ -381,6 +402,11 @@ class RunSpec:
                 "symplectic Euler does not keep the momentum constraint of "
                 f"{self.formulation.value}; use extended_mode: reconstruct"
             )
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ScenarioError(
+                f"dt = {self.dt!r} asks for t_end / dt = {self.t_end / self.dt:.3e} "
+                f"steps; the march counts at most 2**53"
+            )
 
     @property
     def name(self) -> str:
@@ -419,7 +445,9 @@ class Trajectory:
 # Newton iteration for the implicit schemes
 
 def _solve2(a00, a01, a10, a11, b0, b1) -> tuple:
-    """Solve a 2x2 system by elimination with partial pivoting."""
+    """Solve the 2x2 Newton system ``a x = b`` by elimination with partial
+    pivoting; ``a`` is given row by row, as :func:`_newton`'s Jacobian
+    returns it.  A zero pivot refuses the system as singular."""
     if abs(a10) > abs(a00):
         a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
     if a00 == 0.0:
@@ -432,53 +460,41 @@ def _solve2(a00, a01, a10, a11, b0, b1) -> tuple:
     return ((b0 - a01 * x1) / a00, x1)
 
 
-def _solve(a: tuple, b: tuple) -> tuple:
-    """Solve ``a x = b`` for the Newton systems, which are 1x1 or 2x2.
-
-    Symplectic Euler hands Newton a 1-d momentum block; the other implicit
-    steps hand it a 2-d chart state, the coordinate block of an extended
-    state included.
-    """
-    n = len(b)
-    if n == 2:
-        return _solve2(a[0][0], a[0][1], a[1][0], a[1][1], b[0], b[1])
-    if n == 1:
-        if a[0][0] == 0.0:
-            raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
-        return (b[0] / a[0][0],)
-    raise ValueError(f"no solver for this {n}x{n} Newton system")
-
-
-def _shifted(c: float, d: tuple) -> tuple:
-    """``I - c*d`` for a square matrix given as rows."""
-    return tuple(
-        tuple((1.0 - c * x) if j == k else -c * x for j, x in enumerate(row))
-        for k, row in enumerate(d)
-    )
-
-
 def _newton(
-    residual: Callable[[tuple], tuple],
-    jacobian: Callable[[tuple], tuple],
-    y0: tuple,
+    residual: Callable[[float, float], tuple],
+    jacobian: Callable[[float, float], tuple],
+    u0: float,
+    u1: float,
     tol: float,
     max_iter: int,
+    width: int = 2,
 ) -> tuple:
-    """Solve residual(y) = 0 by Newton iteration with the given Jacobian."""
-    y = y0
-    r = residual(y)
+    """Solve ``residual(u0, u1) = (0, 0)`` by Newton iteration from ``(u0, u1)``.
+
+    ``jacobian(u0, u1)`` returns the residual's Jacobian row by row, ``(a00,
+    a01, a10, a11)``; each update is one :func:`_solve2`.  The iterate is
+    converged once both residuals are within ``tol``, so a NaN in either
+    is not.  A 1-d equation in ``u1`` is posed with ``width=1`` and padded
+    in front by ``u0 = 0``, started at 0.0: residual ``u0`` and Jacobian row
+    ``(1, 0)``, so ``u0`` stays 0.0, each update is ``r1 / a11`` and a
+    refusal reports the iterate as ``(u1,)``.
+    """
+    r0, r1 = residual(u0, u1)
     for _ in range(max_iter):
-        norm = max(abs(c) for c in r)
-        if norm <= tol:
-            return y
-        delta = _solve(jacobian(y), r)
-        y = tuple(yi - di for yi, di in zip(y, delta))
-        if not all(math.isfinite(c) for c in y):
-            raise NewtonDivergence(f"Newton iterate left the finite range: {y}")
-        r = residual(y)
-    norm = max(abs(c) for c in r)
-    if norm <= tol:
-        return y
+        if abs(r0) <= tol and abs(r1) <= tol:
+            return u0, u1
+        a00, a01, a10, a11 = jacobian(u0, u1)
+        x0, x1 = _solve2(a00, a01, a10, a11, r0, r1)
+        u0 -= x0
+        u1 -= x1
+        if not (math.isfinite(u0) and math.isfinite(u1)):
+            raise NewtonDivergence(
+                f"Newton iterate left the finite range: {(u0, u1)[2 - width:]}"
+            )
+        r0, r1 = residual(u0, u1)
+    if abs(r0) <= tol and abs(r1) <= tol:
+        return u0, u1
+    norm = math.nan if math.isnan(r0) or math.isnan(r1) else max(abs(r0), abs(r1))
     raise NewtonDivergence(
         f"no convergence after {max_iter} iterations, residual norm {norm:.3e}"
     )
@@ -562,28 +578,34 @@ def step_symplectic_euler(
     implicit equation, as on ``basic_t`` (dS/dt = -beta*S*I) and both
     ``single_ode_*`` reductions, solved by Newton with the momentum block
     of ``jac``.  First order; symplectic on the canonical charts.
+
+    A 2-d state is stepped on scalar locals, and its momentum equation is
+    the 1-d Newton solve; a larger state must be separable.
     """
     n = len(y)
     if n % 2:
         raise ScenarioError("symplectic Euler needs an even-dimensional state")
-    nq = n // 2
-    f0 = rhs(y)
-    q_new = tuple(y[k] + dt * f0[k] for k in range(nq))
-    if separable:
+    if n != 2:
+        if not separable:
+            raise ScenarioError("symplectic Euler solves a 1-d momentum block only")
+        nq = n // 2
+        f0 = rhs(y)
+        q_new = tuple(y[k] + dt * f0[k] for k in range(nq))
         f1 = rhs(q_new + y[nq:])
         return q_new + tuple(y[k] + dt * f1[k] for k in range(nq, n))
+    y0, y1 = y
+    f0, f1 = rhs(y)
+    q = y0 + dt * f0
+    if separable:
+        return (q, y1 + dt * rhs((q, y1))[1])
 
-    def residual(p: tuple) -> tuple:
-        f = rhs(q_new + p)
-        return tuple(p[k] - y[nq + k] - dt * f[nq + k] for k in range(n - nq))
+    def residual(pad: float, p: float) -> tuple:
+        return (pad, p - y1 - dt * rhs((q, p))[1])
 
-    def jacobian(p: tuple) -> tuple:
-        d = jac(q_new + p)
-        return _shifted(dt, tuple(row[nq:] for row in d[nq:]))
+    def jacobian(pad: float, p: float) -> tuple:
+        return (1.0, 0.0, 0.0, 1.0 - dt * jac((q, p))[1][1])
 
-    p_pred = tuple(y[nq + k] + dt * f0[nq + k] for k in range(n - nq))
-    p_new = _newton(residual, jacobian, p_pred, tol, max_iter)
-    return q_new + p_new
+    return (q, _newton(residual, jacobian, 0.0, y1 + dt * f1, tol, max_iter, width=1)[1])
 
 
 def step_implicit_midpoint(
@@ -595,17 +617,23 @@ def step_implicit_midpoint(
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> tuple:
-    """Implicit midpoint rule: second order, symplectic with constant J."""
+    """Implicit midpoint rule: second order, symplectic with constant J.
 
-    def residual(u: tuple) -> tuple:
-        mid = tuple(0.5 * (yi + ui) for yi, ui in zip(y, u))
-        f = rhs(mid)
-        return tuple(ui - yi - dt * fi for ui, yi, fi in zip(u, y, f))
+    Steps a 2-d state, from the explicit-Euler predictor.
+    """
+    y0, y1 = y
+    c = 0.5 * dt
 
-    def jacobian(u: tuple) -> tuple:
-        return _shifted(0.5 * dt, jac(tuple(0.5 * (yi + ui) for yi, ui in zip(y, u))))
+    def residual(u0: float, u1: float) -> tuple:
+        f0, f1 = rhs((0.5 * (y0 + u0), 0.5 * (y1 + u1)))
+        return (u0 - y0 - dt * f0, u1 - y1 - dt * f1)
 
-    return _newton(residual, jacobian, step_explicit_euler(rhs, y, dt), tol, max_iter)
+    def jacobian(u0: float, u1: float) -> tuple:
+        (d00, d01), (d10, d11) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)))
+        return (1.0 - c * d00, -c * d01, -c * d10, 1.0 - c * d11)
+
+    f0, f1 = rhs(y)
+    return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
 
 
 def step_variational_midpoint(
@@ -632,33 +660,30 @@ def step_variational_midpoint(
     implicit midpoint rule applied to the canonical flow; the test suite
     asserts that coincidence rather than assuming it.
     """
-    p_now = lagrangian.extended_lagrangian_gradients(
-        coords, (0.0, 0.0), params, chart
-    )[1]
-
-    def residual(q_new: tuple) -> tuple:
-        mid = (0.5 * (coords[0] + q_new[0]), 0.5 * (coords[1] + q_new[1]))
-        rate = ((q_new[0] - coords[0]) / dt, (q_new[1] - coords[1]) / dt)
-        d_mid, d_rate = lagrangian.extended_lagrangian_gradients(mid, rate, params, chart)
-        # d/da of L_d(a, b): half a step of the midpoint slot minus the rate slot
-        return (
-            p_now[0] + 0.5 * dt * d_mid[0] - d_rate[0],
-            p_now[1] + 0.5 * dt * d_mid[1] - d_rate[1],
-        )
-
-    def jacobian(q_new: tuple) -> tuple:
-        # the residual is p_now - (1/2) J q_new - (dt/2) grad H(mid)
-        mid = (0.5 * (coords[0] + q_new[0]), 0.5 * (coords[1] + q_new[1]))
-        h0, h1 = hamiltonian._hessian(mid, params, chart)
-        c = 0.25 * dt
-        return ((-c * h0, -0.5), (0.5, -c * h1))
-
-    if chart is Chart.DIRECT:
-        flow = hamiltonian.hamilton_rhs_direct
+    if chart is _DIRECT_CHART:
+        flow, hessian = hamiltonian.hamilton_rhs_direct, hamiltonian.hessian_direct
     else:
-        flow = hamiltonian.hamilton_rhs_log
-    predictor = step_explicit_euler(lambda z: flow(z, params), coords, dt)
-    return _newton(residual, jacobian, predictor, tol, max_iter)
+        flow, hessian = hamiltonian.hamilton_rhs_log, hamiltonian.hessian_log
+    gradients = lagrangian.extended_lagrangian_gradients
+    c0, c1 = coords
+    half = 0.5 * dt
+    c = 0.25 * dt
+    p0, p1 = gradients(coords, (0.0, 0.0), params, chart)[1]
+
+    def residual(u0: float, u1: float) -> tuple:
+        d_mid, d_rate = gradients(
+            (0.5 * (c0 + u0), 0.5 * (c1 + u1)), ((u0 - c0) / dt, (u1 - c1) / dt), params, chart
+        )
+        # d/da of L_d(a, b): half a step of the midpoint slot minus the rate slot
+        return (p0 + half * d_mid[0] - d_rate[0], p1 + half * d_mid[1] - d_rate[1])
+
+    def jacobian(u0: float, u1: float) -> tuple:
+        # the residual is p_now - (1/2) J q_new - (dt/2) grad H(mid)
+        h0, h1 = hessian((0.5 * (c0 + u0), 0.5 * (c1 + u1)), params)
+        return (-c * h0, -0.5, 0.5, -c * h1)
+
+    f0, f1 = flow(coords, params)
+    return _newton(residual, jacobian, c0 + dt * f0, c1 + dt * f1, tol, max_iter)
 
 
 def step_time_fe_cg1(
@@ -677,36 +702,37 @@ def step_time_fe_cg1(
     side exactly for quadratic integrands along the linear segment; with
     ``quadrature="midpoint"`` it degenerates to the implicit midpoint rule,
     which the tests assert as an internal consistency check.
+
+    Steps a 2-d state, from the explicit-Euler predictor.  The quadrature
+    sums start from 0.0 and add the nodes in order.
     """
-    if quadrature == "gauss2":
-        nodes, weights = _GAUSS2_NODES, (0.5, 0.5)
-    elif quadrature == "midpoint":
-        nodes, weights = (0.5,), (1.0,)
-    else:
-        raise ScenarioError(f"unknown quadrature {quadrature!r}")
+    try:
+        stages = _CG1_STAGES[quadrature]
+    except KeyError:
+        raise ScenarioError(f"unknown quadrature {quadrature!r}") from None
+    y0, y1 = y
 
-    def residual(u: tuple) -> tuple:
-        acc = [0.0] * len(y)
-        for sigma, w in zip(nodes, weights):
-            stage = tuple((1.0 - sigma) * yi + sigma * ui for yi, ui in zip(y, u))
-            f = rhs(stage)
-            for k, fk in enumerate(f):
-                acc[k] += w * fk
-        return tuple(ui - yi - dt * ak for ui, yi, ak in zip(u, y, acc))
+    def residual(u0: float, u1: float) -> tuple:
+        a0 = a1 = 0.0
+        for sigma, rest, w, _ in stages:
+            f0, f1 = rhs((rest * y0 + sigma * u0, rest * y1 + sigma * u1))
+            a0 += w * f0
+            a1 += w * f1
+        return (u0 - y0 - dt * a0, u1 - y1 - dt * a1)
 
-    def jacobian(u: tuple) -> tuple:
+    def jacobian(u0: float, u1: float) -> tuple:
         # a stage moves with weight sigma as the endpoint u does
-        n = len(y)
-        acc = [[0.0] * n for _ in range(n)]
-        for sigma, w in zip(nodes, weights):
-            d = jac(tuple((1.0 - sigma) * yi + sigma * ui for yi, ui in zip(y, u)))
-            ws = w * sigma
-            for row, drow in zip(acc, d):
-                for j in range(n):
-                    row[j] += ws * drow[j]
-        return _shifted(dt, acc)
+        a00 = a01 = a10 = a11 = 0.0
+        for sigma, rest, _, ws in stages:
+            (d00, d01), (d10, d11) = jac((rest * y0 + sigma * u0, rest * y1 + sigma * u1))
+            a00 += ws * d00
+            a01 += ws * d01
+            a10 += ws * d10
+            a11 += ws * d11
+        return (1.0 - dt * a00, -dt * a01, -dt * a10, 1.0 - dt * a11)
 
-    return _newton(residual, jacobian, step_explicit_euler(rhs, y, dt), tol, max_iter)
+    f0, f1 = rhs(y)
+    return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 
-from .core import Chart, EpidemicParams, apply_J
+from .core import Chart, EpidemicParams
 from .errors import (
     NonFiniteInput,
     NonPositiveCoordinate,
     OutsideLegendreDomain,
     ScenarioError,
 )
-from .hamiltonian import hamiltonian_direct, hamiltonian_log, _gradient
+from .hamiltonian import _DIRECT_CHART, _domain_error, hamiltonian_direct, hamiltonian_log
 
 __all__ = [
     "el_residual_direct",
@@ -197,12 +197,20 @@ def extended_lagrangian_gradients(
 
     The rate block ``(1/2) J Q`` is independent of the rates: the
     Lagrangian is degenerate, and this pair of gradients is all the
-    discrete variational scheme needs.
+    discrete variational scheme needs.  The variational step calls this
+    once per Newton residual, so the chart gradient, with the tests of
+    ``gradient_*``, is computed here in one frame.
     """
-    g = _gradient(coords, params, chart)
-    jq = apply_J(coords)
-    jr = apply_J(rates)
-    # d/dQ of the skew term is (1/2) J^T dQ = -(1/2) J dQ
-    d_coords = (-0.5 * jr[0] - g[0], -0.5 * jr[1] - g[1])
-    d_rates = (0.5 * jq[0], 0.5 * jq[1])
-    return d_coords, d_rates
+    q0, q1 = coords
+    r0, r1 = rates
+    beta = params.beta
+    if chart is _DIRECT_CHART:
+        if not (math.isfinite(q0) and math.isfinite(q1) and q1 > 0.0):
+            raise _domain_error(coords)
+        g0, g1 = beta, beta - params.gamma / q1
+    else:
+        if not (math.isfinite(q0) and math.isfinite(q1)):
+            raise _domain_error(coords)
+        g0, g1 = beta * math.exp(q0), beta * math.exp(q1) - params.gamma
+    # d/dQ of the skew term is (1/2) J^T dQ = -(1/2) J dQ, and J (a, b) = (b, -a)
+    return (-0.5 * r1 - g0, 0.5 * r0 - g1), (0.5 * q1, -0.5 * q0)

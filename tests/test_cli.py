@@ -305,6 +305,15 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "extended_mode: reconstruct" in proc.stderr
 
+    def test_a_dt_too_small_to_count_exits_2(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN.replace("dt: 0.1", "dt: 1.0e-320"))
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 2
+        assert "t_end / dt = inf steps; the march counts at most 2**53" in proc.stderr
+        assert not (out / "manifest.tsv").exists()
+
     def test_newton_failure_exits_3_with_its_step(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(

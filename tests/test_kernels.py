@@ -1,21 +1,41 @@
-"""The flat rhs kernels and the unrolled explicit steps against references.
+"""The flat rhs kernels and the flat one-step schemes against references.
 
 The references below are the bodies the kernels replaced: the zip-based
-one-step schemes and the rates built as ``J grad H`` from the gradient
-functions.  The arithmetic was kept in the same order, so results are
-compared with ``==``, and refusals by exception type and message.
+one-step schemes, the tuple Newton iteration of the implicit schemes and
+the rates built as ``J grad H`` from the gradient functions.  The
+arithmetic was kept in the same order, so results are compared with
+``==``, and refusals by exception type and message.
 """
 
 import math
 import random
+from functools import partial
 
 import pytest
 
 from sirham import dynamics, hamiltonian, integrators, lagrangian
-from sirham import ConstraintViolation, EpidemicParams, Formulation, RunSpec, integrate
+from sirham import (
+    ConstraintViolation,
+    EpidemicParams,
+    Formulation,
+    Method,
+    NewtonDivergence,
+    RunSpec,
+    ScenarioError,
+    integrate,
+)
 from sirham.core import Chart, apply_J
 from sirham.errors import NonFiniteInput, NonPositiveCoordinate, SingularDenominator
-from sirham.integrators import _RECORDS, step_explicit_euler, step_rk4
+from sirham.integrators import (
+    _GAUSS2_NODES,
+    _RECORDS,
+    step_explicit_euler,
+    step_implicit_midpoint,
+    step_rk4,
+    step_symplectic_euler,
+    step_time_fe_cg1,
+    step_variational_midpoint,
+)
 
 TOL = 1e-9
 ALL = list(Formulation)
@@ -97,10 +117,191 @@ def reference_rhs(formulation, params):
     return lambda y: ref_extended_rates(y, params, chart, TOL)
 
 
-def outcome(f, *args):
+def ref_extended_lagrangian_gradients(coords, rates, params, chart):
+    g = REF_GRADIENT[chart](coords, params)
+    jq = apply_J(coords)
+    jr = apply_J(rates)
+    d_coords = (-0.5 * jr[0] - g[0], -0.5 * jr[1] - g[1])
+    d_rates = (0.5 * jq[0], 0.5 * jq[1])
+    return d_coords, d_rates
+
+
+def ref_hessian(z, params, chart):
+    if chart is Chart.DIRECT:
+        return hamiltonian.hessian_direct(z, params)
+    return hamiltonian.hessian_log(z, params)
+
+
+def ref_solve2(a00, a01, a10, a11, b0, b1):
+    if abs(a10) > abs(a00):
+        a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
+    if a00 == 0.0:
+        raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+    m = a10 / a00
+    u11 = a11 - m * a01
+    if u11 == 0.0:
+        raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+    x1 = (b1 - m * b0) / u11
+    return ((b0 - a01 * x1) / a00, x1)
+
+
+def ref_solve(a, b):
+    n = len(b)
+    if n == 2:
+        return ref_solve2(a[0][0], a[0][1], a[1][0], a[1][1], b[0], b[1])
+    if n == 1:
+        if a[0][0] == 0.0:
+            raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+        return (b[0] / a[0][0],)
+    raise ValueError(f"no solver for this {n}x{n} Newton system")
+
+
+def ref_shifted(c, d):
+    return tuple(
+        tuple((1.0 - c * x) if j == k else -c * x for j, x in enumerate(row))
+        for k, row in enumerate(d)
+    )
+
+
+def ref_newton(residual, jacobian, y0, tol, max_iter):
+    # max() drops a NaN that is not first: the defect the flat test mends
+    y = y0
+    r = residual(y)
+    for _ in range(max_iter):
+        norm = max(abs(c) for c in r)
+        if norm <= tol:
+            return y
+        delta = ref_solve(jacobian(y), r)
+        y = tuple(yi - di for yi, di in zip(y, delta))
+        if not all(math.isfinite(c) for c in y):
+            raise NewtonDivergence(f"Newton iterate left the finite range: {y}")
+        r = residual(y)
+    norm = max(abs(c) for c in r)
+    if norm <= tol:
+        return y
+    raise NewtonDivergence(
+        f"no convergence after {max_iter} iterations, residual norm {norm:.3e}"
+    )
+
+
+def ref_step_symplectic_euler(rhs, jac, y, dt, *, tol=1e-12, max_iter=50, separable=False):
+    n = len(y)
+    if n % 2:
+        raise ScenarioError("symplectic Euler needs an even-dimensional state")
+    nq = n // 2
+    f0 = rhs(y)
+    q_new = tuple(y[k] + dt * f0[k] for k in range(nq))
+    if separable:
+        f1 = rhs(q_new + y[nq:])
+        return q_new + tuple(y[k] + dt * f1[k] for k in range(nq, n))
+
+    def residual(p):
+        f = rhs(q_new + p)
+        return tuple(p[k] - y[nq + k] - dt * f[nq + k] for k in range(n - nq))
+
+    def jacobian(p):
+        d = jac(q_new + p)
+        return ref_shifted(dt, tuple(row[nq:] for row in d[nq:]))
+
+    p_pred = tuple(y[nq + k] + dt * f0[nq + k] for k in range(n - nq))
+    p_new = ref_newton(residual, jacobian, p_pred, tol, max_iter)
+    return q_new + p_new
+
+
+def ref_step_implicit_midpoint(rhs, jac, y, dt, *, tol=1e-12, max_iter=50):
+    def residual(u):
+        mid = tuple(0.5 * (yi + ui) for yi, ui in zip(y, u))
+        f = rhs(mid)
+        return tuple(ui - yi - dt * fi for ui, yi, fi in zip(u, y, f))
+
+    def jacobian(u):
+        return ref_shifted(0.5 * dt, jac(tuple(0.5 * (yi + ui) for yi, ui in zip(y, u))))
+
+    return ref_newton(residual, jacobian, ref_step_explicit_euler(rhs, y, dt), tol, max_iter)
+
+
+def ref_step_variational_midpoint(coords, dt, params, chart, *, tol=1e-12, max_iter=50):
+    # the rates go through the module, so that a counting wrapper sees them
+    p_now = lagrangian.extended_lagrangian_gradients(coords, (0.0, 0.0), params, chart)[1]
+
+    def residual(q_new):
+        mid = (0.5 * (coords[0] + q_new[0]), 0.5 * (coords[1] + q_new[1]))
+        rate = ((q_new[0] - coords[0]) / dt, (q_new[1] - coords[1]) / dt)
+        d_mid, d_rate = lagrangian.extended_lagrangian_gradients(mid, rate, params, chart)
+        return (
+            p_now[0] + 0.5 * dt * d_mid[0] - d_rate[0],
+            p_now[1] + 0.5 * dt * d_mid[1] - d_rate[1],
+        )
+
+    def jacobian(q_new):
+        mid = (0.5 * (coords[0] + q_new[0]), 0.5 * (coords[1] + q_new[1]))
+        h0, h1 = ref_hessian(mid, params, chart)
+        c = 0.25 * dt
+        return ((-c * h0, -0.5), (0.5, -c * h1))
+
+    if chart is Chart.DIRECT:
+        flow = hamiltonian.hamilton_rhs_direct
+    else:
+        flow = hamiltonian.hamilton_rhs_log
+    predictor = ref_step_explicit_euler(lambda z: flow(z, params), coords, dt)
+    return ref_newton(residual, jacobian, predictor, tol, max_iter)
+
+
+def ref_step_time_fe_cg1(rhs, jac, y, dt, *, quadrature="gauss2", tol=1e-12, max_iter=50):
+    if quadrature == "gauss2":
+        nodes, weights = _GAUSS2_NODES, (0.5, 0.5)
+    elif quadrature == "midpoint":
+        nodes, weights = (0.5,), (1.0,)
+    else:
+        raise ScenarioError(f"unknown quadrature {quadrature!r}")
+
+    def residual(u):
+        acc = [0.0] * len(y)
+        for sigma, w in zip(nodes, weights):
+            stage = tuple((1.0 - sigma) * yi + sigma * ui for yi, ui in zip(y, u))
+            f = rhs(stage)
+            for k, fk in enumerate(f):
+                acc[k] += w * fk
+        return tuple(ui - yi - dt * ak for ui, yi, ak in zip(u, y, acc))
+
+    def jacobian(u):
+        n = len(y)
+        acc = [[0.0] * n for _ in range(n)]
+        for sigma, w in zip(nodes, weights):
+            d = jac(tuple((1.0 - sigma) * yi + sigma * ui for yi, ui in zip(y, u)))
+            ws = w * sigma
+            for row, drow in zip(acc, d):
+                for j in range(n):
+                    row[j] += ws * drow[j]
+        return ref_shifted(dt, acc)
+
+    return ref_newton(residual, jacobian, ref_step_explicit_euler(rhs, y, dt), tol, max_iter)
+
+
+REF_STEP = {
+    Method.SYMPLECTIC_EULER: ref_step_symplectic_euler,
+    Method.IMPLICIT_MIDPOINT: ref_step_implicit_midpoint,
+    Method.TIME_FE_CG1_GAUSS2: ref_step_time_fe_cg1,
+}
+
+
+def ref_stepper(spec, rec, params):
+    """The stepper ``_make_stepper`` builds, with the reference steps."""
+    kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
+    if spec.method is Method.VARIATIONAL_MIDPOINT:
+        chart = spec.formulation.chart
+        return partial(ref_step_variational_midpoint, params=params, chart=chart, **kw)
+    if rec.coords is not None:
+        return integrators._lifted(ref_stepper(spec, rec.coords, params), spec.constraint_tol)
+    if spec.method is Method.SYMPLECTIC_EULER:
+        kw["separable"] = rec.separable
+    return partial(REF_STEP[spec.method], rec.rhs(params, spec.constraint_tol), rec.jac(params), **kw)
+
+
+def outcome(f, *args, **kwargs):
     """What a call returns, or the type and message of what it raises."""
     try:
-        return f(*args)
+        return f(*args, **kwargs)
     except Exception as exc:
         return (type(exc), str(exc))
 
@@ -286,3 +487,190 @@ def test_a_wrapped_step_sees_every_step(init, schedule, monkeypatch, formulation
     method = step_name.removeprefix("step_")
     integrate(RunSpec(method=method, formulation=formulation, dt=dt, t_end=40 * dt), init, schedule)
     assert len(calls) == 40
+
+
+# ---------------------------------------------------------------------------
+# the flat Newton of the implicit steps
+
+IMPLICIT = [
+    Method.SYMPLECTIC_EULER,
+    Method.IMPLICIT_MIDPOINT,
+    Method.VARIATIONAL_MIDPOINT,
+    Method.TIME_FE_CG1_GAUSS2,
+]
+
+
+def accepted(method, formulation):
+    try:
+        RunSpec(method=method, formulation=formulation, dt=0.1, t_end=1.0)
+    except ScenarioError:
+        return False
+    return True
+
+
+#: what ``_make_stepper`` builds for the implicit methods; a ``reconstruct``
+#: run marches the canonical record of its chart, which is among these
+IMPLICIT_CASES = [(m, f) for m in IMPLICIT for f in ALL if accepted(m, f)]
+
+
+@pytest.mark.parametrize(
+    "method,formulation", IMPLICIT_CASES, ids=lambda x: x.value
+)
+def test_implicit_steps_equal_the_reference(rhs_calls, method, formulation):
+    """Forty steps from twenty starts of the stepper the march builds, against
+    the same stepper built from the reference steps: equal states, or equal
+    refusals, and the same traced rhs calls in each step."""
+    rng = random.Random(f"implicit-{method.value}-{formulation.value}")
+    rec = _RECORDS[formulation]
+    marched = 0
+    for _ in range(20):
+        params, i0, s0 = random_point(rng)
+        dt = 0.1 if formulation.clock == "t" else 0.02 * s0 / params.beta
+        spec = RunSpec(method=method, formulation=formulation, dt=dt, t_end=40 * dt)
+        stepper = integrators._make_stepper(spec, rec, params)
+        reference = ref_stepper(spec, rec, params)
+        y = z = rec.start(i0, s0, params)
+        for _ in range(40):
+            rhs_calls.clear()
+            y = outcome(stepper, y, dt)
+            got = list(rhs_calls)
+            rhs_calls.clear()
+            z = outcome(reference, z, dt)
+            assert y == z
+            assert got == rhs_calls and got
+            if isinstance(y[0], type):
+                break
+            marched += 1
+    # the comparison is not vacuous: most starts march all forty steps
+    assert marched >= 40 * 15
+
+
+P = EpidemicParams(beta=0.3, gamma=0.1)
+LOG, BASIC = _RECORDS[Formulation.LOG_T], _RECORDS[Formulation.BASIC_T]
+LOG_START = LOG.start(0.01, 0.99, P)
+BASIC_START = BASIC.start(0.01, 0.99, P)
+
+
+def nan_rhs(z):
+    return (math.nan, math.nan)
+
+
+def momentum_jac(value):
+    return lambda z: ((0.0, 0.0), (0.0, value))
+
+
+def rhs_steps(args, **kwargs):
+    """Each step that takes an rhs and its Jacobian, with its reference."""
+    return [
+        (partial(step, *args, **kwargs), partial(ref, *args, **kwargs))
+        for step, ref in [
+            (step_implicit_midpoint, ref_step_implicit_midpoint),
+            (step_time_fe_cg1, ref_step_time_fe_cg1),
+        ]
+    ]
+
+
+def symplectic(args, **kwargs):
+    return [
+        (
+            partial(step_symplectic_euler, *args, **kwargs),
+            partial(ref_step_symplectic_euler, *args, **kwargs),
+        )
+    ]
+
+
+def variational(dt, **kwargs):
+    args = (LOG_START, dt, P, Chart.LOGARITHMIC)
+    return [
+        (
+            partial(step_variational_midpoint, *args, **kwargs),
+            partial(ref_step_variational_midpoint, *args, **kwargs),
+        )
+    ]
+
+
+def iteration_cap(monkeypatch):
+    cap = {"tol": 0.0, "max_iter": 2}
+    log = (LOG.rhs(P, TOL), LOG.jac(P), LOG_START, 0.05)
+    basic = (BASIC.rhs(P, TOL), BASIC.jac(P), BASIC_START, 0.05)
+    return rhs_steps(log, **cap) + symplectic(basic, **cap) + variational(0.05, **cap)
+
+
+def singular_jacobian(monkeypatch):
+    # every entry of I - c*D is -c*1e200 to rounding: the rows are equal
+    flat = lambda z: ((1e200, 1e200), (1e200, 1e200))  # noqa: E731
+    # (-0.5*dt/4) * (4, -4) against the fixed entries -/+0.5: equal rows
+    monkeypatch.setattr(hamiltonian, "hessian_log", lambda z, params: (4.0, -4.0))
+    assert 1.0 - 0.05 * 20.0 == 0.0
+    return (
+        rhs_steps((LOG.rhs(P, TOL), flat, LOG_START, 0.05))
+        + symplectic((BASIC.rhs(P, TOL), momentum_jac(20.0), BASIC_START, 0.05))
+        + variational(0.5)
+    )
+
+
+def non_finite_iterate(monkeypatch):
+    nan = (math.nan, math.nan)
+    monkeypatch.setattr(lagrangian, "extended_lagrangian_gradients", lambda *args: (nan, nan))
+
+    def overflowing_rhs(z):
+        return (0.0, 1e300 if z[1] < 1.0 else -1e300)
+
+    # from the predictor 5e298, a momentum update of 1e299 / 1e-15 overflows
+    near_singular = momentum_jac(20.0 * (1.0 - 1e-15))
+    return (
+        rhs_steps((nan_rhs, LOG.jac(P), LOG_START, 0.05))
+        + symplectic((nan_rhs, BASIC.jac(P), BASIC_START, 0.05))
+        + symplectic((overflowing_rhs, near_singular, BASIC_START, 0.05))
+        + variational(0.05)
+    )
+
+
+@pytest.mark.parametrize(
+    "failure,message",
+    [
+        (iteration_cap, "no convergence after 2 iterations"),
+        (singular_jacobian, "singular Jacobian in Newton iteration: zero pivot"),
+        (non_finite_iterate, "Newton iterate left the finite range: ("),
+    ],
+    ids=["iteration_cap", "singular_jacobian", "non_finite_iterate"],
+)
+def test_newton_refusals_equal_the_reference(monkeypatch, failure, message):
+    """Each way Newton gives up, for every implicit step: the same exception
+    type and message as the reference."""
+    for new, ref in failure(monkeypatch):
+        got, want = outcome(new), outcome(ref)
+        assert got == want
+        assert got[0] is NewtonDivergence and got[1].startswith(message), got
+
+
+def test_a_1d_refusal_reports_a_1_tuple():
+    """The padded momentum equation reports its iterate as the parent did."""
+    (new, _), = symplectic((nan_rhs, BASIC.jac(P), BASIC_START, 0.05))
+    with pytest.raises(NewtonDivergence, match=r"finite range: \(nan,\)$"):
+        new()
+
+
+def test_the_galerkin_midpoint_rule_equals_the_reference():
+    rhs, jac = LOG.rhs(P, TOL), LOG.jac(P)
+    for dt in (0.05, 0.5, 2.0):
+        got = step_time_fe_cg1(rhs, jac, LOG_START, dt, quadrature="midpoint")
+        assert got == ref_step_time_fe_cg1(rhs, jac, LOG_START, dt, quadrature="midpoint")
+
+
+@pytest.mark.parametrize("chart", list(Chart), ids=lambda c: c.value)
+def test_lagrangian_gradients_equal_the_reference(chart):
+    rng = random.Random(f"lagrangian-{chart.value}")
+    formulation = Formulation.RESCALED_TAU if chart is Chart.DIRECT else Formulation.LOG_T
+    for _ in range(300):
+        params, i0, s0 = random_point(rng)
+        q = _RECORDS[formulation].start(i0, s0, params)
+        r = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        got = lagrangian.extended_lagrangian_gradients(q, r, params, chart)
+        assert got == ref_extended_lagrangian_gradients(q, r, params, chart)
+    for value in BAD_VALUES:
+        for slot in (0, 1):
+            z = tuple(value if k == slot else x for k, x in enumerate((0.01, 0.99)))
+            got = outcome(lagrangian.extended_lagrangian_gradients, z, (0.1, 0.2), params, chart)
+            want = outcome(ref_extended_lagrangian_gradients, z, (0.1, 0.2), params, chart)
+            assert repr(got) == repr(want)
