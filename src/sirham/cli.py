@@ -5,9 +5,10 @@ Exit codes form the contract batch harnesses rely on:
 * 0  success (for ``check``: every graded quantity within tolerance)
 * 1  a check ran to completion and failed its tolerance
 * 2  configuration problem (bad file, bad key, bad grid value or ``--jobs``,
-     malformed CSV)
+     run labels that share a CSV name, malformed CSV)
 * 3  numerical failure (domain violation, a trajectory that leaves the
-     simplex, Newton divergence, singular clock)
+     simplex, Newton divergence, singular clock, constraint violation); a
+     failure inside the march names its step and the clock it started from
 
 ``run`` writes one CSV per run plus a manifest; ``check`` integrates the
 scenario's runs once and grades conservation and cross-formulation
@@ -97,6 +98,14 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
+    owners: dict[str, str] = {}
+    for spec in scenario.runs:
+        csv_name = f"{_safe_name(spec.name)}.csv"
+        if csv_name in owners:
+            raise ScenarioError(
+                f"runs {owners[csv_name]!r} and {spec.name!r} would both write {csv_name}"
+            )
+        owners[csv_name] = spec.name
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []

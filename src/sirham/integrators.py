@@ -21,7 +21,9 @@ charts), so Newton runs only on ``basic_t`` and the ``single_ode_*``
 reductions.  The implicit steps of a 4-d extended state solve the 2-d
 coordinate block alone and carry the momenta by the linear invariant
 ``C = Q + 2 J P``, which every Runge-Kutta-type step preserves exactly:
-``P_new = P + (1/2) J (Q_new - Q)``.
+``P_new = P + (1/2) J (Q_new - Q)``.  A ``reconstruct`` run marches that
+block alone, under its canonical record ``coords``, and the trajectory
+build appends the momenta ``(1/2) J Q``.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -45,10 +47,10 @@ step and every stage.  (The variational step, which takes no rhs, looks up
 its rates once per step.)  An explicit stage costs the record's closure and
 one flat kernel call, and :func:`step_rk4` and :func:`step_explicit_euler`
 step the 2-d (and RK4 the 4-d) states on scalar locals, with the arithmetic
-of their general body.  The implicit steps take 2-d states only, the
-coordinate block of an extended state included, and build their residual
-and Jacobian on scalar locals, with the arithmetic of the tuple bodies they
-replaced.
+of their general body.  Symplectic Euler and the implicit steps take 2-d
+states only, the coordinate block of an extended state included, and build
+their residual and Jacobian on scalar locals, with the arithmetic of the
+tuple bodies they replaced.
 """
 
 from __future__ import annotations
@@ -74,11 +76,13 @@ from .core import (
     to_log,
 )
 from .errors import (
+    ConstraintViolation,
     InvalidFractions,
     MissingDiagnostic,
     NewtonDivergence,
     NonFiniteInput,
     OutsideLegendreDomain,
+    RhsDomainError,
     ScenarioError,
     StepAcrossSingularity,
 )
@@ -345,7 +349,8 @@ class RunSpec:
     rebuilt from the constraint afterwards ("reconstruct").  On "direct4d"
     explicit Euler and RK4 step all four rates; the implicit methods solve
     the coordinate block and carry the momenta by the constraint, checking
-    it against ``constraint_tol`` before every step.
+    it against ``constraint_tol`` before every step.  A "reconstruct" run
+    marches exactly as the chart's ``rescaled_tau`` or ``log_t`` run does.
     """
 
     method: Method
@@ -579,20 +584,11 @@ def step_symplectic_euler(
     ``single_ode_*`` reductions, solved by Newton with the momentum block
     of ``jac``.  First order; symplectic on the canonical charts.
 
-    A 2-d state is stepped on scalar locals, and its momentum equation is
-    the 1-d Newton solve; a larger state must be separable.
+    Steps 2-d states only, on scalar locals, and refuses any other with
+    :class:`ScenarioError`; the momentum equation is the 1-d Newton solve.
     """
-    n = len(y)
-    if n % 2:
-        raise ScenarioError("symplectic Euler needs an even-dimensional state")
-    if n != 2:
-        if not separable:
-            raise ScenarioError("symplectic Euler solves a 1-d momentum block only")
-        nq = n // 2
-        f0 = rhs(y)
-        q_new = tuple(y[k] + dt * f0[k] for k in range(nq))
-        f1 = rhs(q_new + y[nq:])
-        return q_new + tuple(y[k] + dt * f1[k] for k in range(nq, n))
+    if len(y) != 2:
+        raise ScenarioError(f"symplectic Euler steps 2-d states only, got {len(y)}-d")
     y0, y1 = y
     f0, f1 = rhs(y)
     q = y0 + dt * f0
@@ -668,7 +664,8 @@ def step_variational_midpoint(
     c0, c1 = coords
     half = 0.5 * dt
     c = 0.25 * dt
-    p0, p1 = gradients(coords, (0.0, 0.0), params, chart)[1]
+    # the continuous momentum now: the rate block (1/2) J Q of the gradients
+    p0, p1 = 0.5 * c1, -0.5 * c0
 
     def residual(u0: float, u1: float) -> tuple:
         d_mid, d_rate = gradients(
@@ -813,7 +810,9 @@ def integrate(
     formulations living in the intrinsic clock accept only constant
     schedules.  Runs in the intrinsic clock also refuse to start closer to
     the S*I = 0 singularity of the time map than 1e-10, and abort if the
-    dilation falls below 1e-14 along the way.
+    dilation falls below 1e-14 along the way.  A Newton, domain or
+    constraint failure inside the march keeps its type and names the step
+    and the clock it started from; an overflow becomes NonFiniteInput.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -823,9 +822,6 @@ def integrate(
         raise ScenarioError(f"schedule must be a ParamSchedule, got {type(schedule).__name__}")
 
     form = spec.formulation
-    if form.dim == 4 and spec.extended_mode == "reconstruct":
-        return _integrate_reconstruct(spec, init, schedule)
-
     clock_is_t = form.clock == "t"
     if not clock_is_t and not schedule.is_constant:
         raise ScenarioError(
@@ -840,6 +836,8 @@ def integrate(
     )
 
     rec = _RECORDS[form]
+    if rec.coords is not None and spec.extended_mode == "reconstruct":
+        rec = rec.coords
     dilation = rec.dilation
     y = rec.start(init.i, init.s, segments[0][2])
     dil_prev = dilation(y, segments[0][2])
@@ -893,10 +891,8 @@ def integrate(
                     states.append(y)
                     seg_ids.append(seg_id)
                     last_kept = step_no
-    except NewtonDivergence as exc:
-        raise NewtonDivergence(
-            f"step {step_no + 1} from clock {t_now:.6g}: {exc}"
-        ) from exc
+    except (NewtonDivergence, RhsDomainError, ConstraintViolation) as exc:
+        raise type(exc)(f"step {step_no + 1} from clock {t_now:.6g}: {exc}") from exc
     except OverflowError as exc:
         # math.exp of a runaway log-chart coordinate, in a rate or the dilation
         raise NonFiniteInput(
@@ -909,24 +905,6 @@ def integrate(
         seg_ids.append(len(segments) - 1)
 
     return _build_trajectory(spec, schedule, segments, prim, sec_list, states, seg_ids, step_no)
-
-
-def _integrate_reconstruct(
-    spec: RunSpec, init: CompartmentState, schedule: ParamSchedule
-) -> Trajectory:
-    """Extended run via the closed coordinate block plus momentum lift."""
-    base_form = (
-        Formulation.RESCALED_TAU
-        if spec.formulation.chart is Chart.DIRECT
-        else Formulation.LOG_T
-    )
-    base = replace(spec, formulation=base_form, extended_mode="direct4d")
-    traj = integrate(base, init, schedule)
-    q = traj.coords
-    traj.coords = np.column_stack((q, *hamiltonian.consistent_momenta(q.T)))
-    traj.formulation = spec.formulation
-    traj.spec = spec
-    return traj
 
 
 def _build_trajectory(
@@ -947,6 +925,9 @@ def _build_trajectory(
     """
     form = spec.formulation
     coords = np.asarray(states, dtype=float)
+    if coords.shape[1] < form.dim:
+        # a reconstruct run marched the coordinate block alone
+        coords = np.column_stack((coords, *hamiltonian.consistent_momenta(coords.T)))
     prim_arr = np.asarray(prim)
     sec_arr = np.asarray(sec)
     seg_arr = np.asarray(seg_ids)

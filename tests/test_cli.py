@@ -329,6 +329,36 @@ class TestRunCommand:
         assert "error: run base: step 1 from clock 0: no convergence" in proc.stderr
         assert (out / "manifest.tsv").read_text().split("\t")[2] == "NewtonDivergence"
 
+    def test_a_domain_failure_exits_3_with_its_step(self, tmp_path):
+        # dt = 1 carries S below zero in the fourth step, from tau = 3
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            ONE_RUN.replace(
+                "formulation: basic_t, dt: 0.1, t_end: 5.0",
+                "formulation: rescaled_tau, dt: 1.0, t_end: 4.0",
+            )
+        )
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: run base: step 4 from clock 3: "
+            "susceptible fraction must be positive, got -0.060000000000000026\n"
+        )
+        assert not (out / "base.csv").exists()
+        assert (out / "manifest.tsv").read_text().split("\t")[2] == "NonPositiveCoordinate"
+
+    def test_labels_sharing_a_csv_name_exit_2_before_any_write(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            TWO_RUNS.replace("label: basic", "label: a b").replace("label: log", "label: a_b")
+        )
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: runs 'a b' and 'a_b' would both write a_b.csv\n"
+        assert not out.exists()
+
     def test_a_run_leaving_the_simplex_exits_3(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(LEAVES_THE_SIMPLEX)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sirham import integrators
+from sirham import hamiltonian, integrators
 from sirham import (
     Chart,
     CompartmentState,
@@ -14,6 +14,7 @@ from sirham import (
     Method,
     MissingDiagnostic,
     NewtonDivergence,
+    NonPositiveCoordinate,
     ParamSchedule,
     RhsDomainError,
     RunSpec,
@@ -267,8 +268,8 @@ class TestJacobians:
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_residual_jacobian_matches_the_residual(self, monkeypatch, step, formulation):
         """Each step as the march builds it.  Symplectic Euler on a separable
-        record never reaches Newton; the implicit steps of an extended record
-        hand it the 2-d coordinate block."""
+        record never reaches Newton, and refuses a 4-d state; the implicit
+        steps of an extended record hand Newton the 2-d coordinate block."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
@@ -276,10 +277,13 @@ class TestJacobians:
             if step is step_symplectic_euler:
                 # RunSpec refuses this method on the 4-d records; call the step
                 # with the record's own rhs and flag
-                jac = rec.jac(params) if rec.jac else None
+                rhs = rec.rhs(params, FD_CONSTRAINT_TOL)
+                if rec.coords is not None:
+                    with pytest.raises(ScenarioError, match="2-d states only, got 4-d"):
+                        step(rhs, None, y, 0.05, separable=rec.separable)
+                    continue
                 seen = self.newton_systems(
-                    monkeypatch, step, rec.rhs(params, FD_CONSTRAINT_TOL), jac, y, 0.05,
-                    separable=rec.separable,
+                    monkeypatch, step, rhs, rec.jac(params), y, 0.05, separable=rec.separable
                 )
                 if rec.separable:
                     assert seen == []
@@ -567,6 +571,34 @@ class TestIntegrate:
         with pytest.raises(NewtonDivergence, match=r"^step 6 from clock 0\.45: no convergence$"):
             integrate(spec, init, sched)
 
+    def test_a_domain_failure_names_the_step_and_the_clock(self, init, schedule):
+        # dt = 1 carries S below zero in the fourth step, from tau = 3
+        spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=1.0, t_end=4.0)
+        with pytest.raises(
+            NonPositiveCoordinate,
+            match=r"^step 4 from clock 3: susceptible fraction must be positive, got -0\.06",
+        ):
+            integrate(spec, init, schedule)
+
+    def test_a_constraint_failure_names_the_step_and_the_clock(
+        self, init, schedule, monkeypatch
+    ):
+        # step 2 ends off the constraint; the 4-d rates refuse it in step 3
+        calls = []
+        real_step = integrators.step_rk4
+
+        def drifting_step(rhs, y, dt):
+            calls.append(None)
+            y = real_step(rhs, y, dt)
+            return y[:2] + (y[2] + 1e-6, y[3]) if len(calls) == 2 else y
+
+        monkeypatch.setattr(integrators, "step_rk4", drifting_step)
+        spec = RunSpec(method="rk4", formulation="extended_4d_log", dt=0.1, t_end=1.0)
+        with pytest.raises(
+            ConstraintViolation, match=r"^step 3 from clock 0\.2: constraint norm 2\.000e-06"
+        ):
+            integrate(spec, init, schedule)
+
     def test_degenerate_start_is_refused(self, schedule):
         spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.01, t_end=1.0)
         no_infection = CompartmentState(s=0.99, i=0.0, r=0.01)
@@ -664,7 +696,41 @@ def test_every_combination_runs_or_is_refused(init, schedule, method, formulatio
     assert np.max(np.abs(traj.s + traj.i + traj.r - 1.0)) <= 1e-12
 
 
+def _reconstruct_cases():
+    for formulation in (Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG):
+        for method in Method:
+            if not _refused(method, formulation, "reconstruct"):
+                yield pytest.param(
+                    method, formulation, id=f"{method.value}-{formulation.value}"
+                )
+
+
 class TestExtendedModes:
+    @pytest.mark.parametrize("method,formulation", list(_reconstruct_cases()))
+    def test_reconstruct_is_the_coordinate_march_with_lifted_momenta(
+        self, init, schedule, method, formulation
+    ):
+        """Bit for bit: a reconstruct run is the run of its chart's canonical
+        formulation, with the momenta the constraint pins to the coordinates
+        appended."""
+        base = Formulation.RESCALED_TAU if formulation.chart is Chart.DIRECT else Formulation.LOG_T
+        dt, t_end = (0.01, 2.4) if formulation.clock == "tau" else (0.5, 60.0)
+        kwargs = dict(method=method, dt=dt, t_end=t_end, sample_stride=7)
+        rebuilt = integrate(
+            RunSpec(formulation=formulation, extended_mode="reconstruct", **kwargs),
+            init,
+            schedule,
+        )
+        marched = integrate(RunSpec(formulation=base, **kwargs), init, schedule)
+        assert rebuilt.formulation is formulation
+        assert rebuilt.spec.formulation is formulation
+        for name in ("t", "tau", "s", "i", "r", "h"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(marched, name)), name
+        assert rebuilt.coords.shape == (marched.n_samples, 4)
+        assert np.array_equal(rebuilt.coords[:, :2], marched.coords)
+        momenta = np.column_stack(hamiltonian.consistent_momenta(marched.coords.T))
+        assert np.array_equal(rebuilt.coords[:, 2:], momenta)
+
     @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
     @pytest.mark.parametrize(
         "formulation,t_end", [("extended_4d_direct", 2.4), ("extended_4d_log", 60.0)]
