@@ -61,8 +61,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     h0 = traj.h[0]
     drift = (traj.h - h0) / abs(h0)
     table = np.column_stack((traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift))
+    row_format = ",".join(["%.17g"] * table.shape[1])
     lines = [CSV_HEADER]
-    lines.extend(",".join(f"{v:.17g}" for v in row) for row in table.tolist())
+    lines.extend(row_format % tuple(row) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -15,10 +15,7 @@ is a meaningful end-to-end check, and the acceptance suite treats it as
 such.
 
 :func:`fd_gradient_check` compares the hand-written energy gradients with
-central finite differences at randomly sampled chart points, and
-:func:`compare_formulations` integrates one initial state through several
-formulations and reports the pairwise sup-norm disagreement of I(t) on a
-common time grid.
+central finite differences at randomly sampled chart points.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Chart, CompartmentState, EpidemicParams, ParamSchedule, recovered_from
+from .core import Chart, EpidemicParams, recovered_from
 from .errors import MissingDiagnostic, NoEpidemic, ScenarioError
 from .hamiltonian import (
     gradient_direct,
@@ -37,11 +34,10 @@ from .hamiltonian import (
     hamiltonian_direct,
     hamiltonian_log,
 )
-from .integrators import RunSpec, Trajectory, integrate
+from .integrators import Trajectory
 
 __all__ = [
     "ConservationReport",
-    "compare_formulations",
     "conservation_report",
     "constraint_drift",
     "fd_gradient_check",
@@ -307,19 +303,3 @@ def pairwise_sup_diff(trajectories: Sequence[Trajectory]) -> np.ndarray:
             d = float(np.max(np.abs(curves[a] - curves[b])))
             out[a, b] = out[b, a] = d
     return out
-
-
-def compare_formulations(
-    specs: Sequence[RunSpec],
-    init: CompartmentState,
-    schedule: ParamSchedule,
-) -> np.ndarray:
-    """Integrate every spec from one initial state and cross-compare I(t).
-
-    Trajectories with a rescaled native clock enter the comparison through
-    their reconstructed ordinary-time column.  See :func:`pairwise_sup_diff`
-    for the gridding rules.
-    """
-    if len(specs) < 2:
-        raise ScenarioError("need at least two runs to compare")
-    return pairwise_sup_diff([integrate(spec, init, schedule) for spec in specs])

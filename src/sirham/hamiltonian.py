@@ -221,31 +221,19 @@ def extended_hamiltonian(
     return h + multiplier[0] * c[0] + multiplier[1] * c[1]
 
 
-def _constraint_violation(
-    y: tuple[float, float, float, float], constraint_tol: float
-) -> ConstraintViolation:
-    """The refusal of a flattened extended state off C = 0.
-
-    The norm reported is the larger residual, or NaN if either is NaN.
-    """
-    c0, c1 = abs(y[0] + 2.0 * y[3]), abs(y[1] - 2.0 * y[2])
-    norm = math.nan if math.isnan(c0) or math.isnan(c1) else max(c0, c1)
-    return ConstraintViolation(
-        f"constraint norm {norm:.3e} exceeds "
-        f"tolerance {constraint_tol:.3e} at coords {(y[0], y[1])}"
-    )
-
-
 def _check_constraint(y: tuple[float, float, float, float], constraint_tol: float) -> None:
     """Refuse a flattened extended state further than the tolerance off C = 0.
 
-    Both residuals must be within the tolerance, so a NaN is refused.
+    Both residuals must be within the tolerance, so a NaN is refused; the
+    norm reported is the larger residual, or NaN if either is NaN.
     """
-    if not (
-        abs(y[0] + 2.0 * y[3]) <= constraint_tol
-        and abs(y[1] - 2.0 * y[2]) <= constraint_tol
-    ):
-        raise _constraint_violation(y, constraint_tol)
+    c0, c1 = abs(y[0] + 2.0 * y[3]), abs(y[1] - 2.0 * y[2])
+    if not (c0 <= constraint_tol and c1 <= constraint_tol):
+        norm = math.nan if math.isnan(c0) or math.isnan(c1) else max(c0, c1)
+        raise ConstraintViolation(
+            f"constraint norm {norm:.3e} exceeds "
+            f"tolerance {constraint_tol:.3e} at coords {(y[0], y[1])}"
+        )
 
 
 def _extended_rates(
@@ -254,25 +242,11 @@ def _extended_rates(
     chart: Chart,
     constraint_tol: float,
 ) -> tuple[float, float, float, float]:
-    """Rates for the flattened extended state ``(q0, q1, p0, p1)``.
-
-    Shared by :func:`extended_rhs` and the integration loop, which cannot
-    afford to build a dataclass per stage evaluation.  The constraint test
-    of :func:`_check_constraint` and the chart gradient, with the tests of
-    ``gradient_*``, are done here in one frame.
-    """
-    q0, q1, p0, p1 = y
-    if not (abs(q0 + 2.0 * p1) <= constraint_tol and abs(q1 - 2.0 * p0) <= constraint_tol):
-        raise _constraint_violation(y, constraint_tol)
-    beta = params.beta
-    if chart is _DIRECT_CHART:
-        if not (math.isfinite(q0) and math.isfinite(q1) and q1 > 0.0):
-            raise _domain_error((q0, q1))
-        g0, g1 = beta, beta - params.gamma / q1
-    else:
-        if not (math.isfinite(q0) and math.isfinite(q1)):
-            raise _domain_error((q0, q1))
-        g0, g1 = beta * math.exp(q0), beta * math.exp(q1) - params.gamma
+    """Rates for the flattened extended state ``(q0, q1, p0, p1)``, behind
+    :func:`extended_rhs`: the constraint test of :func:`_check_constraint`,
+    then ``J grad H`` and ``-(1/2) grad H`` from the chart gradient."""
+    _check_constraint(y, constraint_tol)
+    g0, g1 = (gradient_direct if chart is _DIRECT_CHART else gradient_log)((y[0], y[1]), params)
     return (g1, -g0, -0.5 * g0, -0.5 * g1)
 
 

@@ -18,12 +18,13 @@ padded to two.
 Only what is implicit is solved.  Symplectic Euler is explicit wherever
 the momentum rate does not read the momenta (the separable canonical
 charts), so Newton runs only on ``basic_t`` and the ``single_ode_*``
-reductions.  The implicit steps of a 4-d extended state solve the 2-d
-coordinate block alone and carry the momenta by the linear invariant
+reductions.  Every step of a 4-d extended state steps the 2-d coordinate
+block alone and carries the momenta by the linear invariant
 ``C = Q + 2 J P``, which every Runge-Kutta-type step preserves exactly:
 ``P_new = P + (1/2) J (Q_new - Q)``.  A ``reconstruct`` run marches that
 block alone, under its canonical record ``coords``, and the trajectory
-build appends the momenta ``(1/2) J Q``.
+build appends the momenta ``(1/2) J Q``.  So every step function steps
+2-d states only.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -45,12 +46,10 @@ are looked up by name once per parameter segment, when
 a wrapper put in their place before :func:`integrate` is called sees every
 step and every stage.  (The variational step, which takes no rhs, looks up
 its rates once per step.)  An explicit stage costs the record's closure and
-one flat kernel call, and :func:`step_rk4` and :func:`step_explicit_euler`
-step the 2-d (and RK4 the 4-d) states on scalar locals, with the arithmetic
-of their general body.  Symplectic Euler and the implicit steps take 2-d
-states only, the coordinate block of an extended state included, and build
-their residual and Jacobian on scalar locals, with the arithmetic of the
-tuple bodies they replaced.
+one flat kernel call.  Every step works on scalar locals, the implicit ones
+building their residual and Jacobian there too, with the arithmetic, in
+the same order, of the zip and tuple bodies the kernel tests keep as their
+references.
 """
 
 from __future__ import annotations
@@ -81,6 +80,7 @@ from .errors import (
     MissingDiagnostic,
     NewtonDivergence,
     NonFiniteInput,
+    NonPositiveCoordinate,
     OutsideLegendreDomain,
     RhsDomainError,
     ScenarioError,
@@ -172,23 +172,24 @@ class Formulation(Enum):
 class _Record(NamedTuple):
     """What the march knows about one formulation.
 
-    ``start(i0, s0, params)`` is the initial state; ``rhs(params,
-    constraint_tol)`` builds the rate closure for one parameter segment and
-    ``jac(params)`` its exact Jacobian, which the implicit schemes' Newton
-    solves use; ``dilation(y, params)`` is S*I, the rate of the intrinsic
+    ``start(i0, s0, params)`` is the initial state; ``rhs(params)`` builds
+    the rate closure for one parameter segment and ``jac(params)`` its exact
+    Jacobian, which the implicit schemes' Newton solves use;
+    ``dilation(y, params)`` is S*I, the rate of the intrinsic
     clock; ``fractions(coords, beta, gamma)`` maps sampled coordinates to
     the (I, S) columns.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
     identity.  ``separable`` says that the rate of the second half of the
     state (the momenta) does not depend on that half, which makes
-    symplectic Euler explicit.  An extended record names in ``coords`` the
-    canonical record of its coordinate block; it has no Jacobian of its
-    own, because its implicit steps solve only that block.
+    symplectic Euler explicit.  An extended record is the chart's start
+    with the consistent momenta appended, and names in ``coords`` the
+    canonical record of its coordinate block; it has no rhs and no Jacobian
+    of its own, because every step of it steps only that block.
     """
 
     start: Callable[[float, float, EpidemicParams], tuple]
-    rhs: Callable[[EpidemicParams, float], Rhs]
+    rhs: Callable[[EpidemicParams], Rhs] | None
     jac: Callable[[EpidemicParams], Jac] | None
     dilation: Callable[[tuple, EpidemicParams], float]
     fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
@@ -224,7 +225,7 @@ def _canonical_jac(
 #: The energy is separable, so the second rate, -dH/dq0, reads only q0.
 _DIRECT = _Record(
     start=lambda i0, s0, params: (i0, s0),
-    rhs=lambda params, tol: _with_params(hamiltonian.hamilton_rhs_direct, params),
+    rhs=lambda params: _with_params(hamiltonian.hamilton_rhs_direct, params),
     jac=lambda params: _canonical_jac(hamiltonian.hessian_direct, params),
     dilation=lambda y, params: y[0] * y[1],
     fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
@@ -232,7 +233,7 @@ _DIRECT = _Record(
 )
 _LOG = _Record(
     start=_log_start,
-    rhs=lambda params, tol: _with_params(hamiltonian.hamilton_rhs_log, params),
+    rhs=lambda params: _with_params(hamiltonian.hamilton_rhs_log, params),
     jac=lambda params: _canonical_jac(hamiltonian.hessian_log, params),
     dilation=lambda y, params: math.exp(y[0] + y[1]),
     fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
@@ -255,27 +256,23 @@ def _single_ode(
     return _Record(start, rhs, jac, dilation, fractions, remap)
 
 
-def _extended(base: _Record, chart: Chart) -> _Record:
+def _extended(base: _Record) -> _Record:
     """Chart coordinates followed by the momenta the constraint pins to them."""
 
     def start(i0: float, s0: float, params: EpidemicParams) -> tuple:
         q = base.start(i0, s0, params)
         return q + hamiltonian.consistent_momenta(q)
 
-    def rhs(params: EpidemicParams, tol: float) -> Rhs:
-        rates = hamiltonian._extended_rates
-        return lambda y: rates(y, params, chart, tol)
-
     # no rate reads the momenta, so the record stays separable
-    return base._replace(start=start, rhs=rhs, jac=None, coords=base)
+    return base._replace(start=start, rhs=None, jac=None, coords=base)
 
 
-def _rate_rhs_direct(params: EpidemicParams, tol: float) -> Rhs:
+def _rate_rhs_direct(params: EpidemicParams) -> Rhs:
     accel = dynamics.rescaled_accel
     return lambda y: (y[1], accel(y[1], params))
 
 
-def _rate_rhs_log(params: EpidemicParams, tol: float) -> Rhs:
+def _rate_rhs_log(params: EpidemicParams) -> Rhs:
     accel = dynamics.log_accel
     return lambda y: (y[1], accel(y[0], y[1], params))
 
@@ -301,7 +298,7 @@ def _rate_dilation_log(y: tuple, params: EpidemicParams) -> float:
 #: the one place each formulation is defined; the march reads only this
 _RECORDS = {
     Formulation.BASIC_T: _DIRECT._replace(
-        rhs=lambda params, tol: _with_params(dynamics.sir_rhs, params),
+        rhs=lambda params: _with_params(dynamics.sir_rhs, params),
         jac=lambda params: lambda y: (
             (params.beta * y[1] - params.gamma, params.beta * y[0]),
             (-params.beta * y[1], -params.beta * y[0]),
@@ -331,8 +328,8 @@ _RECORDS = {
         _rate_dilation_log,
         lambda coords, beta, gamma: (np.exp(coords[:, 0]), (coords[:, 1] + gamma) / beta),
     ),
-    Formulation.EXTENDED_4D_DIRECT: _extended(_DIRECT, Chart.DIRECT),
-    Formulation.EXTENDED_4D_LOG: _extended(_LOG, Chart.LOGARITHMIC),
+    Formulation.EXTENDED_4D_DIRECT: _extended(_DIRECT),
+    Formulation.EXTENDED_4D_LOG: _extended(_LOG),
 }
 
 
@@ -347,10 +344,10 @@ class RunSpec:
     selects, for the 4-d formulations, between marching the full system
     ("direct4d") and marching the closed coordinate block with momenta
     rebuilt from the constraint afterwards ("reconstruct").  On "direct4d"
-    explicit Euler and RK4 step all four rates; the implicit methods solve
-    the coordinate block and carry the momenta by the constraint, checking
-    it against ``constraint_tol`` before every step.  A "reconstruct" run
-    marches exactly as the chart's ``rescaled_tau`` or ``log_t`` run does.
+    every method steps the coordinate block and carries the momenta by the
+    constraint, checking it against ``constraint_tol`` before every step.
+    A "reconstruct" run marches exactly as the chart's ``rescaled_tau`` or
+    ``log_t`` run does.
     """
 
     method: Method
@@ -509,57 +506,24 @@ def _newton(
 # one-step schemes
 
 def step_explicit_euler(rhs: Rhs, y: tuple, dt: float) -> tuple:
-    """Forward Euler: first order, conserves nothing; the baseline.
-
-    A 2-d state is stepped on scalar locals, with the arithmetic of the
-    general body.
-    """
-    if len(y) == 2:
-        f0, f1 = rhs(y)
-        return (y[0] + dt * f0, y[1] + dt * f1)
-    f = rhs(y)
-    return tuple(yi + dt * fi for yi, fi in zip(y, f))
+    """Forward Euler on a 2-d state: first order, conserves nothing; the
+    baseline."""
+    f0, f1 = rhs(y)
+    return (y[0] + dt * f0, y[1] + dt * f1)
 
 
 def step_rk4(rhs: Rhs, y: tuple, dt: float) -> tuple:
-    """Classical fourth-order Runge-Kutta step.
-
-    A 2-d or 4-d state is stepped on scalar locals, with the arithmetic of
-    the general body in the same order, so the results are identical.
-    """
+    """Classical fourth-order Runge-Kutta step of a 2-d state."""
     half = 0.5 * dt
-    if len(y) == 2:
-        y0, y1 = y
-        a0, a1 = rhs(y)
-        b0, b1 = rhs((y0 + half * a0, y1 + half * a1))
-        c0, c1 = rhs((y0 + half * b0, y1 + half * b1))
-        d0, d1 = rhs((y0 + dt * c0, y1 + dt * c1))
-        sixth = dt / 6.0
-        return (
-            y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
-            y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
-        )
-    if len(y) == 4:
-        y0, y1, y2, y3 = y
-        a0, a1, a2, a3 = rhs(y)
-        b0, b1, b2, b3 = rhs((y0 + half * a0, y1 + half * a1, y2 + half * a2, y3 + half * a3))
-        c0, c1, c2, c3 = rhs((y0 + half * b0, y1 + half * b1, y2 + half * b2, y3 + half * b3))
-        d0, d1, d2, d3 = rhs((y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3))
-        sixth = dt / 6.0
-        return (
-            y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
-            y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
-            y2 + sixth * (a2 + 2.0 * (b2 + c2) + d2),
-            y3 + sixth * (a3 + 2.0 * (b3 + c3) + d3),
-        )
-    k1 = rhs(y)
-    k2 = rhs(tuple(yi + half * ki for yi, ki in zip(y, k1)))
-    k3 = rhs(tuple(yi + half * ki for yi, ki in zip(y, k2)))
-    k4 = rhs(tuple(yi + dt * ki for yi, ki in zip(y, k3)))
+    y0, y1 = y
+    a0, a1 = rhs(y)
+    b0, b1 = rhs((y0 + half * a0, y1 + half * a1))
+    c0, c1 = rhs((y0 + half * b0, y1 + half * b1))
+    d0, d1 = rhs((y0 + dt * c0, y1 + dt * c1))
     sixth = dt / 6.0
-    return tuple(
-        yi + sixth * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    return (
+        y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
+        y1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
     )
 
 
@@ -750,9 +714,9 @@ def _make_stepper(
     if m is Method.VARIATIONAL_MIDPOINT:
         chart = spec.formulation.chart
         return partial(step_variational_midpoint, params=params, chart=chart, **kw)
-    if rec.coords is not None and m in (Method.IMPLICIT_MIDPOINT, Method.TIME_FE_CG1_GAUSS2):
+    if rec.coords is not None:
         return _lifted(_make_stepper(spec, rec.coords, params), spec.constraint_tol)
-    rhs = rec.rhs(params, spec.constraint_tol)
+    rhs = rec.rhs(params)
     if m is Method.EXPLICIT_EULER:
         return partial(step_explicit_euler, rhs)
     if m is Method.RK4:
@@ -770,13 +734,12 @@ def _make_stepper(
 def _lifted(
     coords_step: Callable[[tuple, float], tuple], constraint_tol: float
 ) -> Callable[[tuple, float], tuple]:
-    """An implicit step of an extended state ``(Q, P)``.
+    """A step of an extended state ``(Q, P)``.
 
-    ``coords_step`` solves the canonical coordinate block alone; the
-    momenta follow from the linear invariant, ``P_new = P + (1/2) J (Q_new
-    - Q)``, so the constraint residual is carried over to rounding.  Each
-    incoming state is checked against the constraint first, as the 4-d
-    rates check theirs.
+    ``coords_step`` steps or solves the canonical coordinate block alone;
+    the momenta follow from the linear invariant, ``P_new = P + (1/2) J
+    (Q_new - Q)``, so the constraint residual is carried over to rounding.
+    Each incoming state is checked against the constraint first.
     """
 
     def step(y: tuple, h: float) -> tuple:
@@ -810,9 +773,11 @@ def integrate(
     formulations living in the intrinsic clock accept only constant
     schedules.  Runs in the intrinsic clock also refuse to start closer to
     the S*I = 0 singularity of the time map than 1e-10, and abort if the
-    dilation falls below 1e-14 along the way.  A Newton, domain or
-    constraint failure inside the march keeps its type and names the step
-    and the clock it started from; an overflow becomes NonFiniteInput.
+    dilation falls below 1e-14 along the way.  A domain failure of the
+    start keeps its type and names the initial state.  A Newton, domain,
+    constraint or singularity failure inside the march keeps its type and
+    names the step and the clock it started from; an overflow becomes
+    NonFiniteInput.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -839,8 +804,12 @@ def integrate(
     if rec.coords is not None and spec.extended_mode == "reconstruct":
         rec = rec.coords
     dilation = rec.dilation
-    y = rec.start(init.i, init.s, segments[0][2])
-    dil_prev = dilation(y, segments[0][2])
+    try:
+        y = rec.start(init.i, init.s, segments[0][2])
+        dil_prev = dilation(y, segments[0][2])
+    except RhsDomainError as exc:
+        # a fraction the chart cannot express, such as ln of a zero
+        raise type(exc)(f"initial state: {exc}") from exc
     if not clock_is_t and dil_prev < START_DILATION_FLOOR:
         raise StepAcrossSingularity(
             f"S*I = {dil_prev:.3e} at the initial state; the intrinsic clock "
@@ -871,19 +840,19 @@ def integrate(
                 y = stepper(y, h)
                 # before the clock moves on, so that a failure names the step's start
                 dil_now = dilation(y, pars)
-                t_now = a + (k + 1) * dt if k < n_full else b
-                if k == n_full - 1 and not tail:
-                    t_now = b
                 if clock_is_t:
                     sec += 0.5 * h * (dil_prev + dil_now)
                 else:
                     if dil_now < RUN_DILATION_FLOOR:
                         raise StepAcrossSingularity(
-                            f"S*I fell to {dil_now:.3e} at clock {t_now:.6g}; the "
-                            "run crossed the singularity of the time map"
+                            f"S*I fell to {dil_now:.3e}; the run crossed the "
+                            "singularity of the time map"
                         )
                     sec += 0.5 * h * (1.0 / dil_prev + 1.0 / dil_now)
                 dil_prev = dil_now
+                t_now = a + (k + 1) * dt if k < n_full else b
+                if k == n_full - 1 and not tail:
+                    t_now = b
                 step_no += 1
                 if step_no % stride == 0:
                     prim.append(t_now)
@@ -891,7 +860,7 @@ def integrate(
                     states.append(y)
                     seg_ids.append(seg_id)
                     last_kept = step_no
-    except (NewtonDivergence, RhsDomainError, ConstraintViolation) as exc:
+    except (NewtonDivergence, RhsDomainError, ConstraintViolation, StepAcrossSingularity) as exc:
         raise type(exc)(f"step {step_no + 1} from clock {t_now:.6g}: {exc}") from exc
     except OverflowError as exc:
         # math.exp of a runaway log-chart coordinate, in a rate or the dilation
@@ -920,8 +889,10 @@ def _build_trajectory(
     """Sampled columns of a finished march.
 
     Refuses, with :class:`InvalidFractions`, a trajectory whose fractions
-    leave [0, 1] by more than ``FRACTION_TOL`` or are not finite, naming
-    the first such sample's step and clock value.
+    leave [0, 1] by more than ``FRACTION_TOL`` or are not finite, and with
+    :class:`NonPositiveCoordinate` one with a sample at S <= 0, where the
+    energy's ln S is undefined; either names the first such sample's step
+    and clock value.
     """
     form = spec.formulation
     coords = np.asarray(states, dtype=float)
@@ -948,13 +919,16 @@ def _build_trajectory(
     fractions = np.stack((s_col, i_col, r_col))
     # a NaN fails both comparisons
     inside = (fractions >= -FRACTION_TOL) & (fractions <= 1.0 + FRACTION_TOL)
-    bad = np.flatnonzero(~inside.all(axis=0))
+    bad = np.flatnonzero(~inside.all(axis=0) | (s_col <= 0.0))
     if bad.size:
         k = bad[0]
-        raise InvalidFractions(
-            f"step {min(k * spec.sample_stride, n_steps)} at clock {prim[k]:.6g}: "
-            f"S = {s_col[k]:.6g}, I = {i_col[k]:.6g}, R = {r_col[k]:.6g} left [0, 1]"
-        )
+        where = f"step {min(k * spec.sample_stride, n_steps)} at clock {prim[k]:.6g}"
+        if not inside[:, k].all():
+            raise InvalidFractions(
+                f"{where}: S = {s_col[k]:.6g}, I = {i_col[k]:.6g}, "
+                f"R = {r_col[k]:.6g} left [0, 1]"
+            )
+        raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s_col[k]:.6g}")
     h_col = beta * (i_col + s_col) - gamma * np.log(s_col)
 
     return Trajectory(

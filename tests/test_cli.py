@@ -433,6 +433,10 @@ class TestTrajectoryCsv:
             ParamSchedule.constant(EpidemicParams(0.3, 0.1)),
         )
         assert traj.n_samples == n_samples
+        # the values whose spelling could differ between format routes
+        specials = (math.nan, math.inf, -math.inf, -0.0, 5e-324)
+        for column, value in zip((traj.t, traj.tau, traj.s, traj.i, traj.r), specials):
+            column[-1] = value
         drift = (traj.h - traj.h[0]) / abs(traj.h[0])
         columns = (traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift)
         expected = [CSV_HEADER] + [

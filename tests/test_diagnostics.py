@@ -19,7 +19,6 @@ from sirham import (
     RunSpec,
     ScenarioError,
     Trajectory,
-    compare_formulations,
     conservation_report,
     constraint_drift,
     fd_gradient_check,
@@ -312,23 +311,3 @@ class TestPairwiseSupDiff:
         # so the disagreement is far below the interpolation error a finer
         # common grid would show
         assert diff[0, 1] < 1e-6
-
-
-class TestCompareFormulations:
-    def test_three_routes_tell_one_story(self):
-        specs = [
-            RunSpec("rk4", "basic_t", dt=0.02, t_end=10.0),
-            RunSpec("rk4", "log_t", dt=0.02, t_end=10.0),
-            RunSpec("rk4", "single_ode_log", dt=0.02, t_end=10.0),
-        ]
-        diff = compare_formulations(specs, INIT, SCHEDULE)
-        assert diff.shape == (3, 3)
-        assert np.allclose(diff, diff.T)
-        assert np.all(np.diag(diff) == 0.0)
-        assert np.max(diff) < 1e-4
-
-    def test_needs_two_specs(self):
-        with pytest.raises(ScenarioError):
-            compare_formulations(
-                [RunSpec("rk4", "basic_t", dt=0.1, t_end=1.0)], INIT, SCHEDULE
-            )

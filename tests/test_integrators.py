@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sirham import hamiltonian, integrators
 from sirham import (
@@ -19,9 +22,11 @@ from sirham import (
     RhsDomainError,
     RunSpec,
     ScenarioError,
+    SirhamError,
     StepAcrossSingularity,
     integrate,
     reconstruct_ordinary_time,
+    recovered_from,
 )
 from sirham.hamiltonian import hamilton_rhs_log
 from sirham.integrators import (
@@ -193,6 +198,12 @@ JACOBIAN_POINTS = [
 FD_CONSTRAINT_TOL = 1.0
 
 
+def extended_rates(formulation, params):
+    """The 4-d rates of an extended formulation, behind ``extended_rhs``."""
+    chart = formulation.chart
+    return lambda y: hamiltonian._extended_rates(y, params, chart, FD_CONSTRAINT_TOL)
+
+
 @pytest.fixture
 def newton_sizes(monkeypatch):
     """The width of the unknown each Newton call solves for, in call order."""
@@ -213,31 +224,32 @@ class TestJacobians:
 
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_record_jacobian_matches_the_rhs(self, formulation):
-        """An extended record has no Jacobian: its implicit steps solve the
-        coordinate block with the canonical record's, which must be the
-        coordinate block of the 4-d rates."""
+        """An extended record has no rhs and no Jacobian: its steps step the
+        coordinate block with the canonical record's, whose Jacobian must be
+        that of the coordinate block of the 4-d rates."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
-            rhs = rec.rhs(params, FD_CONSTRAINT_TOL)
             if rec.coords is None:
-                assert_jacobian_matches(rec.jac(params)(y), rhs, y)
+                assert_jacobian_matches(rec.jac(params)(y), rec.rhs(params), y)
                 continue
-            assert rec.jac is None
+            assert rec.rhs is None and rec.jac is None
             q, p = y[:2], y[2:]
+            rhs = extended_rates(formulation, params)
             assert_jacobian_matches(rec.coords.jac(params)(q), lambda x: rhs(x + p)[:2], q)
 
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_separable_flag_matches_the_jacobian(self, formulation):
-        """The momentum-momentum block of the record's Jacobian (of its rhs,
-        for the extended records) is zero exactly where ``separable`` is set."""
+        """The momentum-momentum block of the record's Jacobian (of the 4-d
+        rates, for the extended records) is zero exactly where ``separable``
+        is set."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
             if rec.jac is None:
-                d = central_jacobian(rec.rhs(params, FD_CONSTRAINT_TOL), y)
+                d = central_jacobian(extended_rates(formulation, params), y)
             else:
                 d = rec.jac(params)(y)
             nq = len(y) // 2
@@ -277,11 +289,11 @@ class TestJacobians:
             if step is step_symplectic_euler:
                 # RunSpec refuses this method on the 4-d records; call the step
                 # with the record's own rhs and flag
-                rhs = rec.rhs(params, FD_CONSTRAINT_TOL)
                 if rec.coords is not None:
                     with pytest.raises(ScenarioError, match="2-d states only, got 4-d"):
-                        step(rhs, None, y, 0.05, separable=rec.separable)
+                        step(None, None, y, 0.05, separable=rec.separable)
                     continue
+                rhs = rec.rhs(params)
                 seen = self.newton_systems(
                     monkeypatch, step, rhs, rec.jac(params), y, 0.05, separable=rec.separable
                 )
@@ -583,16 +595,21 @@ class TestIntegrate:
     def test_a_constraint_failure_names_the_step_and_the_clock(
         self, init, schedule, monkeypatch
     ):
-        # step 2 ends off the constraint; the 4-d rates refuse it in step 3
+        # step 2 ends off the constraint; the lifted step refuses it in step 3
         calls = []
-        real_step = integrators.step_rk4
+        real_lifted = integrators._lifted
 
-        def drifting_step(rhs, y, dt):
-            calls.append(None)
-            y = real_step(rhs, y, dt)
-            return y[:2] + (y[2] + 1e-6, y[3]) if len(calls) == 2 else y
+        def drifting_lifted(coords_step, constraint_tol):
+            step = real_lifted(coords_step, constraint_tol)
 
-        monkeypatch.setattr(integrators, "step_rk4", drifting_step)
+            def drifting_step(y, dt):
+                calls.append(None)
+                y = step(y, dt)
+                return y[:2] + (y[2] + 1e-6, y[3]) if len(calls) == 2 else y
+
+            return drifting_step
+
+        monkeypatch.setattr(integrators, "_lifted", drifting_lifted)
         spec = RunSpec(method="rk4", formulation="extended_4d_log", dt=0.1, t_end=1.0)
         with pytest.raises(
             ConstraintViolation, match=r"^step 3 from clock 0\.2: constraint norm 2\.000e-06"
@@ -605,11 +622,27 @@ class TestIntegrate:
         with pytest.raises(StepAcrossSingularity):
             integrate(spec, no_infection, schedule)
 
+    @pytest.mark.parametrize(
+        "formulation,message",
+        [
+            ("log_t", r"^initial state: logarithmic chart needs positive fractions"),
+            ("single_ode_direct", r"^initial state: susceptible fraction must be positive"),
+            ("basic_t", r"^step 0 at clock 0: ln\(S\) undefined for S = 0$"),
+        ],
+    )
+    def test_a_start_at_s_0_is_refused_by_name(self, schedule, formulation, message):
+        spec = RunSpec(method="rk4", formulation=formulation, dt=0.1, t_end=1.0)
+        with pytest.raises(NonPositiveCoordinate, match=message):
+            integrate(spec, CompartmentState(s=0.0, i=0.5, r=0.5), schedule)
+
     def test_marching_past_the_clock_asymptote_is_refused(self, init, schedule):
         # beyond the finite intrinsic-time span of the epidemic the
-        # dilation collapses and the time map diverges
+        # dilation collapses and the time map diverges; the failure names
+        # its step and the clock that step started from
         spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.01, t_end=3.2)
-        with pytest.raises(StepAcrossSingularity):
+        with pytest.raises(
+            StepAcrossSingularity, match=r"^step 311 from clock 3\.1: S\*I fell to -4\.874e-04; "
+        ):
             integrate(spec, init, schedule)
 
     def test_rescaled_clock_rejects_schedules(self, init):
@@ -696,6 +729,46 @@ def test_every_combination_runs_or_is_refused(init, schedule, method, formulatio
     assert np.max(np.abs(traj.s + traj.i + traj.r - 1.0)) <= 1e-12
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    beta=st.floats(1e-4, 50.0),
+    gamma=st.floats(1e-4, 50.0),
+    i0=st.floats(1e-12, 1.0),
+    s_share=st.floats(0.0, 1.0),
+    dt=st.floats(1e-6, 100.0),
+    n_steps=st.integers(0, 200),
+    method=st.sampled_from(list(Method)),
+    formulation=st.sampled_from(list(Formulation)),
+    mode=st.sampled_from(["direct4d", "reconstruct"]),
+)
+def test_every_drawn_run_completes_or_names_its_failure(
+    beta, gamma, i0, s_share, dt, n_steps, method, formulation, mode
+):
+    """Any start, rates, step and method: RunSpec refuses the run, or the
+    run fails with a SirhamError naming its step or the initial state, or
+    every column is finite and the fractions sum to one."""
+    try:
+        spec = RunSpec(
+            method=method,
+            formulation=formulation,
+            dt=dt,
+            t_end=n_steps * dt,
+            extended_mode=mode,
+        )
+    except ScenarioError:
+        return
+    init = recovered_from(s_share * (1.0 - i0), i0)
+    try:
+        traj = integrate(spec, init, ParamSchedule.constant(EpidemicParams(beta, gamma)))
+    except SirhamError as exc:
+        message = str(exc)
+        assert re.match(r"step \d+ (from|at) clock ", message) or "initial state" in message, message
+        return
+    for column in (traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, traj.coords):
+        assert np.all(np.isfinite(column))
+    assert np.max(np.abs(traj.s + traj.i + traj.r - 1.0)) <= 1e-12
+
+
 def _reconstruct_cases():
     for formulation in (Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG):
         for method in Method:
@@ -731,16 +804,18 @@ class TestExtendedModes:
         momenta = np.column_stack(hamiltonian.consistent_momenta(marched.coords.T))
         assert np.array_equal(rebuilt.coords[:, 2:], momenta)
 
-    @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
+    @pytest.mark.parametrize(
+        "method", ["implicit_midpoint", "time_fe_cg1_gauss2", "rk4", "explicit_euler"]
+    )
     @pytest.mark.parametrize(
         "formulation,t_end", [("extended_4d_direct", 2.4), ("extended_4d_log", 60.0)]
     )
     def test_implicit_direct4d_matches_reconstruct(
         self, init, schedule, method, formulation, t_end
     ):
-        """The 4-d implicit march solves the coordinate block alone and
-        carries the momenta by the constraint, so it stays on the manifold
-        and retraces the reconstruction."""
+        """The 4-d march steps the coordinate block alone and carries the
+        momenta by the constraint, so it stays on the manifold and retraces
+        the reconstruction."""
         kwargs = dict(method=method, formulation=formulation, dt=t_end / 2400, t_end=t_end)
         direct = integrate(RunSpec(extended_mode="direct4d", **kwargs), init, schedule)
         rebuilt = integrate(RunSpec(extended_mode="reconstruct", **kwargs), init, schedule)
