@@ -5,158 +5,28 @@ equivalent formulations (direct and logarithmic charts, ordinary and
 intrinsic clocks, minimal and constraint-extended state spaces) with
 both conventional and conservative fixed-step methods, and ships the
 diagnostics that hold those formulations to their conservation laws.
+
+The package re-exports the ``__all__`` of each module below; ``dynamics``,
+``plotting`` and ``cli`` are reached through their modules only.
 """
 
-from .core import (
-    Chart,
-    CompartmentState,
-    EpidemicParams,
-    ExtendedPhasePoint,
-    ParamSchedule,
-    PhasePoint2,
-    apply_J,
-    from_log,
-    recovered_from,
-    to_log,
-)
-from .diagnostics import (
-    ConservationReport,
-    conservation_report,
-    constraint_drift,
-    fd_gradient_check,
-    final_size_oracle,
-    hamiltonian_drift,
-    pairwise_sup_diff,
-    peak_infection_oracle,
-    population_conservation,
-)
-from .errors import (
-    ConstraintViolation,
-    InvalidFractions,
-    MissingDiagnostic,
-    NewtonDivergence,
-    NoEpidemic,
-    NonFiniteInput,
-    NonPositiveCoordinate,
-    OutsideLegendreDomain,
-    RhsDomainError,
-    ScenarioError,
-    SingularDenominator,
-    SirhamError,
-    StepAcrossSingularity,
-)
-from .hamiltonian import (
-    consistent_momenta,
-    dirac_constraint,
-    dirac_multiplier,
-    extended_hamiltonian,
-    extended_rhs,
-    gradient_direct,
-    gradient_log,
-    hamilton_rhs_direct,
-    hamilton_rhs_log,
-    hamiltonian_direct,
-    hamiltonian_log,
-    hessian_direct,
-    hessian_log,
-)
-from .integrators import (
-    Formulation,
-    Method,
-    RunSpec,
-    Trajectory,
-    integrate,
-    reconstruct_ordinary_time,
-)
-from .lagrangian import (
-    el_residual_direct,
-    el_residual_log,
-    extended_lagrangian_gradients,
-    lagrangian_extended,
-    lagrangian_minimal_direct,
-    lagrangian_minimal_log,
-    legendre_check_minimal,
-    momentum_from_rate_direct,
-    momentum_from_rate_log,
-    rate_from_momentum_direct,
-    rate_from_momentum_log,
-)
-from .scenario import (
-    Scenario,
-    Tolerances,
-    default_scenario_path,
-    load_scenario,
-    parse_scenario,
-)
+from . import core, diagnostics, errors, hamiltonian, integrators, lagrangian, scenario
+from .core import *
+from .diagnostics import *
+from .errors import *
+from .hamiltonian import *
+from .integrators import *
+from .lagrangian import *
+from .scenario import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart",
-    "CompartmentState",
-    "ConservationReport",
-    "ConstraintViolation",
-    "EpidemicParams",
-    "ExtendedPhasePoint",
-    "Formulation",
-    "InvalidFractions",
-    "Method",
-    "MissingDiagnostic",
-    "NewtonDivergence",
-    "NoEpidemic",
-    "NonFiniteInput",
-    "NonPositiveCoordinate",
-    "OutsideLegendreDomain",
-    "ParamSchedule",
-    "PhasePoint2",
-    "RhsDomainError",
-    "RunSpec",
-    "Scenario",
-    "ScenarioError",
-    "SingularDenominator",
-    "SirhamError",
-    "StepAcrossSingularity",
-    "Tolerances",
-    "Trajectory",
-    "apply_J",
-    "conservation_report",
-    "consistent_momenta",
-    "constraint_drift",
-    "default_scenario_path",
-    "dirac_constraint",
-    "dirac_multiplier",
-    "el_residual_direct",
-    "el_residual_log",
-    "extended_hamiltonian",
-    "extended_lagrangian_gradients",
-    "extended_rhs",
-    "fd_gradient_check",
-    "final_size_oracle",
-    "from_log",
-    "gradient_direct",
-    "gradient_log",
-    "hamilton_rhs_direct",
-    "hamilton_rhs_log",
-    "hamiltonian_direct",
-    "hamiltonian_drift",
-    "hamiltonian_log",
-    "hessian_direct",
-    "hessian_log",
-    "integrate",
-    "lagrangian_extended",
-    "lagrangian_minimal_direct",
-    "lagrangian_minimal_log",
-    "legendre_check_minimal",
-    "load_scenario",
-    "momentum_from_rate_direct",
-    "momentum_from_rate_log",
-    "pairwise_sup_diff",
-    "parse_scenario",
-    "peak_infection_oracle",
-    "population_conservation",
-    "rate_from_momentum_direct",
-    "rate_from_momentum_log",
-    "reconstruct_ordinary_time",
-    "recovered_from",
-    "to_log",
+    *core.__all__,
+    *diagnostics.__all__,
+    *errors.__all__,
+    *hamiltonian.__all__,
+    *integrators.__all__,
+    *lagrangian.__all__,
+    *scenario.__all__,
 ]

@@ -408,10 +408,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # set up anew on each call, against the stderr of this call
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(message)s",
+        force=True,
     )
     if args.func is cmd_check and args.scenario is None:
         args.scenario = default_scenario_path()

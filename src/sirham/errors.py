@@ -13,6 +13,22 @@ command-line front end) can map them onto distinct outcomes:
 
 from __future__ import annotations
 
+__all__ = [
+    "ConstraintViolation",
+    "InvalidFractions",
+    "MissingDiagnostic",
+    "NewtonDivergence",
+    "NoEpidemic",
+    "NonFiniteInput",
+    "NonPositiveCoordinate",
+    "OutsideLegendreDomain",
+    "RhsDomainError",
+    "ScenarioError",
+    "SingularDenominator",
+    "SirhamError",
+    "StepAcrossSingularity",
+]
+
 
 class SirhamError(Exception):
     """Base class for everything this package raises deliberately."""

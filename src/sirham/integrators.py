@@ -8,12 +8,14 @@ on plain float tuples.  They realise the one-parameter update family
 at alpha = 0 (explicit Euler), alpha = 1/2 (implicit midpoint and its
 variational and Galerkin relatives), and a per-component mix of 0 and 1
 (symplectic Euler); classical RK4 is the reference non-conservative
-high-order scheme.  Implicit equations are solved by Newton iteration from
-an explicit-Euler predictor, with the exact Jacobian each scheme assembles
-from the analytic Jacobian of the rhs.  :func:`_newton` is the one Newton
-loop: it iterates a 2-d unknown on scalar locals and solves each update by
-2x2 elimination; symplectic Euler's 1-d momentum equation is posed to it
-padded to two.
+high-order scheme.  Each scheme is written once: the implicit midpoint
+rule is the one-stage Gauss collocation method, so the Galerkin step
+takes the two-point Gauss rule only.  Implicit equations are solved by
+Newton iteration from an explicit-Euler predictor, with the exact Jacobian
+each scheme assembles from the analytic Jacobian of the rhs.
+:func:`_newton` is the one Newton loop: it iterates a 2-d unknown on
+scalar locals and solves each update by 2x2 elimination; symplectic
+Euler's 1-d momentum equation is posed to it padded to two.
 
 Only what is implicit is solved.  Symplectic Euler is explicit wherever
 the momentum rate does not read the momenta (the separable canonical
@@ -88,6 +90,8 @@ from .errors import (
 )
 from .hamiltonian import _DIRECT_CHART
 
+#: what the package re-exports; the one-step schemes ``step_*`` are
+#: imported from this module by name
 __all__ = [
     "Formulation",
     "Method",
@@ -95,12 +99,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "reconstruct_ordinary_time",
-    "step_explicit_euler",
-    "step_implicit_midpoint",
-    "step_rk4",
-    "step_symplectic_euler",
-    "step_time_fe_cg1",
-    "step_variational_midpoint",
 ]
 
 Rhs = Callable[[tuple], tuple]
@@ -116,12 +114,8 @@ RUN_DILATION_FLOOR = 1e-14
 MAX_STEPS = 2.0**53
 
 _GAUSS2_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-#: the stages of the Galerkin step per quadrature: node sigma, 1 - sigma,
-#: weight w and w * sigma
-_CG1_STAGES = {
-    "gauss2": tuple((sigma, 1.0 - sigma, 0.5, 0.5 * sigma) for sigma in _GAUSS2_NODES),
-    "midpoint": ((0.5, 0.5, 1.0, 0.5),),
-}
+#: the stages of the Galerkin step: node sigma, 1 - sigma, weight w and w * sigma
+_CG1_STAGES = tuple((sigma, 1.0 - sigma, 0.5, 0.5 * sigma) for sigma in _GAUSS2_NODES)
 
 
 class Method(Enum):
@@ -653,29 +647,25 @@ def step_time_fe_cg1(
     y: tuple,
     dt: float,
     *,
-    quadrature: str = "gauss2",
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> tuple:
     """Continuous-Galerkin step: linear trial state, constant test functions.
 
-    With the two-point Gauss rule the update integrates the right-hand
-    side exactly for quadratic integrands along the linear segment; with
-    ``quadrature="midpoint"`` it degenerates to the implicit midpoint rule,
-    which the tests assert as an internal consistency check.
+    The two-point Gauss rule integrates the right-hand side exactly for
+    quadratic integrands along the linear segment.  With the one-point
+    midpoint rule instead, the step would be the implicit midpoint rule,
+    the one-stage Gauss collocation method, which
+    :func:`step_implicit_midpoint` already is.
 
     Steps a 2-d state, from the explicit-Euler predictor.  The quadrature
     sums start from 0.0 and add the nodes in order.
     """
-    try:
-        stages = _CG1_STAGES[quadrature]
-    except KeyError:
-        raise ScenarioError(f"unknown quadrature {quadrature!r}") from None
     y0, y1 = y
 
     def residual(u0: float, u1: float) -> tuple:
         a0 = a1 = 0.0
-        for sigma, rest, w, _ in stages:
+        for sigma, rest, w, _ in _CG1_STAGES:
             f0, f1 = rhs((rest * y0 + sigma * u0, rest * y1 + sigma * u1))
             a0 += w * f0
             a1 += w * f1
@@ -684,7 +674,7 @@ def step_time_fe_cg1(
     def jacobian(u0: float, u1: float) -> tuple:
         # a stage moves with weight sigma as the endpoint u does
         a00 = a01 = a10 = a11 = 0.0
-        for sigma, rest, _, ws in stages:
+        for sigma, rest, _, ws in _CG1_STAGES:
             (d00, d01), (d10, d11) = jac((rest * y0 + sigma * u0, rest * y1 + sigma * u1))
             a00 += ws * d00
             a01 += ws * d01
@@ -726,9 +716,8 @@ def _make_stepper(
         return partial(step_symplectic_euler, rhs, jac, separable=rec.separable, **kw)
     if m is Method.IMPLICIT_MIDPOINT:
         return partial(step_implicit_midpoint, rhs, jac, **kw)
-    if m is Method.TIME_FE_CG1_GAUSS2:
-        return partial(step_time_fe_cg1, rhs, jac, **kw)
-    raise ScenarioError(f"unknown method {m!r}")
+    # the last Method, TIME_FE_CG1_GAUSS2: RunSpec coerces every method to one
+    return partial(step_time_fe_cg1, rhs, jac, **kw)
 
 
 def _lifted(
@@ -914,8 +903,10 @@ def _build_trajectory(
         beta[mask] = pars.beta
         gamma[mask] = pars.gamma
 
-    i_col, s_col = _RECORDS[form].fractions(coords, beta, gamma)
-    r_col = 1.0 - s_col - i_col
+    # a runaway sample may be inf - inf here; the test below reads every value
+    with np.errstate(all="ignore"):
+        i_col, s_col = _RECORDS[form].fractions(coords, beta, gamma)
+        r_col = 1.0 - s_col - i_col
     fractions = np.stack((s_col, i_col, r_col))
     # a NaN fails both comparisons
     inside = (fractions >= -FRACTION_TOL) & (fractions <= 1.0 + FRACTION_TOL)

@@ -17,6 +17,10 @@ __all__ = ["render_curves"]
 
 _COLORS = {"S": "#4477aa", "I": "#cc3311", "R": "#228833"}
 _DRIFT_COLOR = "#aa3377"
+_WIDTH, _HEIGHT = 720, 480
+_TITLE = "compartment fractions"
+#: tick labels per axis
+_N_TICKS = 5
 
 
 def _fmt(value: float) -> str:
@@ -39,10 +43,10 @@ def _polyline(x: np.ndarray, y: np.ndarray, color: str) -> str:
     )
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    return [lo + k * (hi - lo) / (n - 1) for k in range(n)]
+    return [lo + k * (hi - lo) / (_N_TICKS - 1) for k in range(_N_TICKS)]
 
 
 def render_curves(
@@ -52,10 +56,7 @@ def render_curves(
     r: np.ndarray,
     h: np.ndarray | None = None,
     *,
-    width: int = 720,
-    height: int = 480,
     include_energy: bool = True,
-    title: str = "compartment fractions",
 ) -> str:
     """Render compartment curves (and optionally the energy drift) to SVG."""
     t = np.asarray(t, dtype=float)
@@ -65,16 +66,16 @@ def render_curves(
     with_energy = include_energy and h is not None and len(h) and h[0] != 0.0
     margin_l, margin_r, margin_t, margin_b = 56.0, 16.0, 28.0, 40.0
     gap = 36.0
-    usable = height - margin_t - margin_b
+    usable = _HEIGHT - margin_t - margin_b
     main_h = (usable - gap) * 0.68 if with_energy else usable
 
     t_lo, t_hi = float(t[0]), float(t[-1])
-    x = _scale(t, t_lo, t_hi, margin_l, width - margin_r)
+    x = _scale(t, t_lo, t_hi, margin_l, _WIDTH - margin_r)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         '<g font-family="sans-serif" font-size="11" fill="#333">',
     ]
 
@@ -84,7 +85,7 @@ def render_curves(
         yy = _scale(np.array([tick]), 0.0, 1.0, bottom, top)[0]
         parts.append(
             f'<line x1="{_fmt(margin_l)}" y1="{_fmt(yy)}" '
-            f'x2="{_fmt(width - margin_r)}" y2="{_fmt(yy)}" '
+            f'x2="{_fmt(_WIDTH - margin_r)}" y2="{_fmt(yy)}" '
             'stroke="#ddd" stroke-width="0.5"/>'
         )
         parts.append(
@@ -92,7 +93,7 @@ def render_curves(
             f'text-anchor="end">{_fmt(tick)}</text>'
         )
     for tick in _ticks(t_lo, t_hi):
-        xx = _scale(np.array([tick]), t_lo, t_hi, margin_l, width - margin_r)[0]
+        xx = _scale(np.array([tick]), t_lo, t_hi, margin_l, _WIDTH - margin_r)[0]
         parts.append(
             f'<text x="{_fmt(xx)}" y="{_fmt(bottom + 14)}" '
             f'text-anchor="middle">{_fmt(tick)}</text>'
@@ -107,7 +108,7 @@ def render_curves(
             f'fill="{_COLORS[name]}"/>'
         )
         parts.append(f'<text x="{_fmt(lx + 14)}" y="{_fmt(top + 13)}">{name}</text>')
-    parts.append(f'<text x="{_fmt(margin_l)}" y="{_fmt(margin_t - 8)}">{title}</text>')
+    parts.append(f'<text x="{_fmt(margin_l)}" y="{_fmt(margin_t - 8)}">{_TITLE}</text>')
 
     if with_energy:
         h = np.asarray(h, dtype=float)
@@ -115,11 +116,11 @@ def render_curves(
         d_hi = float(np.max(drift))
         d_hi = d_hi if d_hi > 0.0 else 1e-16
         e_top = bottom + gap
-        e_bottom = height - margin_b
+        e_bottom = _HEIGHT - margin_b
         y = _scale(drift, 0.0, d_hi, e_bottom, e_top)
         parts.append(
             f'<line x1="{_fmt(margin_l)}" y1="{_fmt(e_bottom)}" '
-            f'x2="{_fmt(width - margin_r)}" y2="{_fmt(e_bottom)}" '
+            f'x2="{_fmt(_WIDTH - margin_r)}" y2="{_fmt(e_bottom)}" '
             'stroke="#ddd" stroke-width="0.5"/>'
         )
         parts.append(_polyline(x, y, _DRIFT_COLOR))

@@ -1,11 +1,15 @@
 """Scenario files and the command-line surface.
 
 The exit-code contract is what batch harnesses script against, so most of
-these tests go through a real subprocess (``python -m sirham ...``) rather
-than calling handlers in-process.
+these tests run the whole command line, ``sirham.cli.main(argv)``, and read
+its exit code, stdout and stderr rather than calling handlers one by one.
+They call ``main`` in-process; ``TestUsage`` and the acceptance suite's
+``test_10`` spawn ``python -m sirham`` for the entry point itself.
 """
 
 import concurrent.futures
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -76,11 +80,16 @@ tolerances: {h_drift: 1.0}
 
 
 def cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "sirham", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
+    """``sirham *args`` in-process: its exit code, stdout and stderr, with
+    argparse's ``SystemExit`` code read as the exit code."""
+    argv = [str(arg) for arg in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_module.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 def minimal_doc():
@@ -271,6 +280,13 @@ class TestRunCommand:
             previous_t = t
             assert abs(s + i + r - 1.0) <= 1e-12
         assert float(lines[1].split(",")[6]) == 0.0  # drift starts at zero
+
+    def test_verbose_names_each_written_csv(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN)
+        proc = cli("run", scenario, "--out", tmp_path / "out", "--verbose")
+        assert proc.returncode == 0
+        assert proc.stderr == "run base: 51 samples -> base.csv\n"
 
     def test_reruns_are_bit_identical(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"

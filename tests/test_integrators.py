@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,17 +87,6 @@ class TestSteppers:
         y1 = step_time_fe_cg1(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
         assert y1[0] == pytest.approx(-4.595321305184499989125, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020107695055540187324, abs=5e-13)
-
-    def test_time_finite_element_midpoint_rule_collapses(self):
-        """With one-point midpoint quadrature the weak step IS the implicit
-        midpoint step: identical fixed point, identical arithmetic."""
-        a = step_time_fe_cg1(log_rhs, log_jac, LOG_START, 0.05, quadrature="midpoint")
-        b = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05)
-        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-14
-
-    def test_time_finite_element_rejects_unknown_quadrature(self):
-        with pytest.raises(ScenarioError):
-            step_time_fe_cg1(log_rhs, log_jac, LOG_START, 0.05, quadrature="lobatto9")
 
     def test_symplectic_euler(self):
         y1 = step_symplectic_euler(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
@@ -549,6 +539,18 @@ class TestIntegrate:
         spec = RunSpec(method="rk4", formulation="log_t", dt=0.1, t_end=1.0, sample_stride=3)
         with pytest.raises(InvalidFractions, match=rf"^step {step} at clock {clock}: S = nan"):
             integrate(spec, init, schedule)
+
+    def test_an_infinite_sample_is_refused_without_a_numpy_warning(self):
+        """RK4 at dt 12 runs away: the second step ends at I = -inf, S = inf,
+        where R = 1 - S - I is inf - inf.  The refusal names the first sample
+        outside [0, 1], and numpy does not warn before it."""
+        spec = RunSpec(method="rk4", formulation="basic_t", dt=12.0, t_end=24.0)
+        init = CompartmentState(s=0.5, i=0.5, r=0.0)
+        schedule = ParamSchedule.constant(EpidemicParams(beta=6.0, gamma=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidFractions, match=r"^step 1 at clock 12: "):
+                integrate(spec, init, schedule)
 
     def test_newton_failure_names_the_step_and_the_clock(self, init, schedule):
         spec = RunSpec(
