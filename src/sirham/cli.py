@@ -179,8 +179,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _parse_grid(grid: str) -> list[tuple[str, list]]:
     """Parse ``"beta=0.3,0.4;dt=0.01"`` into ordered (key, values) pairs."""
     axes: list[tuple[str, list]] = []
-    if not grid or not grid.strip():
-        raise ScenarioError("empty sweep grid")
     for chunk in grid.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -284,7 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = load_scenario(args.scenario)
     axes = _parse_grid(args.grid)
-    if ("beta" in dict(axes) or "gamma" in dict(axes)) and not scenario.schedule.is_constant:
+    if not scenario.schedule.is_constant:
         raise ScenarioError("parameter sweeps need a constant schedule")
     if len(scenario.runs) > 1:
         log.info("sweep uses the first run (%s) as template", scenario.runs[0].name)
@@ -345,8 +343,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         s=data[:, 2],
         i=data[:, 3],
         r=data[:, 4],
-        h=data[:, 5],
-        include_energy=not args.no_energy,
+        h=None if args.no_energy else data[:, 5],
     )
     Path(args.out).write_text(svg)
     log.info("wrote %s", args.out)

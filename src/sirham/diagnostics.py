@@ -79,11 +79,8 @@ def population_conservation(traj: Trajectory, independent_r: bool = False) -> fl
     idx = np.searchsorted(traj.schedule.switch_times, traj.t, side="right") - 1
     gam = np.array([p.gamma for p in traj.schedule.params])[idx]
     rate = gam * traj.i
-    if traj.n_samples == 1:
-        r = np.array([traj.r[0]])
-    else:
-        increments = np.diff(traj.t) * 0.5 * (rate[1:] + rate[:-1])
-        r = traj.r[0] + np.concatenate(([0.0], np.cumsum(increments)))
+    increments = np.diff(traj.t) * 0.5 * (rate[1:] + rate[:-1])
+    r = traj.r[0] + np.concatenate(([0.0], np.cumsum(increments)))
     return float(np.max(np.abs(traj.s + traj.i + r - 1.0)))
 
 

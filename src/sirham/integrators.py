@@ -20,13 +20,12 @@ Euler's 1-d momentum equation is posed to it padded to two.
 Only what is implicit is solved.  Symplectic Euler is explicit wherever
 the momentum rate does not read the momenta (the separable canonical
 charts), so Newton runs only on ``basic_t`` and the ``single_ode_*``
-reductions.  Every step of a 4-d extended state steps the 2-d coordinate
-block alone and carries the momenta by the linear invariant
-``C = Q + 2 J P``, which every Runge-Kutta-type step preserves exactly:
-``P_new = P + (1/2) J (Q_new - Q)``.  A ``reconstruct`` run marches that
-block alone, under its canonical record ``coords``, and the trajectory
-build appends the momenta ``(1/2) J Q``.  So every step function steps
-2-d states only.
+reductions.  Every step of a 4-d extended state, whatever its method,
+steps the 2-d coordinate block alone and carries the momenta by the linear
+invariant ``C = Q + 2 J P``: ``P_new = P + (1/2) J (Q_new - Q)``.  A
+``reconstruct`` run marches that block alone, under its canonical record
+``coords``, and the trajectory build appends the momenta ``(1/2) J Q``.
+So every step function steps 2-d states only.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -119,21 +118,20 @@ _CG1_STAGES = tuple((sigma, 1.0 - sigma, 0.5, 0.5 * sigma) for sigma in _GAUSS2_
 
 
 class Method(Enum):
-    """Stepping scheme, with formal order and structure-preservation flag."""
+    """Stepping scheme, with its formal order."""
 
-    def __new__(cls, label: str, order: int, structure_preserving: bool):
+    def __new__(cls, label: str, order: int):
         obj = object.__new__(cls)
         obj._value_ = label
         obj.order = order
-        obj.structure_preserving = structure_preserving
         return obj
 
-    EXPLICIT_EULER = ("explicit_euler", 1, False)
-    RK4 = ("rk4", 4, False)
-    SYMPLECTIC_EULER = ("symplectic_euler", 1, True)
-    IMPLICIT_MIDPOINT = ("implicit_midpoint", 2, True)
-    VARIATIONAL_MIDPOINT = ("variational_midpoint", 2, True)
-    TIME_FE_CG1_GAUSS2 = ("time_fe_cg1_gauss2", 2, True)
+    EXPLICIT_EULER = ("explicit_euler", 1)
+    RK4 = ("rk4", 4)
+    SYMPLECTIC_EULER = ("symplectic_euler", 1)
+    IMPLICIT_MIDPOINT = ("implicit_midpoint", 2)
+    VARIATIONAL_MIDPOINT = ("variational_midpoint", 2)
+    TIME_FE_CG1_GAUSS2 = ("time_fe_cg1_gauss2", 2)
 
 
 class Formulation(Enum):
@@ -341,7 +339,8 @@ class RunSpec:
     every method steps the coordinate block and carries the momenta by the
     constraint, checking it against ``constraint_tol`` before every step.
     A "reconstruct" run marches exactly as the chart's ``rescaled_tau`` or
-    ``log_t`` run does.
+    ``log_t`` run does.  The one method a formulation refuses is
+    ``variational_midpoint``, which steps only those two canonical charts.
     """
 
     method: Method
@@ -353,7 +352,7 @@ class RunSpec:
     extended_mode: str = "direct4d"
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    constraint_tol: float = 1e-9
+    constraint_tol: float = hamiltonian.DEFAULT_CONSTRAINT_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method(self.method))
@@ -388,16 +387,6 @@ class RunSpec:
                 "variational midpoint steps the 2-d canonical charts only "
                 f"(rescaled_tau or log_t), not {self.formulation.value}"
             )
-        if (
-            self.method is Method.SYMPLECTIC_EULER
-            and self.formulation.dim == 4
-            and self.extended_mode == "direct4d"
-        ):
-            # the partitioned step moves Q + 2JP by dt*J(grad H(Q_n) - grad H(Q_n+1))
-            raise ScenarioError(
-                "symplectic Euler does not keep the momentum constraint of "
-                f"{self.formulation.value}; use extended_mode: reconstruct"
-            )
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ScenarioError(
                 f"dt = {self.dt!r} asks for t_end / dt = {self.t_end / self.dt:.3e} "
@@ -417,11 +406,10 @@ class Trajectory:
     sample (2 or 4 columns depending on the formulation); ``s``, ``i``,
     ``r`` are the compartment fractions recovered from them, and ``h`` the
     conserved energy evaluated with the parameters active at each sample.
+    ``chart`` and ``clock`` are the formulation's.
     """
 
     formulation: Formulation
-    chart: Chart
-    clock: str
     t: np.ndarray
     tau: np.ndarray
     s: np.ndarray
@@ -431,6 +419,14 @@ class Trajectory:
     coords: np.ndarray
     schedule: ParamSchedule
     spec: RunSpec | None = None
+
+    @property
+    def chart(self) -> Chart:
+        return self.formulation.chart
+
+    @property
+    def clock(self) -> str:
+        return self.formulation.clock
 
     @property
     def n_samples(self) -> int:
@@ -723,11 +719,14 @@ def _make_stepper(
 def _lifted(
     coords_step: Callable[[tuple, float], tuple], constraint_tol: float
 ) -> Callable[[tuple, float], tuple]:
-    """A step of an extended state ``(Q, P)``.
+    """A step of an extended state ``(Q, P)``, for every method.
 
     ``coords_step`` steps or solves the canonical coordinate block alone;
     the momenta follow from the linear invariant, ``P_new = P + (1/2) J
     (Q_new - Q)``, so the constraint residual is carried over to rounding.
+    In exact arithmetic that is the method's own 4-d step; for symplectic
+    Euler, the partitioned step grouped ``(q0, P1) | (q1, P0)``, one
+    component of ``C`` per group (Hairer, Lubich & Wanner, §IV.1).
     Each incoming state is checked against the constraint first.
     """
 
@@ -783,11 +782,7 @@ def integrate(
             "in the intrinsic clock support constant parameters only"
         )
 
-    segments = (
-        schedule.segments(spec.t_end)
-        if clock_is_t
-        else [(0.0, spec.t_end, schedule.params[0])]
-    )
+    segments = schedule.segments(spec.t_end)
 
     rec = _RECORDS[form]
     if rec.coords is not None and spec.extended_mode == "reconstruct":
@@ -896,12 +891,8 @@ def _build_trajectory(
     else:
         t_col, tau_col = sec_arr, prim_arr
 
-    beta = np.empty(len(seg_arr))
-    gamma = np.empty(len(seg_arr))
-    for k, (_, _, pars) in enumerate(segments):
-        mask = seg_arr == k
-        beta[mask] = pars.beta
-        gamma[mask] = pars.gamma
+    beta = np.array([pars.beta for _, _, pars in segments])[seg_arr]
+    gamma = np.array([pars.gamma for _, _, pars in segments])[seg_arr]
 
     # a runaway sample may be inf - inf here; the test below reads every value
     with np.errstate(all="ignore"):
@@ -924,8 +915,6 @@ def _build_trajectory(
 
     return Trajectory(
         formulation=form,
-        chart=form.chart,
-        clock=form.clock,
         t=t_col,
         tau=tau_col,
         s=s_col,
@@ -960,6 +949,4 @@ def reconstruct_ordinary_time(traj: Trajectory) -> Trajectory:
         inv = 1.0 / dil
         steps = np.diff(traj.tau) * 0.5 * (inv[1:] + inv[:-1])
         t = np.concatenate(([0.0], np.cumsum(steps)))
-    out = replace(traj)
-    out.t = t
-    return out
+    return replace(traj, t=t)

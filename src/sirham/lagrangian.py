@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 
 from .core import Chart, EpidemicParams
+from .dynamics import log_accel, rescaled_accel
 from .errors import (
     NonFiniteInput,
     NonPositiveCoordinate,
@@ -102,8 +103,7 @@ def el_residual_direct(
     value itself drops out of the stationarity condition.
     """
     _check_finite(i_rate=i_rate, i_accel=i_accel)
-    d = params.beta - i_rate
-    return i_accel + params.r0 * d * d
+    return i_accel - rescaled_accel(i_rate, params)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def el_residual_log(
 ) -> float:
     """Euler-Lagrange residual of the log-chart reduction."""
     _check_finite(i_log=i_log, i_rate=i_rate, i_accel=i_accel)
-    return i_accel + params.beta * math.exp(i_log) * (i_rate + params.gamma)
+    return i_accel - log_accel(i_log, i_rate, params)
 
 
 def legendre_check_minimal(

@@ -55,15 +55,13 @@ def render_curves(
     i: np.ndarray,
     r: np.ndarray,
     h: np.ndarray | None = None,
-    *,
-    include_energy: bool = True,
 ) -> str:
-    """Render compartment curves (and optionally the energy drift) to SVG."""
+    """Render compartment curves, and the energy drift when ``h`` is given, to SVG."""
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise MissingDiagnostic("nothing to plot: no samples")
 
-    with_energy = include_energy and h is not None and len(h) and h[0] != 0.0
+    with_energy = h is not None and len(h) and h[0] != 0.0
     margin_l, margin_r, margin_t, margin_b = 56.0, 16.0, 28.0, 40.0
     gap = 36.0
     usable = _HEIGHT - margin_t - margin_b

@@ -311,15 +311,10 @@ class TestRunCommand:
 
     def test_refused_combination_exits_2(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
-        scenario.write_text(
-            ONE_RUN.replace(
-                "method: rk4, formulation: basic_t",
-                "method: symplectic_euler, formulation: extended_4d_log",
-            )
-        )
+        scenario.write_text(ONE_RUN.replace("method: rk4", "method: variational_midpoint"))
         proc = cli("run", scenario, "--out", tmp_path / "out")
         assert proc.returncode == 2
-        assert "extended_mode: reconstruct" in proc.stderr
+        assert "(rescaled_tau or log_t), not basic_t" in proc.stderr
 
     def test_a_dt_too_small_to_count_exits_2(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
@@ -578,6 +573,24 @@ class TestSweepCommand:
         proc = cli("sweep", scenario, "--grid", "beta=0.2,0.3", "--out", tmp_path / "x")
         assert proc.returncode == 2
         assert "constant schedule" in proc.stderr
+
+    def test_a_sweep_over_dt_needs_a_constant_schedule_too(self, tmp_path):
+        """Each grid point integrates under constant rates, so a switch in
+        the scenario would be dropped without a word."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "init: {s: 0.99, i: 0.01}\n"
+            "schedule:\n"
+            "  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
+            "  - {t: 30.0, beta: 0.15, gamma: 0.1}\n"
+            "run:\n"
+            "  - {method: rk4, formulation: basic_t, dt: 0.1, t_end: 100.0}\n"
+        )
+        out = tmp_path / "x"
+        proc = cli("sweep", scenario, "--grid", "dt=0.1", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: parameter sweeps need a constant schedule\n"
+        assert not out.exists()
 
     def test_all_points_failing_exits_3(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"

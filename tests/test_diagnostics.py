@@ -47,8 +47,6 @@ def synthetic(t, s, i, r, h, coords):
     t = np.asarray(t, dtype=float)
     return Trajectory(
         formulation=Formulation.BASIC_T,
-        chart=Chart.DIRECT,
-        clock="t",
         t=t,
         tau=np.full_like(t, np.nan),
         s=np.asarray(s, dtype=float),

@@ -277,8 +277,9 @@ class TestJacobians:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
             if step is step_symplectic_euler:
-                # RunSpec refuses this method on the 4-d records; call the step
-                # with the record's own rhs and flag
+                # the step itself refuses a 4-d state, which the march lifts
+                # around its separable coordinate block; call the step with
+                # the record's own rhs and flag
                 if rec.coords is not None:
                     with pytest.raises(ScenarioError, match="2-d states only, got 4-d"):
                         step(None, None, y, 0.05, separable=rec.separable)
@@ -706,22 +707,21 @@ def _matrix_cases():
                 )
 
 
-def _refused(method, formulation, mode):
-    if method is Method.VARIATIONAL_MIDPOINT:
-        return formulation not in (Formulation.RESCALED_TAU, Formulation.LOG_T)
-    # symplectic Euler's partitioned step drifts off the extended constraint
-    return method is Method.SYMPLECTIC_EULER and formulation.dim == 4 and mode == "direct4d"
+def _refused(method, formulation):
+    return method is Method.VARIATIONAL_MIDPOINT and formulation not in (
+        Formulation.RESCALED_TAU,
+        Formulation.LOG_T,
+    )
 
 
 @pytest.mark.parametrize("method,formulation,mode", list(_matrix_cases()))
 def test_every_combination_runs_or_is_refused(init, schedule, method, formulation, mode):
     """RunSpec refuses exactly the variational stepper off the two 2-d
-    canonical charts and symplectic Euler on the full extended system;
-    every combination it accepts marches."""
+    canonical charts; every combination it accepts marches."""
     kwargs = dict(
         method=method, formulation=formulation, dt=0.01, t_end=0.05, extended_mode=mode
     )
-    if _refused(method, formulation, mode):
+    if _refused(method, formulation):
         with pytest.raises(ScenarioError):
             RunSpec(**kwargs)
         return
@@ -774,7 +774,7 @@ def test_every_drawn_run_completes_or_names_its_failure(
 def _reconstruct_cases():
     for formulation in (Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG):
         for method in Method:
-            if not _refused(method, formulation, "reconstruct"):
+            if not _refused(method, formulation):
                 yield pytest.param(
                     method, formulation, id=f"{method.value}-{formulation.value}"
                 )
@@ -805,6 +805,23 @@ class TestExtendedModes:
         assert np.array_equal(rebuilt.coords[:, :2], marched.coords)
         momenta = np.column_stack(hamiltonian.consistent_momenta(marched.coords.T))
         assert np.array_equal(rebuilt.coords[:, 2:], momenta)
+
+    @pytest.mark.parametrize(
+        "formulation,dt,t_end",
+        [("extended_4d_direct", 0.01, 2.4), ("extended_4d_log", 0.5, 60.0)],
+    )
+    def test_symplectic_direct4d_is_its_reconstruction(
+        self, init, schedule, formulation, dt, t_end
+    ):
+        """Bit for bit, momenta included: the lifted symplectic Euler step is
+        the partitioned Euler step that keeps the constraint, so the 4-d march
+        never leaves the momenta the reconstruction pins to the coordinates."""
+        kwargs = dict(method="symplectic_euler", formulation=formulation, dt=dt, t_end=t_end)
+        direct = integrate(RunSpec(extended_mode="direct4d", **kwargs), init, schedule)
+        rebuilt = integrate(RunSpec(extended_mode="reconstruct", **kwargs), init, schedule)
+        assert direct.coords.shape == rebuilt.coords.shape == (rebuilt.n_samples, 4)
+        for name in ("t", "tau", "s", "i", "r", "h", "coords"):
+            assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
 
     @pytest.mark.parametrize(
         "method", ["implicit_midpoint", "time_fe_cg1_gauss2", "rk4", "explicit_euler"]
