@@ -70,16 +70,20 @@ def population_conservation(traj: Trajectory, independent_r: bool = False) -> fl
     the recovered fraction is instead re-integrated from its own rate
     equation dR/dt = gamma*I by trapezoidal quadrature over the ordinary
     time column, which turns this into a genuine consistency check of
-    order equal to the quadrature.
+    order equal to the quadrature.  Each interval between samples takes
+    the gamma of the segment that holds its midpoint; switches fall on
+    samples of a march with stride 1, so the quadrature stays second
+    order across them.
     """
     if traj.n_samples == 0:
         return 0.0
     if not independent_r:
         return float(np.max(np.abs(traj.s + traj.i + traj.r - 1.0)))
-    idx = np.searchsorted(traj.schedule.switch_times, traj.t, side="right") - 1
-    gam = np.array([p.gamma for p in traj.schedule.params])[idx]
-    rate = gam * traj.i
-    increments = np.diff(traj.t) * 0.5 * (rate[1:] + rate[:-1])
+    t, i = traj.t, traj.i
+    mid = 0.5 * (t[1:] + t[:-1])
+    idx = np.searchsorted(traj.schedule.switch_times, mid, side="right") - 1
+    g = np.array([p.gamma for p in traj.schedule.params])[idx]
+    increments = np.diff(t) * 0.5 * (g * i[1:] + g * i[:-1])
     r = traj.r[0] + np.concatenate(([0.0], np.cumsum(increments)))
     return float(np.max(np.abs(traj.s + traj.i + r - 1.0)))
 

@@ -45,8 +45,7 @@ The rhs kernels, the chart Hessians of the Jacobians and the step scheme
 are looked up by name once per parameter segment, when
 :func:`_make_stepper` builds that segment's stepper, and are bound into it;
 a wrapper put in their place before :func:`integrate` is called sees every
-step and every stage.  (The variational step, which takes no rhs, looks up
-its rates once per step.)  An explicit stage costs the record's closure and
+step and every stage.  An explicit stage costs the record's closure and
 one flat kernel call.  Every step works on scalar locals, the implicit ones
 building their residual and Jacobian there too, with the arithmetic, in
 the same order, of the zip and tuple bodies the kernel tests keep as their
@@ -87,7 +86,6 @@ from .errors import (
     ScenarioError,
     StepAcrossSingularity,
 )
-from .hamiltonian import _DIRECT_CHART
 
 #: what the package re-exports; the one-step schemes ``step_*`` are
 #: imported from this module by name
@@ -587,11 +585,13 @@ def step_implicit_midpoint(
 
 
 def step_variational_midpoint(
-    coords: tuple,
+    rhs: Rhs,
+    jac: Jac,
+    y: tuple,
     dt: float,
+    *,
     params: EpidemicParams,
     chart: Chart,
-    *,
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> tuple:
@@ -609,32 +609,33 @@ def step_variational_midpoint(
     state is carried.  For this Lagrangian the update coincides with the
     implicit midpoint rule applied to the canonical flow; the test suite
     asserts that coincidence rather than assuming it.
+
+    Steps a 2-d canonical state: ``rhs`` gives the explicit-Euler predictor
+    and ``jac = J Hess`` the Hessian in Newton's Jacobian; the residual
+    reads the Lagrangian gradients, which it looks up at each step.
     """
-    if chart is _DIRECT_CHART:
-        flow, hessian = hamiltonian.hamilton_rhs_direct, hamiltonian.hessian_direct
-    else:
-        flow, hessian = hamiltonian.hamilton_rhs_log, hamiltonian.hessian_log
     gradients = lagrangian.extended_lagrangian_gradients
-    c0, c1 = coords
+    y0, y1 = y
     half = 0.5 * dt
     c = 0.25 * dt
     # the continuous momentum now: the rate block (1/2) J Q of the gradients
-    p0, p1 = 0.5 * c1, -0.5 * c0
+    p0, p1 = 0.5 * y1, -0.5 * y0
 
     def residual(u0: float, u1: float) -> tuple:
         d_mid, d_rate = gradients(
-            (0.5 * (c0 + u0), 0.5 * (c1 + u1)), ((u0 - c0) / dt, (u1 - c1) / dt), params, chart
+            (0.5 * (y0 + u0), 0.5 * (y1 + u1)), ((u0 - y0) / dt, (u1 - y1) / dt), params, chart
         )
         # d/da of L_d(a, b): half a step of the midpoint slot minus the rate slot
         return (p0 + half * d_mid[0] - d_rate[0], p1 + half * d_mid[1] - d_rate[1])
 
     def jacobian(u0: float, u1: float) -> tuple:
-        # the residual is p_now - (1/2) J q_new - (dt/2) grad H(mid)
-        h0, h1 = hessian((0.5 * (c0 + u0), 0.5 * (c1 + u1)), params)
-        return (-c * h0, -0.5, 0.5, -c * h1)
+        # the residual is p_now - (1/2) J q_new - (dt/2) grad H(mid), and
+        # jac(mid) = J Hess = ((0, h1), (-h0, 0))
+        (_, d01), (d10, _) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)))
+        return (c * d10, -0.5, 0.5, -c * d01)
 
-    f0, f1 = flow(coords, params)
-    return _newton(residual, jacobian, c0 + dt * f0, c1 + dt * f1, tol, max_iter)
+    f0, f1 = rhs(y)
+    return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
 
 
 def step_time_fe_cg1(
@@ -697,9 +698,6 @@ def _make_stepper(
     """
     m = spec.method
     kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
-    if m is Method.VARIATIONAL_MIDPOINT:
-        chart = spec.formulation.chart
-        return partial(step_variational_midpoint, params=params, chart=chart, **kw)
     if rec.coords is not None:
         return _lifted(_make_stepper(spec, rec.coords, params), spec.constraint_tol)
     rhs = rec.rhs(params)
@@ -712,6 +710,9 @@ def _make_stepper(
         return partial(step_symplectic_euler, rhs, jac, separable=rec.separable, **kw)
     if m is Method.IMPLICIT_MIDPOINT:
         return partial(step_implicit_midpoint, rhs, jac, **kw)
+    if m is Method.VARIATIONAL_MIDPOINT:
+        chart = spec.formulation.chart
+        return partial(step_variational_midpoint, rhs, jac, params=params, chart=chart, **kw)
     # the last Method, TIME_FE_CG1_GAUSS2: RunSpec coerces every method to one
     return partial(step_time_fe_cg1, rhs, jac, **kw)
 
@@ -739,12 +740,13 @@ def _lifted(
 
 
 def _segment_steps(span: float, dt: float) -> tuple[int, float]:
-    """Number of full dt steps in a segment plus the short closing step."""
+    """Number of steps in a segment and the length of its last: full dt
+    steps, then a short closing step where dt does not divide the span."""
     n_full = int(math.floor(span / dt + 1e-9))
     tail = span - n_full * dt
     if tail <= 1e-9 * dt:
-        tail = 0.0
-    return n_full, tail
+        return n_full, dt
+    return n_full + 1, tail
 
 
 # ---------------------------------------------------------------------------
@@ -801,26 +803,26 @@ def integrate(
         )
 
     dt, stride = spec.dt, spec.sample_stride
-    prim = [0.0]
-    sec_list = [0.0]
-    states = [y]
-    seg_ids = [0]
+    grid = [_segment_steps(b - a, dt) for a, b, _ in segments]
+    n_steps = sum(n for n, _ in grid)
+    # five entries per kept sample, (own clock, other clock, segment, step,
+    # state), kept flat: a tuple per row gives the garbage collector one more
+    # object to track per sample, which slowed a stride-1 march measurably
+    samples = [0.0, 0.0, 0, 0, y]
     sec = 0.0
     step_no = 0
-    last_kept = 0
-
     t_now = 0.0
     try:
-        for seg_id, (a, b, pars) in enumerate(segments):
+        for seg_id, ((a, b, pars), (n, h_last)) in enumerate(zip(segments, grid)):
             if seg_id > 0:
                 # the boundary sample keeps the outgoing segment's representation;
                 # only the state marched onward is re-expressed
                 y = rec.remap(y, segments[seg_id - 1][2], pars)
             stepper = _make_stepper(spec, rec, pars)
             dil_prev = dilation(y, pars)
-            n_full, tail = _segment_steps(b - a, dt)
-            for k in range(n_full + (1 if tail else 0)):
-                h = dt if k < n_full else tail
+            n_last = n - 1
+            for k in range(n):
+                h = h_last if k == n_last else dt
                 y = stepper(y, h)
                 # before the clock moves on, so that a failure names the step's start
                 dil_now = dilation(y, pars)
@@ -834,16 +836,10 @@ def integrate(
                         )
                     sec += 0.5 * h * (1.0 / dil_prev + 1.0 / dil_now)
                 dil_prev = dil_now
-                t_now = a + (k + 1) * dt if k < n_full else b
-                if k == n_full - 1 and not tail:
-                    t_now = b
+                t_now = b if k == n_last else a + (k + 1) * dt
                 step_no += 1
-                if step_no % stride == 0:
-                    prim.append(t_now)
-                    sec_list.append(sec)
-                    states.append(y)
-                    seg_ids.append(seg_id)
-                    last_kept = step_no
+                if step_no % stride == 0 or step_no == n_steps:
+                    samples += (t_now, sec, seg_id, step_no, y)
     except (NewtonDivergence, RhsDomainError, ConstraintViolation, StepAcrossSingularity) as exc:
         raise type(exc)(f"step {step_no + 1} from clock {t_now:.6g}: {exc}") from exc
     except OverflowError as exc:
@@ -851,26 +847,18 @@ def integrate(
         raise NonFiniteInput(
             f"step {step_no + 1} from clock {t_now:.6g}: a value overflowed ({exc})"
         ) from exc
-    if last_kept != step_no:  # always keep the final state
-        prim.append(spec.t_end)
-        sec_list.append(sec)
-        states.append(y)
-        seg_ids.append(len(segments) - 1)
 
-    return _build_trajectory(spec, schedule, segments, prim, sec_list, states, seg_ids, step_no)
+    return _build_trajectory(spec, schedule, segments, samples)
 
 
 def _build_trajectory(
     spec: RunSpec,
     schedule: ParamSchedule,
     segments: Sequence[tuple[float, float, EpidemicParams]],
-    prim: list[float],
-    sec: list[float],
-    states: list[tuple],
-    seg_ids: list[int],
-    n_steps: int,
+    samples: list,
 ) -> Trajectory:
-    """Sampled columns of a finished march.
+    """Sampled columns of a finished march, from its flat list of rows
+    ``own clock, other clock, segment, step, state``.
 
     Refuses, with :class:`InvalidFractions`, a trajectory whose fractions
     leave [0, 1] by more than ``FRACTION_TOL`` or are not finite, and with
@@ -879,6 +867,7 @@ def _build_trajectory(
     and clock value.
     """
     form = spec.formulation
+    prim, sec, seg_ids, steps, states = (samples[j::5] for j in range(5))
     coords = np.asarray(states, dtype=float)
     if coords.shape[1] < form.dim:
         # a reconstruct run marched the coordinate block alone
@@ -904,7 +893,7 @@ def _build_trajectory(
     bad = np.flatnonzero(~inside.all(axis=0) | (s_col <= 0.0))
     if bad.size:
         k = bad[0]
-        where = f"step {min(k * spec.sample_stride, n_steps)} at clock {prim[k]:.6g}"
+        where = f"step {steps[k]} at clock {prim[k]:.6g}"
         if not inside[:, k].all():
             raise InvalidFractions(
                 f"{where}: S = {s_col[k]:.6g}, I = {i_col[k]:.6g}, "

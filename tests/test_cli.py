@@ -468,6 +468,19 @@ class TestCheckCommand:
         # two conservation lines per run plus the cross-run agreement line
         assert sum("PASS" in line for line in proc.stdout.splitlines()) == 5
 
+    def test_an_extended_run_is_graded_on_its_constraint(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(TWO_RUNS.replace("log_t, dt", "extended_4d_log, dt"))
+        proc = cli("check", scenario)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        (line,) = [x for x in lines if x.startswith("constraint ")]
+        assert line.split()[:3] == ["constraint", "log", "0.00000e+00"]
+        assert line.endswith("PASS")
+        # the two runs' conservation lines, the constraint and the agreement
+        assert sum(x.endswith("PASS") for x in lines) == 6
+        assert lines[-1] == "all checks passed"
+
     def test_unreachable_tolerance_fails_with_1(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(TWO_RUNS + "tolerances: {equivalence: 1.0e-16}\n")

@@ -103,6 +103,23 @@ class TestPopulationConservation:
         # mean the check is not independent at all
         assert 1e-12 < residual < 1e-5
 
+    def test_requadrature_is_second_order_across_a_switch(self):
+        """Each trapezoid takes the gamma of the segment around it; the
+        interval ending at the switch sample read the incoming gamma once,
+        which made the residual halve, not quarter, with dt."""
+        schedule = ParamSchedule(
+            switch_times=(0.0, 30.0), params=(P, EpidemicParams(beta=0.3, gamma=0.25))
+        )
+        residuals = [
+            population_conservation(
+                integrate(RunSpec("rk4", "log_t", dt=dt, t_end=60.0), INIT, schedule),
+                independent_r=True,
+            )
+            for dt in (0.1, 0.05, 0.025, 0.0125)
+        ]
+        ratios = [a / b for a, b in zip(residuals, residuals[1:])]
+        assert min(ratios) >= 3.5, ratios
+
     def test_empty_trajectory_is_vacuously_conserved(self):
         traj = synthetic([], [], [], [], [], np.zeros((0, 2)))
         assert population_conservation(traj) == 0.0
@@ -174,6 +191,20 @@ class TestConservationReport:
         spec = RunSpec("rk4", "extended_4d_log", dt=0.05, t_end=5.0)
         report = conservation_report(integrate(spec, INIT, SCHEDULE))
         assert report.max_constraint_norm == 0.0
+
+    def test_a_segment_without_samples_reads_zero(self):
+        # at stride 8 no kept step lands in [30, 30.05], one step long:
+        # steps 296 and 304 fall at t = 29.6 and 30.35
+        schedule = ParamSchedule(
+            switch_times=(0.0, 30.0, 30.05),
+            params=(P, EpidemicParams(0.15, 0.1), P),
+        )
+        spec = RunSpec("rk4", "log_t", dt=0.1, t_end=60.0, sample_stride=8)
+        traj = integrate(spec, INIT, schedule)
+        assert not np.any((traj.t > 29.6) & (traj.t < 30.35))
+        drifts = conservation_report(traj).per_segment_rel_h_drift
+        assert drifts[1] == 0.0
+        assert 0.0 < drifts[0] < 1e-9 and 0.0 < drifts[2] < 1e-9
 
     def test_empty_trajectory_is_rejected(self):
         traj = synthetic([], [], [], [], [], np.zeros((0, 2)))

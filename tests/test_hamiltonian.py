@@ -125,6 +125,19 @@ class TestExtendedSpace:
             coords, params
         )
 
+    def test_extended_energy_on_the_log_chart(self, params):
+        coords = (math.log(0.01), math.log(0.99))
+        good = consistent_momenta(coords)
+        point = ExtendedPhasePoint(coords, good, Chart.LOGARITHMIC)
+        lam = dirac_multiplier(coords, params, Chart.LOGARITHMIC)
+        on = extended_hamiltonian(point, lam, params)
+        assert on == hamiltonian_log(coords, params)
+        assert on == pytest.approx(H0, abs=1e-15)
+        # off the manifold the multiplier weighs the constraint residual
+        off = ExtendedPhasePoint(coords, (good[0] + 0.1, good[1]), Chart.LOGARITHMIC)
+        c = dirac_constraint(off)
+        assert extended_hamiltonian(off, (1.0, 2.0), params) == on + c[0] + 2.0 * c[1]
+
     def test_extended_energy_sees_the_violation(self, params):
         coords = (0.01, 0.99)
         good = consistent_momenta(coords)

@@ -103,7 +103,9 @@ class TestSteppers:
         assert y1[1] == pytest.approx(-0.01020033585350144118355, abs=1e-15)
 
     def test_variational_equals_implicit_midpoint(self):
-        a = step_variational_midpoint(LOG_START, 0.05, P, Chart.LOGARITHMIC)
+        a = step_variational_midpoint(
+            log_rhs, log_jac, LOG_START, 0.05, params=P, chart=Chart.LOGARITHMIC
+        )
         b = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
 
@@ -111,6 +113,17 @@ class TestSteppers:
         forward = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
         back = step_implicit_midpoint(log_rhs, log_jac, forward, -0.05, tol=1e-14)
         assert max(abs(x - y) for x, y in zip(back, LOG_START)) <= 1e-13
+
+    def test_newton_accepts_a_solution_found_on_its_last_iteration(self):
+        # on a linear rhs one exact update solves the midpoint equation, so a
+        # single allowed iteration suffices; the step is the Cayley map
+        h = 0.1
+        y1 = step_implicit_midpoint(
+            rotation, lambda z: ((0.0, 1.0), (-1.0, 0.0)), (1.0, 0.0), h, max_iter=1
+        )
+        d = 1.0 + h * h / 4.0
+        assert y1[0] == pytest.approx((1.0 - h * h / 4.0) / d, abs=1e-15)
+        assert y1[1] == pytest.approx(-h / d, abs=1e-15)
 
     def test_newton_reports_exhaustion(self):
         # an unreachable tolerance forces the iteration cap
@@ -310,9 +323,17 @@ class TestJacobians:
         formulation = Formulation.RESCALED_TAU if chart is Chart.DIRECT else Formulation.LOG_T
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
-            y = _RECORDS[formulation].start(i0, s0, params)
+            rec = _RECORDS[formulation]
+            y = rec.start(i0, s0, params)
             (residual, jacobian, u, width), = self.newton_systems(
-                monkeypatch, step_variational_midpoint, y, 0.05, params, chart
+                monkeypatch,
+                step_variational_midpoint,
+                rec.rhs(params),
+                rec.jac(params),
+                y,
+                0.05,
+                params=params,
+                chart=chart,
             )
             assert width == 2
             assert_jacobian_matches(jacobian, residual, u)
@@ -489,6 +510,25 @@ class TestIntegrate:
         traj = integrate(spec, init, schedule)
         # steps 0 and 7 pass the stride filter, step 10 is the forced tail
         assert list(traj.t) == pytest.approx([0.0, 0.7, 1.0])
+
+    @pytest.mark.parametrize("formulation", ["log_t", "single_ode_log"])
+    def test_the_final_sample_does_not_depend_on_the_stride(self, init, formulation):
+        # a switch 1e-11 before t_end leaves a closing segment of no steps:
+        # the final sample is the last step's state, in its own segment
+        sched = ParamSchedule(
+            switch_times=(0.0, 50.0),
+            params=(EpidemicParams(0.3, 0.1), EpidemicParams(0.15, 0.1)),
+        )
+        last = []
+        for stride in (1, 7):
+            spec = RunSpec(
+                method="rk4", formulation=formulation, dt=0.1, t_end=50.0 + 1e-11,
+                sample_stride=stride,
+            )
+            traj = integrate(spec, init, sched)
+            last.append((traj.t[-1], traj.tau[-1], traj.h[-1], *traj.coords[-1]))
+        assert last[0] == last[1]
+        assert last[0][0] == 50.0
 
     @pytest.mark.parametrize(
         "formulation",
@@ -933,6 +973,19 @@ class TestExtendedModes:
 
 
 class TestReconstructOrdinaryTime:
+    def test_a_single_sample_starts_the_clock_at_zero(self, init, schedule):
+        spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.1, t_end=0.0)
+        traj = integrate(spec, init, schedule)
+        assert traj.n_samples == 1
+        assert reconstruct_ordinary_time(traj).t.tolist() == [0.0]
+
+    def test_a_sample_below_the_floor_is_refused(self, init, schedule):
+        spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.1, t_end=1.0)
+        traj = integrate(spec, init, schedule)
+        traj.i[-1] = 1e-15
+        with pytest.raises(StepAcrossSingularity, match=r"^S\*I reaches 6\.9\d\de-16; "):
+            reconstruct_ordinary_time(traj)
+
     def test_needs_a_rescaled_clock(self, init, schedule):
         spec = RunSpec(method="rk4", formulation="log_t", dt=0.1, t_end=1.0)
         traj = integrate(spec, init, schedule)

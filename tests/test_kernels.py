@@ -592,11 +592,22 @@ def symplectic(args, **kwargs):
 
 
 def variational(dt, **kwargs):
-    args = (LOG_START, dt, P, Chart.LOGARITHMIC)
+    """The step takes the record's rhs and Jacobian, built here so that they
+    see a kernel patched before the call; its reference looks them up."""
+    chart = Chart.LOGARITHMIC
     return [
         (
-            partial(step_variational_midpoint, *args, **kwargs),
-            partial(ref_step_variational_midpoint, *args, **kwargs),
+            partial(
+                step_variational_midpoint,
+                LOG.rhs(P),
+                LOG.jac(P),
+                LOG_START,
+                dt,
+                params=P,
+                chart=chart,
+                **kwargs,
+            ),
+            partial(ref_step_variational_midpoint, LOG_START, dt, P, chart, **kwargs),
         )
     ]
 
