@@ -28,12 +28,7 @@ import numpy as np
 
 from .core import Chart, EpidemicParams, recovered_from
 from .errors import MissingDiagnostic, NoEpidemic, ScenarioError
-from .hamiltonian import (
-    gradient_direct,
-    gradient_log,
-    hamiltonian_direct,
-    hamiltonian_log,
-)
+from .hamiltonian import _chart_energy, _constraint_residual
 from .integrators import Trajectory
 
 __all__ = [
@@ -71,9 +66,9 @@ def population_conservation(traj: Trajectory, independent_r: bool = False) -> fl
     equation dR/dt = gamma*I by trapezoidal quadrature over the ordinary
     time column, which turns this into a genuine consistency check of
     order equal to the quadrature.  Each interval between samples takes
-    the gamma of the segment that holds its midpoint; switches fall on
-    samples of a march with stride 1, so the quadrature stays second
-    order across them.
+    the gamma of the segment that holds its midpoint; the march keeps a
+    sample at every switch, so the quadrature stays second order across
+    them.
     """
     if traj.n_samples == 0:
         return 0.0
@@ -92,10 +87,7 @@ def constraint_drift(traj: Trajectory) -> float:
     """Sup-norm of the momentum constraint C = Q + 2 J P over the samples."""
     if traj.coords.ndim != 2 or traj.coords.shape[1] != 4:
         raise MissingDiagnostic("trajectory carries no momentum block")
-    q0, q1, p0, p1 = traj.coords.T
-    c0 = q0 + 2.0 * p1
-    c1 = q1 - 2.0 * p0
-    return float(np.max(np.abs((c0, c1))))
+    return float(np.max(np.abs(_constraint_residual(*traj.coords.T))))
 
 
 @dataclass(frozen=True)
@@ -239,13 +231,7 @@ def fd_gradient_check(
     is smaller than 1e-6 in magnitude; the returned value is the maximum
     score over all points and components.
     """
-    if chart is Chart.DIRECT:
-        energy, grad = hamiltonian_direct, gradient_direct
-    elif chart is Chart.LOGARITHMIC:
-        energy, grad = hamiltonian_log, gradient_log
-    else:
-        raise ScenarioError(f"unknown chart {chart!r}")
-
+    energy, grad = _chart_energy(chart)
     if points is None:
         rng = np.random.default_rng(seed)
         lo, hi = _SAMPLING_BOX

@@ -41,6 +41,7 @@ from .errors import (
     NonFiniteInput,
     NonPositiveCoordinate,
     RhsDomainError,
+    ScenarioError,
     SingularDenominator,
 )
 
@@ -65,6 +66,7 @@ DEFAULT_CONSTRAINT_TOL = 1e-9
 
 #: looking a member up on its Enum class costs a descriptor call per stage
 _DIRECT_CHART = Chart.DIRECT
+_LOG_CHART = Chart.LOGARITHMIC
 
 
 def _domain_error(z: tuple[float, float]) -> RhsDomainError:
@@ -176,6 +178,19 @@ def hamilton_rhs_log(
     return (beta * math.exp(ls) - params.gamma, -beta * math.exp(li))
 
 
+def _chart_energy(chart: Chart) -> tuple:
+    """The energy of ``chart`` and its gradient, ``(hamiltonian_*, gradient_*)``.
+
+    The one place a chart picks its pair; any value that is not a
+    :class:`Chart` member is refused.
+    """
+    if chart is _DIRECT_CHART:
+        return hamiltonian_direct, gradient_direct
+    if chart is _LOG_CHART:
+        return hamiltonian_log, gradient_log
+    raise ScenarioError(f"unknown chart {chart!r}")
+
+
 # ---------------------------------------------------------------------------
 # extended phase space
 
@@ -188,18 +203,21 @@ def consistent_momenta(coords: tuple[float, float]) -> tuple[float, float]:
     return (0.5 * jq[0], 0.5 * jq[1])
 
 
+def _constraint_residual(q0, q1, p0, p1) -> tuple:
+    """``C = Q + 2 J P`` from its four components, floats or sample columns."""
+    return (q0 + 2.0 * p1, q1 - 2.0 * p0)
+
+
 def dirac_constraint(point: ExtendedPhasePoint) -> tuple[float, float]:
     """Constraint residual ``C = Q + 2 J P``; zero on the physical manifold."""
-    q = point.coords
-    jp = apply_J(point.momenta)
-    return (q[0] + 2.0 * jp[0], q[1] + 2.0 * jp[1])
+    return _constraint_residual(*point.coords, *point.momenta)
 
 
 def dirac_multiplier(
     coords: tuple[float, float], params: EpidemicParams, chart: Chart
 ) -> tuple[float, float]:
     """Multiplier enforcing the constraint, ``-(1/2) grad H`` at the point."""
-    g = (gradient_direct if chart is _DIRECT_CHART else gradient_log)(coords, params)
+    g = _chart_energy(chart)[1](coords, params)
     return (-0.5 * g[0], -0.5 * g[1])
 
 
@@ -213,10 +231,7 @@ def extended_hamiltonian(
     On the constraint manifold the second term vanishes and the value
     reduces to the chart energy.
     """
-    if point.chart is Chart.DIRECT:
-        h = hamiltonian_direct(point.coords, params)
-    else:
-        h = hamiltonian_log(point.coords, params)
+    h = _chart_energy(point.chart)[0](point.coords, params)
     c = dirac_constraint(point)
     return h + multiplier[0] * c[0] + multiplier[1] * c[1]
 
@@ -246,7 +261,7 @@ def _extended_rates(
     :func:`extended_rhs`: the constraint test of :func:`_check_constraint`,
     then ``J grad H`` and ``-(1/2) grad H`` from the chart gradient."""
     _check_constraint(y, constraint_tol)
-    g0, g1 = (gradient_direct if chart is _DIRECT_CHART else gradient_log)((y[0], y[1]), params)
+    g0, g1 = _chart_energy(chart)[1]((y[0], y[1]), params)
     return (g1, -g0, -0.5 * g0, -0.5 * g1)
 
 

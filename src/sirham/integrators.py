@@ -329,8 +329,9 @@ class RunSpec:
 
     ``dt`` and ``t_end`` are measured in the formulation's own clock
     (ordinary time or the intrinsic epidemic clock).  ``sample_stride``
-    keeps every n-th step in the trajectory; clock accumulation still uses
-    every step, and the final state is always kept.  ``extended_mode``
+    keeps every n-th step in the trajectory, and the last step of every
+    parameter segment, the run's final state among them, is always kept;
+    clock accumulation still uses every step.  ``extended_mode``
     selects, for the 4-d formulations, between marching the full system
     ("direct4d") and marching the closed coordinate block with momenta
     rebuilt from the constraint afterwards ("reconstruct").  On "direct4d"
@@ -739,6 +740,16 @@ def _lifted(
     return step
 
 
+def _check_schedule(spec: RunSpec, schedule: ParamSchedule) -> None:
+    """Refuse switches for a run in the intrinsic clock: switch times are
+    ordinary-time quantities."""
+    if spec.formulation.clock == "tau" and not schedule.is_constant:
+        raise ScenarioError(
+            "rescaled-clock formulations do not support parameter switches "
+            "scheduled in ordinary time"
+        )
+
+
 def _segment_steps(span: float, dt: float) -> tuple[int, float]:
     """Number of steps in a segment and the length of its last: full dt
     steps, then a short closing step where dt does not divide the span."""
@@ -767,7 +778,7 @@ def integrate(
     start keeps its type and names the initial state.  A Newton, domain,
     constraint or singularity failure inside the march keeps its type and
     names the step and the clock it started from; an overflow becomes
-    NonFiniteInput.
+    NonFiniteInput.  Every switch is a kept sample, whatever the stride.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -778,12 +789,7 @@ def integrate(
 
     form = spec.formulation
     clock_is_t = form.clock == "t"
-    if not clock_is_t and not schedule.is_constant:
-        raise ScenarioError(
-            "parameter switches are specified in ordinary time; formulations "
-            "in the intrinsic clock support constant parameters only"
-        )
-
+    _check_schedule(spec, schedule)
     segments = schedule.segments(spec.t_end)
 
     rec = _RECORDS[form]
@@ -804,7 +810,6 @@ def integrate(
 
     dt, stride = spec.dt, spec.sample_stride
     grid = [_segment_steps(b - a, dt) for a, b, _ in segments]
-    n_steps = sum(n for n, _ in grid)
     # five entries per kept sample, (own clock, other clock, segment, step,
     # state), kept flat: a tuple per row gives the garbage collector one more
     # object to track per sample, which slowed a stride-1 march measurably
@@ -838,7 +843,7 @@ def integrate(
                 dil_prev = dil_now
                 t_now = b if k == n_last else a + (k + 1) * dt
                 step_no += 1
-                if step_no % stride == 0 or step_no == n_steps:
+                if step_no % stride == 0 or k == n_last:
                     samples += (t_now, sec, seg_id, step_no, y)
     except (NewtonDivergence, RhsDomainError, ConstraintViolation, StepAcrossSingularity) as exc:
         raise type(exc)(f"step {step_no + 1} from clock {t_now:.6g}: {exc}") from exc

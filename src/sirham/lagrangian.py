@@ -37,7 +37,7 @@ from .errors import (
     OutsideLegendreDomain,
     ScenarioError,
 )
-from .hamiltonian import _DIRECT_CHART, _domain_error, hamiltonian_direct, hamiltonian_log
+from .hamiltonian import _DIRECT_CHART, _LOG_CHART, _chart_energy, _domain_error
 
 __all__ = [
     "el_residual_direct",
@@ -134,12 +134,8 @@ def lagrangian_minimal_log(
     tests verify by finite differences.
     """
     _check_finite(i_log=i_log)
-    if i_rate <= -params.gamma:
-        raise OutsideLegendreDomain(
-            f"rate must satisfy rate > -gamma = {-params.gamma}, got {i_rate}"
-        )
-    w = i_rate + params.gamma
-    return -params.beta * math.exp(i_log) - w * (1.0 - math.log(w / params.beta))
+    s_log = momentum_from_rate_log(i_rate, params)
+    return -params.beta * math.exp(i_log) - (i_rate + params.gamma) * (1.0 - s_log)
 
 
 def el_residual_log(
@@ -178,13 +174,7 @@ def lagrangian_extended(
     r0, r1 = rates
     _check_finite(q0=q0, q1=q1, r0=r0, r1=r1)
     skew = 0.5 * (q1 * r0 - q0 * r1)
-    if chart is Chart.DIRECT:
-        h = hamiltonian_direct(coords, params)
-    elif chart is Chart.LOGARITHMIC:
-        h = hamiltonian_log(coords, params)
-    else:
-        raise ScenarioError(f"unknown chart {chart!r}")
-    return skew - h
+    return skew - _chart_energy(chart)[0](coords, params)
 
 
 def extended_lagrangian_gradients(
@@ -199,7 +189,7 @@ def extended_lagrangian_gradients(
     Lagrangian is degenerate, and this pair of gradients is all the
     discrete variational scheme needs.  The variational step calls this
     once per Newton residual, so the chart gradient, with the tests of
-    ``gradient_*``, is computed here in one frame.
+    ``gradient_*``, is computed here in one frame rather than looked up.
     """
     q0, q1 = coords
     r0, r1 = rates
@@ -208,9 +198,11 @@ def extended_lagrangian_gradients(
         if not (math.isfinite(q0) and math.isfinite(q1) and q1 > 0.0):
             raise _domain_error(coords)
         g0, g1 = beta, beta - params.gamma / q1
-    else:
+    elif chart is _LOG_CHART:
         if not (math.isfinite(q0) and math.isfinite(q1)):
             raise _domain_error(coords)
         g0, g1 = beta * math.exp(q0), beta * math.exp(q1) - params.gamma
+    else:
+        raise ScenarioError(f"unknown chart {chart!r}")
     # d/dQ of the skew term is (1/2) J^T dQ = -(1/2) J dQ, and J (a, b) = (b, -a)
     return (-0.5 * r1 - g0, 0.5 * r0 - g1), (0.5 * q1, -0.5 * q0)

@@ -28,7 +28,7 @@ from .core import (
     recovered_from,
 )
 from .errors import ScenarioError
-from .integrators import RunSpec
+from .integrators import RunSpec, _check_schedule
 
 __all__ = [
     "Scenario",
@@ -141,13 +141,8 @@ def parse_scenario(document: Any) -> Scenario:
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
         raise ScenarioError(f"duplicate run label(s): {', '.join(dupes)}")
-    if not schedule.is_constant:
-        for k, spec in enumerate(runs):
-            if spec.formulation.clock == "tau":
-                raise ScenarioError(
-                    f"run[{k}] ({spec.name}): rescaled-clock formulations do "
-                    "not support parameter switches scheduled in ordinary time"
-                )
+    for k, spec in enumerate(runs):
+        _construct(f"run[{k}] ({spec.name})", _check_schedule, spec, schedule)
 
     tolerances = _build("tolerances", Tolerances, doc.get("tolerances", {}))
     return Scenario(init=init, schedule=schedule, runs=runs, tolerances=tolerances)

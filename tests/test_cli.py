@@ -16,12 +16,14 @@ import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import sirham.cli as cli_module
 from sirham import (
     CompartmentState,
     EpidemicParams,
+    MissingDiagnostic,
     ParamSchedule,
     ScenarioError,
     final_size_oracle,
@@ -29,6 +31,7 @@ from sirham import (
 )
 from sirham.cli import CSV_HEADER, _parse_grid, trajectory_csv
 from sirham.integrators import Formulation, Method, RunSpec, integrate
+from sirham.plotting import render_curves
 from sirham.scenario import Tolerances, load_scenario
 
 TWO_RUNS = """\
@@ -148,6 +151,24 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="rescaled-clock"):
             parse_scenario(doc)
 
+    def test_the_parser_and_the_march_refuse_switches_alike(self, init):
+        doc = minimal_doc()
+        doc["schedule"].append({"t": 5.0, "beta": 0.2, "gamma": 0.1})
+        doc["run"][0]["formulation"] = "single_ode_direct"
+        with pytest.raises(ScenarioError) as parsed:
+            parse_scenario(doc)
+        schedule = ParamSchedule(
+            (0.0, 5.0), (EpidemicParams(0.3, 0.1), EpidemicParams(0.2, 0.1))
+        )
+        spec = RunSpec(**doc["run"][0])
+        with pytest.raises(ScenarioError) as marched:
+            integrate(spec, init, schedule)
+        assert str(parsed.value) == f"run[0] (single_ode_direct-rk4): {marched.value}"
+        assert str(marched.value) == (
+            "rescaled-clock formulations do not support parameter switches "
+            "scheduled in ordinary time"
+        )
+
     def test_partial_tolerance_override(self):
         doc = minimal_doc()
         doc["tolerances"] = {"equivalence": 1e-6}
@@ -198,6 +219,21 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=r"^run\[0\]: sample_stride must be >= 1"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "section, node, match",
+        [
+            ("init", [0.99, 0.01], r"^init must be a mapping, got list$"),
+            ("init", {"s": 0.99}, r"^init is missing required key 'i'$"),
+            ("schedule", [], r"^schedule must be a non-empty list$"),
+            ("run", {"method": "rk4"}, r"^run must be a non-empty list$"),
+        ],
+    )
+    def test_a_malformed_section_is_refused(self, section, node, match):
+        doc = minimal_doc()
+        doc[section] = node
+        with pytest.raises(ScenarioError, match=match):
+            parse_scenario(doc)
+
     def test_bad_run_values_become_scenario_errors(self):
         doc = minimal_doc()
         doc["run"][0]["dt"] = -0.1
@@ -243,6 +279,17 @@ class TestGridParsing:
     def test_empty_grid(self):
         with pytest.raises(ScenarioError, match="empty sweep grid"):
             _parse_grid("  ")
+
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            ("beta", r"^grid axis 'beta' is not of the form key=v1,v2$"),
+            ("dt=0.1;beta=, ", r"^grid axis 'beta' has no values$"),
+        ],
+    )
+    def test_a_malformed_axis_is_refused(self, grid, match):
+        with pytest.raises(ScenarioError, match=match):
+            _parse_grid(grid)
 
 
 class TestRunCommand:
@@ -717,6 +764,11 @@ class TestPlotCommand:
         proc = cli("plot", short, "--out", target)
         assert proc.returncode == 0, proc.stderr
         assert "<circle" in target.read_text()
+
+    def test_nothing_to_render_is_refused(self):
+        empty = np.zeros(0)
+        with pytest.raises(MissingDiagnostic, match=r"^nothing to plot: no samples$"):
+            render_curves(empty, empty, empty, empty)
 
     def test_header_only_exits_2(self, tmp_path):
         csv = tmp_path / "empty.csv"

@@ -8,6 +8,7 @@ from sirham import (
     Chart,
     CompartmentState,
     EpidemicParams,
+    ExtendedPhasePoint,
     InvalidFractions,
     NonFiniteInput,
     NonPositiveCoordinate,
@@ -174,6 +175,28 @@ class TestChartMaps:
             to_log(log_point)
         with pytest.raises(ScenarioError):
             from_log(PhasePoint2(0.01, 0.99, Chart.DIRECT))
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (
+                lambda: PhasePoint2(0.01, 0.99, "direct"),
+                r"^chart must be a Chart member, got 'direct'$",
+            ),
+            (
+                lambda: ExtendedPhasePoint((0.01, 0.99), (0.495,), Chart.DIRECT),
+                r"^extended point needs 2 coordinates and 2 momenta$",
+            ),
+            (
+                lambda: ExtendedPhasePoint((0.01, 0.99), (0.495, -0.005), None),
+                r"^chart must be a Chart member, got None$",
+            ),
+        ],
+        ids=["point-chart", "extended-shape", "extended-chart"],
+    )
+    def test_phase_points_refuse_a_bad_shape_or_chart(self, build, match):
+        with pytest.raises(ScenarioError, match=match):
+            build()
 
     def test_known_values(self):
         point = to_log(PhasePoint2(0.01, 0.99, Chart.DIRECT))

@@ -1,6 +1,7 @@
 """Monitors, analytic oracles, and the cross-formulation comparator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ INIT = CompartmentState(s=0.99, i=0.01, r=0.0)
 S_INF = 0.058797364796777923496
 # closed-form infectious peak for the same start
 I_PEAK = 0.30381268239513058326
+
+# a one-step middle segment: dt = 0.1 puts steps 300 and 301 at t = 30
+# and 30.05, and no multiple of 7 or 8 on either
+SHORT_SEGMENT = ParamSchedule(
+    switch_times=(0.0, 30.0, 30.05),
+    params=(P, EpidemicParams(0.15, 0.1), P),
+)
+SHORT_SEGMENT_RUN = RunSpec("rk4", "log_t", dt=0.1, t_end=60.0, sample_stride=8)
 
 
 def synthetic(t, s, i, r, h, coords):
@@ -193,17 +202,30 @@ class TestConservationReport:
         assert report.max_constraint_norm == 0.0
 
     def test_a_segment_without_samples_reads_zero(self):
-        # at stride 8 no kept step lands in [30, 30.05], one step long:
-        # steps 296 and 304 fall at t = 29.6 and 30.35
-        schedule = ParamSchedule(
-            switch_times=(0.0, 30.0, 30.05),
-            params=(P, EpidemicParams(0.15, 0.1), P),
+        # the march keeps both ends of [30, 30.05], so the empty segment is
+        # made by hand: the run's samples with t in (29.6, 30.35) dropped
+        traj = integrate(SHORT_SEGMENT_RUN, INIT, SHORT_SEGMENT)
+        keep = (traj.t <= 29.6) | (traj.t >= 30.35)
+        unsampled = replace(
+            traj, **{c: getattr(traj, c)[keep] for c in ("t", "tau", "s", "i", "r", "h", "coords")}
         )
-        spec = RunSpec("rk4", "log_t", dt=0.1, t_end=60.0, sample_stride=8)
-        traj = integrate(spec, INIT, schedule)
-        assert not np.any((traj.t > 29.6) & (traj.t < 30.35))
-        drifts = conservation_report(traj).per_segment_rel_h_drift
+        assert not np.any((unsampled.t >= 30.0) & (unsampled.t <= 30.05))
+        drifts = conservation_report(unsampled).per_segment_rel_h_drift
         assert drifts[1] == 0.0
+        assert 0.0 < drifts[0] < 1e-9 and 0.0 < drifts[2] < 1e-9
+
+    @pytest.mark.parametrize("stride", [7, 8])
+    def test_a_one_step_segment_is_graded_at_any_stride(self, stride):
+        # [30, 30.05] is one step long; its two ends are kept samples, and
+        # its drift is theirs under the segment's own rates
+        traj = integrate(replace(SHORT_SEGMENT_RUN, sample_stride=stride), INIT, SHORT_SEGMENT)
+        ends = np.flatnonzero((traj.t >= 30.0) & (traj.t <= 30.05))
+        assert traj.t[ends].tolist() == [30.0, 30.05]
+        pars = SHORT_SEGMENT.params[1]
+        s, i = traj.s[ends], traj.i[ends]
+        h = pars.beta * (i + s) - pars.gamma * np.log(s)
+        drifts = conservation_report(traj).per_segment_rel_h_drift
+        assert drifts[1] == abs(h[1] - h[0]) / abs(h[0])
         assert 0.0 < drifts[0] < 1e-9 and 0.0 < drifts[2] < 1e-9
 
     def test_empty_trajectory_is_rejected(self):

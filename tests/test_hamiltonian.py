@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -9,19 +10,25 @@ from sirham import (
     ConstraintViolation,
     EpidemicParams,
     ExtendedPhasePoint,
+    NonFiniteInput,
     NonPositiveCoordinate,
+    ScenarioError,
     apply_J,
     consistent_momenta,
     dirac_constraint,
     dirac_multiplier,
     extended_hamiltonian,
+    extended_lagrangian_gradients,
     extended_rhs,
+    fd_gradient_check,
     gradient_direct,
     gradient_log,
     hamilton_rhs_direct,
     hamilton_rhs_log,
     hamiltonian_direct,
     hamiltonian_log,
+    lagrangian_extended,
+    legendre_check_minimal,
 )
 from sirham.hamiltonian import _extended_rates
 
@@ -31,6 +38,34 @@ fraction = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False)
 #: conserved energy of the reference initial state (0.01, 0.99), computed
 #: independently with 50-digit arithmetic and frozen here
 H0 = 0.30100503358535014412
+
+
+#: every reader of a chart argument, called at a point valid in both charts
+CHART_READERS = {
+    "dirac_multiplier": lambda chart: dirac_multiplier((0.1, 0.5), P, chart),
+    "_extended_rates": lambda chart: _extended_rates((0.1, 0.5, 0.25, -0.05), P, chart, 1e-9),
+    "extended_lagrangian_gradients": lambda chart: extended_lagrangian_gradients(
+        (0.1, 0.5), (0.0, 0.0), P, chart
+    ),
+    "lagrangian_extended": lambda chart: lagrangian_extended((0.1, 0.5), (0.0, 0.0), P, chart),
+    "legendre_check_minimal": lambda chart: legendre_check_minimal(0.1, 0.5, P, chart),
+    "fd_gradient_check": lambda chart: fd_gradient_check(chart, P, n_points=1),
+}
+
+
+@pytest.mark.parametrize("reader", CHART_READERS.values(), ids=CHART_READERS.keys())
+def test_every_chart_reader_refuses_an_unknown_chart(reader):
+    for chart in Chart:
+        reader(chart)
+    with pytest.raises(ScenarioError, match=r"^unknown chart 'sideways'$"):
+        reader("sideways")
+
+
+@pytest.mark.parametrize("energy", [hamiltonian_direct, hamiltonian_log])
+@pytest.mark.parametrize("z", [(math.nan, 0.5), (0.1, math.inf)], ids=["nan", "inf"])
+def test_an_energy_refuses_a_non_finite_state(energy, z):
+    with pytest.raises(NonFiniteInput, match=re.escape(f"state must be finite, got {z}")):
+        energy(z, P)
 
 
 class TestDirectChart:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sirham import (
     Chart,
     EpidemicParams,
+    NonFiniteInput,
     OutsideLegendreDomain,
     el_residual_direct,
     el_residual_log,
@@ -31,6 +32,29 @@ P = EpidemicParams(beta=0.3, gamma=0.1)
 direct_rate = st.floats(min_value=-5.0, max_value=0.29, allow_nan=False)
 log_rate = st.floats(min_value=-0.0999, max_value=5.0, allow_nan=False)
 fraction = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False)
+
+
+NON_FINITE_ARGUMENTS = {
+    # a NaN rate fails the finiteness test of momentum_from_rate_log, which
+    # supplies the Lagrangian's ln S
+    "lagrangian_minimal_log": (lambda x: lagrangian_minimal_log(-4.6, x, P), "i_rate"),
+    "lagrangian_minimal_direct": (lambda x: lagrangian_minimal_direct(x, 0.1, P), "i_value"),
+    "rate_from_momentum_direct": (lambda x: rate_from_momentum_direct(x, P), "s"),
+    "el_residual_log": (lambda x: el_residual_log(-4.6, 0.1, x, P), "i_accel"),
+    "lagrangian_extended": (
+        lambda x: lagrangian_extended((0.1, x), (0.0, 0.0), P, Chart.DIRECT),
+        "q1",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
+@pytest.mark.parametrize(
+    "call, name", NON_FINITE_ARGUMENTS.values(), ids=NON_FINITE_ARGUMENTS.keys()
+)
+def test_a_non_finite_argument_is_refused(call, name, value):
+    with pytest.raises(NonFiniteInput, match=rf"^{name} must be finite, got {value!r}$"):
+        call(value)
 
 
 class TestLegendreDirect:
