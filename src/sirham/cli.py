@@ -7,8 +7,8 @@ Exit codes form the contract batch harnesses rely on:
 * 2  configuration problem (bad file, bad key, bad grid value or ``--jobs``,
      run labels that share a CSV name, malformed CSV)
 * 3  numerical failure (domain violation, a trajectory that leaves the
-     simplex, Newton divergence, singular clock, constraint violation); a
-     failure inside the march names its step and the clock it started from
+     simplex, Newton divergence, singular clock); a failure inside the
+     march names its step and the clock it started from
 
 ``run`` writes one CSV per run plus a manifest; ``check`` integrates the
 scenario's runs once and grades conservation and cross-formulation

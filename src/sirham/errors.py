@@ -8,7 +8,8 @@ command-line front end) can map them onto distinct outcomes:
   the chart it is defined on.  These are raised eagerly rather than letting
   NaNs propagate.
 * numerical failures -- the run itself broke down (``NewtonDivergence``,
-  ``StepAcrossSingularity``, ``ConstraintViolation``).
+  ``StepAcrossSingularity``), or a 4-d point handed to ``extended_rhs`` lies
+  off the constraint manifold (``ConstraintViolation``).
 """
 
 from __future__ import annotations

@@ -20,12 +20,11 @@ Euler's 1-d momentum equation is posed to it padded to two.
 Only what is implicit is solved.  Symplectic Euler is explicit wherever
 the momentum rate does not read the momenta (the separable canonical
 charts), so Newton runs only on ``basic_t`` and the ``single_ode_*``
-reductions.  Every step of a 4-d extended state, whatever its method,
-steps the 2-d coordinate block alone and carries the momenta by the linear
-invariant ``C = Q + 2 J P``: ``P_new = P + (1/2) J (Q_new - Q)``.  A
-``reconstruct`` run marches that block alone, under its canonical record
-``coords``, and the trajectory build appends the momenta ``(1/2) J Q``.
-So every step function steps 2-d states only.
+reductions.  A 4-d extended run, in either ``extended_mode``, marches its
+2-d coordinate block alone, under its canonical record ``coords``, and the
+trajectory build appends the momenta ``(1/2) J Q`` that the constraint
+``C = Q + 2 J P = 0`` pins to it.  So every step function steps 2-d states
+only, and no step reads or checks the constraint.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -75,7 +74,6 @@ from .core import (
     to_log,
 )
 from .errors import (
-    ConstraintViolation,
     InvalidFractions,
     MissingDiagnostic,
     NewtonDivergence,
@@ -175,7 +173,7 @@ class _Record(NamedTuple):
     symplectic Euler explicit.  An extended record is the chart's start
     with the consistent momenta appended, and names in ``coords`` the
     canonical record of its coordinate block; it has no rhs and no Jacobian
-    of its own, because every step of it steps only that block.
+    of its own, because the march steps only that block.
     """
 
     start: Callable[[float, float, EpidemicParams], tuple]
@@ -332,13 +330,12 @@ class RunSpec:
     keeps every n-th step in the trajectory, and the last step of every
     parameter segment, the run's final state among them, is always kept;
     clock accumulation still uses every step.  ``extended_mode``
-    selects, for the 4-d formulations, between marching the full system
-    ("direct4d") and marching the closed coordinate block with momenta
-    rebuilt from the constraint afterwards ("reconstruct").  On "direct4d"
-    every method steps the coordinate block and carries the momenta by the
-    constraint, checking it against ``constraint_tol`` before every step.
-    A "reconstruct" run marches exactly as the chart's ``rescaled_tau`` or
-    ``log_t`` run does.  The one method a formulation refuses is
+    ("direct4d" or "reconstruct") and ``constraint_tol`` are validated and
+    kept, so that scenario files that set them still parse, but the march
+    reads neither: a 4-d run in either mode marches exactly as the chart's
+    ``rescaled_tau`` or ``log_t`` run does, and its trajectory appends the
+    momenta the constraint pins to the coordinates, so both modes give one
+    trajectory.  The one method a formulation refuses is
     ``variational_midpoint``, which steps only those two canonical charts.
     """
 
@@ -699,8 +696,6 @@ def _make_stepper(
     """
     m = spec.method
     kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
-    if rec.coords is not None:
-        return _lifted(_make_stepper(spec, rec.coords, params), spec.constraint_tol)
     rhs = rec.rhs(params)
     if m is Method.EXPLICIT_EULER:
         return partial(step_explicit_euler, rhs)
@@ -716,28 +711,6 @@ def _make_stepper(
         return partial(step_variational_midpoint, rhs, jac, params=params, chart=chart, **kw)
     # the last Method, TIME_FE_CG1_GAUSS2: RunSpec coerces every method to one
     return partial(step_time_fe_cg1, rhs, jac, **kw)
-
-
-def _lifted(
-    coords_step: Callable[[tuple, float], tuple], constraint_tol: float
-) -> Callable[[tuple, float], tuple]:
-    """A step of an extended state ``(Q, P)``, for every method.
-
-    ``coords_step`` steps or solves the canonical coordinate block alone;
-    the momenta follow from the linear invariant, ``P_new = P + (1/2) J
-    (Q_new - Q)``, so the constraint residual is carried over to rounding.
-    In exact arithmetic that is the method's own 4-d step; for symplectic
-    Euler, the partitioned step grouped ``(q0, P1) | (q1, P0)``, one
-    component of ``C`` per group (Hairer, Lubich & Wanner, §IV.1).
-    Each incoming state is checked against the constraint first.
-    """
-
-    def step(y: tuple, h: float) -> tuple:
-        hamiltonian._check_constraint(y, constraint_tol)
-        q0, q1 = coords_step((y[0], y[1]), h)
-        return (q0, q1, y[2] + 0.5 * (q1 - y[1]), y[3] - 0.5 * (q0 - y[0]))
-
-    return step
 
 
 def _check_schedule(spec: RunSpec, schedule: ParamSchedule) -> None:
@@ -775,10 +748,11 @@ def integrate(
     schedules.  Runs in the intrinsic clock also refuse to start closer to
     the S*I = 0 singularity of the time map than 1e-10, and abort if the
     dilation falls below 1e-14 along the way.  A domain failure of the
-    start keeps its type and names the initial state.  A Newton, domain,
-    constraint or singularity failure inside the march keeps its type and
-    names the step and the clock it started from; an overflow becomes
-    NonFiniteInput.  Every switch is a kept sample, whatever the stride.
+    start keeps its type and names the initial state.  A Newton, domain or
+    singularity failure inside the march keeps its type and names the step
+    and the clock it started from; an overflow becomes NonFiniteInput.
+    Every switch is a kept sample, whatever the stride.  An extended run,
+    whatever its ``extended_mode``, marches its coordinate block.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -793,7 +767,7 @@ def integrate(
     segments = schedule.segments(spec.t_end)
 
     rec = _RECORDS[form]
-    if rec.coords is not None and spec.extended_mode == "reconstruct":
+    if rec.coords is not None:
         rec = rec.coords
     dilation = rec.dilation
     try:
@@ -845,7 +819,7 @@ def integrate(
                 step_no += 1
                 if step_no % stride == 0 or k == n_last:
                     samples += (t_now, sec, seg_id, step_no, y)
-    except (NewtonDivergence, RhsDomainError, ConstraintViolation, StepAcrossSingularity) as exc:
+    except (NewtonDivergence, RhsDomainError, StepAcrossSingularity) as exc:
         raise type(exc)(f"step {step_no + 1} from clock {t_now:.6g}: {exc}") from exc
     except OverflowError as exc:
         # math.exp of a runaway log-chart coordinate, in a rate or the dilation
@@ -875,7 +849,7 @@ def _build_trajectory(
     prim, sec, seg_ids, steps, states = (samples[j::5] for j in range(5))
     coords = np.asarray(states, dtype=float)
     if coords.shape[1] < form.dim:
-        # a reconstruct run marched the coordinate block alone
+        # an extended run marched the coordinate block alone
         coords = np.column_stack((coords, *hamiltonian.consistent_momenta(coords.T)))
     prim_arr = np.asarray(prim)
     sec_arr = np.asarray(sec)

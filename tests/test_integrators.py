@@ -11,7 +11,6 @@ from sirham import hamiltonian, integrators
 from sirham import (
     Chart,
     CompartmentState,
-    ConstraintViolation,
     EpidemicParams,
     Formulation,
     InvalidFractions,
@@ -283,16 +282,16 @@ class TestJacobians:
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_residual_jacobian_matches_the_residual(self, monkeypatch, step, formulation):
         """Each step as the march builds it.  Symplectic Euler on a separable
-        record never reaches Newton, and refuses a 4-d state; the implicit
-        steps of an extended record hand Newton the 2-d coordinate block."""
+        record never reaches Newton, and refuses a 4-d state; an extended
+        record is marched as its 2-d coordinate block."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
             if step is step_symplectic_euler:
-                # the step itself refuses a 4-d state, which the march lifts
-                # around its separable coordinate block; call the step with
-                # the record's own rhs and flag
+                # the step itself refuses a 4-d state, whose separable
+                # coordinate block the march steps instead; call the step
+                # with the record's own rhs and flag
                 if rec.coords is not None:
                     with pytest.raises(ScenarioError, match="2-d states only, got 4-d"):
                         step(None, None, y, 0.05, separable=rec.separable)
@@ -311,6 +310,8 @@ class TestJacobians:
                     else Method.TIME_FE_CG1_GAUSS2
                 )
                 spec = RunSpec(method=method, formulation=formulation, dt=0.05, t_end=1.0)
+                if rec.coords is not None:
+                    rec, y = rec.coords, y[:2]
                 stepper = integrators._make_stepper(spec, rec, params)
                 seen = self.newton_systems(monkeypatch, stepper, y, 0.05)
             # a 1-d momentum equation is padded in front by u0 = 0
@@ -635,30 +636,6 @@ class TestIntegrate:
         ):
             integrate(spec, init, schedule)
 
-    def test_a_constraint_failure_names_the_step_and_the_clock(
-        self, init, schedule, monkeypatch
-    ):
-        # step 2 ends off the constraint; the lifted step refuses it in step 3
-        calls = []
-        real_lifted = integrators._lifted
-
-        def drifting_lifted(coords_step, constraint_tol):
-            step = real_lifted(coords_step, constraint_tol)
-
-            def drifting_step(y, dt):
-                calls.append(None)
-                y = step(y, dt)
-                return y[:2] + (y[2] + 1e-6, y[3]) if len(calls) == 2 else y
-
-            return drifting_step
-
-        monkeypatch.setattr(integrators, "_lifted", drifting_lifted)
-        spec = RunSpec(method="rk4", formulation="extended_4d_log", dt=0.1, t_end=1.0)
-        with pytest.raises(
-            ConstraintViolation, match=r"^step 3 from clock 0\.2: constraint norm 2\.000e-06"
-        ):
-            integrate(spec, init, schedule)
-
     def test_degenerate_start_is_refused(self, schedule):
         spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.01, t_end=1.0)
         no_infection = CompartmentState(s=0.99, i=0.0, r=0.01)
@@ -820,6 +797,25 @@ def _reconstruct_cases():
                 )
 
 
+#: the schedules the two extended modes are compared on; switches are
+#: ordinary-time quantities, so only ``extended_4d_log`` takes the second
+MODE_SCHEDULES = {
+    "constant": ParamSchedule.constant(EpidemicParams(0.3, 0.1)),
+    "three-segment": ParamSchedule(
+        switch_times=(0.0, 20.0, 41.25),
+        params=(EpidemicParams(0.3, 0.1), EpidemicParams(0.15, 0.1), EpidemicParams(0.3, 0.25)),
+    ),
+}
+
+
+def _mode_cases():
+    for case in _reconstruct_cases():
+        method, formulation = case.values
+        for sched in MODE_SCHEDULES:
+            if sched == "constant" or formulation.clock == "t":
+                yield pytest.param(method, formulation, sched, id=f"{case.id}-{sched}")
+
+
 class TestExtendedModes:
     @pytest.mark.parametrize("method,formulation", list(_reconstruct_cases()))
     def test_reconstruct_is_the_coordinate_march_with_lifted_momenta(
@@ -846,45 +842,21 @@ class TestExtendedModes:
         momenta = np.column_stack(hamiltonian.consistent_momenta(marched.coords.T))
         assert np.array_equal(rebuilt.coords[:, 2:], momenta)
 
-    @pytest.mark.parametrize(
-        "formulation,dt,t_end",
-        [("extended_4d_direct", 0.01, 2.4), ("extended_4d_log", 0.5, 60.0)],
-    )
-    def test_symplectic_direct4d_is_its_reconstruction(
-        self, init, schedule, formulation, dt, t_end
-    ):
-        """Bit for bit, momenta included: the lifted symplectic Euler step is
-        the partitioned Euler step that keeps the constraint, so the 4-d march
-        never leaves the momenta the reconstruction pins to the coordinates."""
-        kwargs = dict(method="symplectic_euler", formulation=formulation, dt=dt, t_end=t_end)
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("method,formulation,sched", list(_mode_cases()))
+    def test_both_modes_give_one_trajectory(self, init, method, formulation, sched, stride):
+        """Bit for bit, momenta included: ``direct4d`` and ``reconstruct``
+        march the same coordinate block and append the same momenta."""
+        dt, t_end = (0.01, 2.4) if formulation.clock == "tau" else (0.5, 60.0)
+        kwargs = dict(
+            method=method, formulation=formulation, dt=dt, t_end=t_end, sample_stride=stride
+        )
+        schedule = MODE_SCHEDULES[sched]
         direct = integrate(RunSpec(extended_mode="direct4d", **kwargs), init, schedule)
         rebuilt = integrate(RunSpec(extended_mode="reconstruct", **kwargs), init, schedule)
         assert direct.coords.shape == rebuilt.coords.shape == (rebuilt.n_samples, 4)
         for name in ("t", "tau", "s", "i", "r", "h", "coords"):
             assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
-
-    @pytest.mark.parametrize(
-        "method", ["implicit_midpoint", "time_fe_cg1_gauss2", "rk4", "explicit_euler"]
-    )
-    @pytest.mark.parametrize(
-        "formulation,t_end", [("extended_4d_direct", 2.4), ("extended_4d_log", 60.0)]
-    )
-    def test_implicit_direct4d_matches_reconstruct(
-        self, init, schedule, method, formulation, t_end
-    ):
-        """The 4-d march steps the coordinate block alone and carries the
-        momenta by the constraint, so it stays on the manifold and retraces
-        the reconstruction."""
-        kwargs = dict(method=method, formulation=formulation, dt=t_end / 2400, t_end=t_end)
-        direct = integrate(RunSpec(extended_mode="direct4d", **kwargs), init, schedule)
-        rebuilt = integrate(RunSpec(extended_mode="reconstruct", **kwargs), init, schedule)
-        assert direct.n_samples == rebuilt.n_samples == 2401
-        assert np.max(np.abs(direct.coords - rebuilt.coords)) <= 1e-12
-        assert np.max(np.abs(direct.t - rebuilt.t)) <= 1e-12
-        assert np.max(np.abs(direct.tau - rebuilt.tau)) <= 1e-12
-        q0, q1, p0, p1 = direct.coords.T
-        assert np.max(np.abs(q0 + 2.0 * p1)) <= 1e-12
-        assert np.max(np.abs(q1 - 2.0 * p0)) <= 1e-12
 
     @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
     @pytest.mark.parametrize("formulation", ["extended_4d_direct", "extended_4d_log"])
@@ -895,43 +867,6 @@ class TestExtendedModes:
         traj = integrate(spec, init, schedule)
         assert traj.coords.shape == (51, 4)
         assert newton_sizes == [2] * 50
-
-    @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
-    @pytest.mark.parametrize(
-        "formulation",
-        [Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG],
-        ids=lambda f: f.value,
-    )
-    def test_implicit_direct4d_refuses_an_off_manifold_start(
-        self, init, schedule, monkeypatch, method, formulation
-    ):
-        rec = _RECORDS[formulation]
-
-        def shifted_start(i0, s0, params):
-            q0, q1, p0, p1 = rec.start(i0, s0, params)
-            return (q0, q1, p0 + 1e-6, p1)
-
-        monkeypatch.setitem(_RECORDS, formulation, rec._replace(start=shifted_start))
-        spec = RunSpec(method=method, formulation=formulation, dt=0.01, t_end=0.5)
-        with pytest.raises(ConstraintViolation, match="constraint norm 2.000e-06 exceeds"):
-            integrate(spec, init, schedule)
-
-    @pytest.mark.parametrize("slot", [2, 3], ids=["p0", "p1"])
-    @pytest.mark.parametrize("method", [Method.IMPLICIT_MIDPOINT, Method.TIME_FE_CG1_GAUSS2])
-    @pytest.mark.parametrize(
-        "formulation",
-        [Formulation.EXTENDED_4D_DIRECT, Formulation.EXTENDED_4D_LOG],
-        ids=lambda f: f.value,
-    )
-    def test_implicit_direct4d_refuses_a_nan_momentum(self, params, method, formulation, slot):
-        """The lifted step checks the incoming state; a NaN residual fails it."""
-        rec = _RECORDS[formulation]
-        spec = RunSpec(method=method, formulation=formulation, dt=0.01, t_end=0.5)
-        stepper = integrators._make_stepper(spec, rec, params)
-        y = list(rec.start(0.01, 0.99, params))
-        y[slot] = math.nan
-        with pytest.raises(ConstraintViolation, match="constraint norm nan exceeds"):
-            stepper(tuple(y), 0.01)
 
     def test_reconstruction_pins_the_constraint_to_zero(self, init, schedule):
         spec = RunSpec(
@@ -945,20 +880,6 @@ class TestExtendedModes:
         q0, q1, p0, p1 = traj.coords.T
         assert np.max(np.abs(q0 + 2.0 * p1)) == 0.0
         assert np.max(np.abs(q1 - 2.0 * p0)) == 0.0
-
-    def test_both_modes_march_the_same_coordinates(self, init, schedule):
-        """The momentum block never feeds back into the coordinate block,
-        so the 4-d march and the reconstruction agree on coordinates to
-        rounding."""
-        kwargs = dict(formulation="extended_4d_log", dt=0.05, t_end=5.0)
-        direct = integrate(
-            RunSpec(method="rk4", extended_mode="direct4d", **kwargs), init, schedule
-        )
-        rebuilt = integrate(
-            RunSpec(method="rk4", extended_mode="reconstruct", **kwargs), init, schedule
-        )
-        assert np.max(np.abs(direct.coords[:, :2] - rebuilt.coords[:, :2])) <= 1e-13
-        assert np.max(np.abs(direct.coords[:, 2:] - rebuilt.coords[:, 2:])) <= 1e-13
 
     def test_explicit_methods_also_hold_the_constraint(self, init, schedule):
         # the constraint rate vanishes identically, so even explicit Euler

@@ -20,9 +20,11 @@ from sirham import (
     Formulation,
     Method,
     NewtonDivergence,
+    ParamSchedule,
     RunSpec,
     ScenarioError,
     integrate,
+    recovered_from,
 )
 from sirham.core import Chart, apply_J
 from sirham.errors import NonFiniteInput, NonPositiveCoordinate, SingularDenominator
@@ -130,6 +132,12 @@ def record_rates(formulation, params):
 CANONICAL = {Chart.DIRECT: Formulation.RESCALED_TAU, Chart.LOGARITHMIC: Formulation.LOG_T}
 
 
+def marched(formulation):
+    """The formulation whose record the march steps: an extended run marches
+    its chart's canonical coordinate block."""
+    return CANONICAL[formulation.chart] if formulation.dim == 4 else formulation
+
+
 def ref_extended_lagrangian_gradients(coords, rates, params, chart):
     g = REF_GRADIENT[chart](coords, params)
     jq = apply_J(coords)
@@ -166,7 +174,27 @@ def ref_solve(a, b):
         if a[0][0] == 0.0:
             raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
         return (b[0] / a[0][0],)
-    raise ValueError(f"no solver for this {n}x{n} Newton system")
+    return ref_solve_gauss(a, b)
+
+
+def ref_solve_gauss(a, b):
+    """Gaussian elimination with partial pivoting, for the 4-d Newton systems
+    of the extended state."""
+    n = len(b)
+    rows = [list(row) + [bk] for row, bk in zip(a, b)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda j: abs(rows[j][k]))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        if rows[k][k] == 0.0:
+            raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+        for row in rows[k + 1:]:
+            m = row[k] / rows[k][k]
+            for j in range(k, n + 1):
+                row[j] -= m * rows[k][j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return tuple(x)
 
 
 def ref_shifted(c, d):
@@ -304,8 +332,6 @@ def ref_stepper(spec, rec, params):
     if spec.method is Method.VARIATIONAL_MIDPOINT:
         chart = spec.formulation.chart
         return partial(ref_step_variational_midpoint, params=params, chart=chart, **kw)
-    if rec.coords is not None:
-        return integrators._lifted(ref_stepper(spec, rec.coords, params), spec.constraint_tol)
     if spec.method is Method.SYMPLECTIC_EULER:
         kw["separable"] = rec.separable
     return partial(REF_STEP[spec.method], rec.rhs(params), rec.jac(params), **kw)
@@ -356,21 +382,17 @@ def test_record_rates_equal_the_reference(formulation):
 def test_marched_states_equal_the_reference(formulation, method, step, reference):
     """Forty steps of the stepper the march builds, and of the step function
     itself, against the zip-based step on the reference rates.  An extended
-    state is stepped through its coordinate block, with the momenta lifted."""
+    run is compared through its coordinate record."""
     rng = random.Random(f"march-{formulation.value}-{method}")
-    rec = _RECORDS[formulation]
-    lift = rec.coords is not None
-    marched = CANONICAL[formulation.chart] if lift else formulation
+    rec = _RECORDS[marched(formulation)]
     for _ in range(20):
         params, i0, s0 = random_point(rng)
         # the tau clock moves S by -beta*tau: keep 20 % of s0 in hand
         dt = 0.1 if formulation.clock == "t" else 0.02 * s0 / params.beta
         spec = RunSpec(method=method, formulation=formulation, dt=dt, t_end=40 * dt)
         stepper = integrators._make_stepper(spec, rec, params)
-        new = partial(step, _RECORDS[marched].rhs(params))
-        ref = partial(reference, reference_rhs(marched, params))
-        if lift:
-            new, ref = integrators._lifted(new, TOL), integrators._lifted(ref, TOL)
+        new = partial(step, rec.rhs(params))
+        ref = partial(reference, reference_rhs(marched(formulation), params))
         y = z = w = rec.start(i0, s0, params)
         for _ in range(40):
             y, z, w = stepper(y, dt), new(z, dt), ref(w, dt)
@@ -516,8 +538,8 @@ def accepted(method, formulation):
     return True
 
 
-#: what ``_make_stepper`` builds for the implicit methods; a ``reconstruct``
-#: run marches the canonical record of its chart, which is among these
+#: what ``_make_stepper`` builds for the implicit methods; an extended run
+#: marches the canonical record of its chart, through which it is compared
 IMPLICIT_CASES = [(m, f) for m in IMPLICIT for f in ALL if accepted(m, f)]
 
 
@@ -531,8 +553,8 @@ def test_implicit_steps_equal_the_reference(rhs_calls, method, formulation):
     step reads the momentum ``(1/2) J Q`` off its start, so it skips the
     reference's first call, the gradients at that start."""
     rng = random.Random(f"implicit-{method.value}-{formulation.value}")
-    rec = _RECORDS[formulation]
-    marched = 0
+    rec = _RECORDS[marched(formulation)]
+    n_marched = 0
     for _ in range(20):
         params, i0, s0 = random_point(rng)
         dt = 0.1 if formulation.clock == "t" else 0.02 * s0 / params.beta
@@ -552,9 +574,91 @@ def test_implicit_steps_equal_the_reference(rhs_calls, method, formulation):
             assert got == rhs_calls and got
             if isinstance(y[0], type):
                 break
-            marched += 1
+            n_marched += 1
     # the comparison is not vacuous: most starts march all forty steps
-    assert marched >= 40 * 15
+    assert n_marched >= 40 * 15
+
+
+# ---------------------------------------------------------------------------
+# the extended-space claim, graded by a real 4-d march
+#
+# The march steps an extended run's coordinate block alone and appends the
+# momenta P = (1/2) J Q.  The references below step the whole 4-d state on
+# the rates behind ``extended_rhs``, so that the paper's claim, that the
+# extended flow keeps the constraint C = Q + 2 J P = 0 and with it those
+# momenta, stays graded by a march that carries the momenta as state.
+
+
+def ref_extended_jac(params, chart):
+    """The Jacobian of the 4-d rates ``(g1, -g0, -g0/2, -g1/2)``, where
+    ``g = grad H(Q)`` has the diagonal Hessian ``(h0, h1)``."""
+
+    def jac(y):
+        h0, h1 = ref_hessian((y[0], y[1]), params, chart)
+        return (
+            (0.0, h1, 0.0, 0.0),
+            (-h0, 0.0, 0.0, 0.0),
+            (-0.5 * h0, 0.0, 0.0, 0.0),
+            (0.0, -0.5 * h1, 0.0, 0.0),
+        )
+
+    return jac
+
+
+def ref_step_partitioned_euler(rates, jac, y, dt):
+    """Symplectic Euler on ``(q0, q1, P0, P1)`` grouped ``(q0, P1) | (q1, P0)``:
+    the first group steps with the old second group, the second group with
+    the new first.  Each component of C lies in one group."""
+    f = rates(y)
+    q0, p1 = y[0] + dt * f[0], y[3] + dt * f[3]
+    g = rates((q0, y[1], y[2], p1))
+    return (q0, y[1] + dt * g[1], y[2] + dt * g[2], p1)
+
+
+#: the 4-d reference step of each method the extended formulations accept
+REF_STEP_4D = {
+    Method.EXPLICIT_EULER: lambda rates, jac, y, dt: ref_step_explicit_euler(rates, y, dt),
+    Method.RK4: lambda rates, jac, y, dt: ref_step_rk4(rates, y, dt),
+    Method.SYMPLECTIC_EULER: ref_step_partitioned_euler,
+    Method.IMPLICIT_MIDPOINT: ref_step_implicit_midpoint,
+    Method.TIME_FE_CG1_GAUSS2: ref_step_time_fe_cg1,
+}
+#: the fixed grid: rates, starts (i0, s0), and steps in each clock; the tau
+#: clock moves S by -beta*tau, so 40 of its steps stay well inside S > 0
+GRID_4D_PARAMS = [EpidemicParams(beta=0.3, gamma=0.1), EpidemicParams(beta=0.8, gamma=0.25)]
+GRID_4D_STARTS = [(0.01, 0.99), (0.1, 0.8), (0.3, 0.5)]
+GRID_4D_DT = {"t": (0.1, 0.5, 1.0), "tau": (0.002, 0.01)}
+N_4D = 40
+
+
+@pytest.mark.parametrize("method", list(REF_STEP_4D), ids=lambda m: m.value)
+@pytest.mark.parametrize("formulation", [f for f in ALL if f.dim == 4], ids=lambda f: f.value)
+def test_a_4d_march_keeps_the_constraint_and_the_rebuilt_momenta(formulation, method):
+    """Over the fixed grid, the reference 4-d march keeps |C| within
+    n_steps * 8 eps * max|Q| at every step, and its momenta equal the
+    momentum columns of the run's trajectory, ``consistent_momenta`` of the
+    coordinate march, within the same bound.  The bound is a rounding
+    budget of 8 eps per step, fixed before measuring."""
+    eps = 2.0**-52
+    step = REF_STEP_4D[method]
+    start = _RECORDS[formulation].start
+    for params in GRID_4D_PARAMS:
+        rates = partial(
+            hamiltonian._extended_rates, params=params, chart=formulation.chart, constraint_tol=TOL
+        )
+        jac = ref_extended_jac(params, formulation.chart)
+        for i0, s0 in GRID_4D_STARTS:
+            for dt in GRID_4D_DT[formulation.clock]:
+                spec = RunSpec(method=method, formulation=formulation, dt=dt, t_end=N_4D * dt)
+                traj = integrate(spec, recovered_from(s0, i0), ParamSchedule.constant(params))
+                assert traj.n_samples == N_4D + 1
+                states = [start(i0, s0, params)]
+                for _ in range(N_4D):
+                    states.append(step(rates, jac, states[-1], dt))
+                bound = N_4D * 8.0 * eps * max(max(abs(y[0]), abs(y[1])) for y in states)
+                for (q0, q1, p0, p1), (r0, r1) in zip(states, traj.coords[:, 2:].tolist()):
+                    assert abs(q0 + 2.0 * p1) <= bound and abs(q1 - 2.0 * p0) <= bound
+                    assert abs(p0 - r0) <= bound and abs(p1 - r1) <= bound
 
 
 P = EpidemicParams(beta=0.3, gamma=0.1)
