@@ -61,10 +61,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     h0 = traj.h[0]
     drift = (traj.h - h0) / abs(h0)
     table = np.column_stack((traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift))
-    row_format = ",".join(["%.17g"] * table.shape[1])
-    lines = [CSV_HEADER]
-    lines.extend(row_format % tuple(row) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+    # the whole table in one % operation: one format string repeated per row
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return CSV_HEADER + "\n" + row_format * len(table) % tuple(table.ravel().tolist())
 
 
 def _safe_name(label: str) -> str:

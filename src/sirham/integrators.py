@@ -35,20 +35,27 @@ of 1/(S*I) during the march; :func:`reconstruct_ordinary_time` performs
 the same quadrature on an existing trajectory's samples.
 
 Each :class:`Formulation` is defined in one place, its private record in
-``_RECORDS``: initial state, rhs and rhs-Jacobian factories, S*I dilation,
+``_RECORDS``: initial state, rhs and rhs-Jacobian lookups, S*I dilation,
 map from sampled coordinates to (I, S), and state remap at a parameter
 switch.  The march and the trajectory build read only the record and name
 no formulation.
 
-The rhs kernels, the chart Hessians of the Jacobians and the step scheme
-are looked up by name once per parameter segment, when
+Every rate and Jacobian is called ``f(y, params)``, and a step scheme
+``step(rhs[, jac], params, y, dt)`` hands each call the parameters of the
+active segment.  The rhs kernels, the chart Hessians of the Jacobians and
+the step scheme are looked up by name once per parameter segment, when
 :func:`_make_stepper` builds that segment's stepper, and are bound into it;
 a wrapper put in their place before :func:`integrate` is called sees every
-step and every stage.  An explicit stage costs the record's closure and
-one flat kernel call.  Every step works on scalar locals, the implicit ones
-building their residual and Jacobian there too, with the arithmetic, in
-the same order, of the zip and tuple bodies the kernel tests keep as their
+step and every stage.  An explicit stage is one flat kernel call, and on
+the ``single_ode_*`` reductions that call goes through the record's
+closure.  Every step works on scalar locals, the implicit ones building
+their residual and Jacobian there too, with the arithmetic, in the same
+order, of the zip and tuple bodies the kernel tests keep as their
 references.
+
+The march keeps each sample as six numbers in one flat list, own clock,
+other clock, segment, step and the two state components, which
+:func:`_build_trajectory` converts to one float array.
 """
 
 from __future__ import annotations
@@ -96,9 +103,10 @@ __all__ = [
     "reconstruct_ordinary_time",
 ]
 
-Rhs = Callable[[tuple], tuple]
+#: the rates at a state, with the parameters of the active segment
+Rhs = Callable[[tuple, EpidemicParams], tuple]
 #: the Jacobian of an Rhs at a state, as a tuple of rows
-Jac = Callable[[tuple], tuple]
+Jac = Callable[[tuple, EpidemicParams], tuple]
 
 #: a rescaled-clock run refuses to start below this dilation
 START_DILATION_FLOOR = 1e-10
@@ -160,11 +168,14 @@ class Formulation(Enum):
 class _Record(NamedTuple):
     """What the march knows about one formulation.
 
-    ``start(i0, s0, params)`` is the initial state; ``rhs(params)`` builds
-    the rate closure for one parameter segment and ``jac(params)`` its exact
-    Jacobian, which the implicit schemes' Newton solves use;
+    ``start(i0, s0, params)`` is the initial state; ``rhs()`` looks up the
+    rates ``f(y, params)`` and ``jac()`` their exact Jacobian, which the
+    implicit schemes' Newton solves use.  Both lookups run once per
+    parameter segment, and the step scheme hands each call the segment's
+    parameters, so an explicit stage is one call of the kernel itself
+    (one closure and its kernel on the ``single_ode_*`` reductions).
     ``dilation(y, params)`` is S*I, the rate of the intrinsic
-    clock; ``fractions(coords, beta, gamma)`` maps sampled coordinates to
+    clock, and ``fractions(coords, beta, gamma)`` maps sampled coordinates to
     the (I, S) columns.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
@@ -177,8 +188,8 @@ class _Record(NamedTuple):
     """
 
     start: Callable[[float, float, EpidemicParams], tuple]
-    rhs: Callable[[EpidemicParams], Rhs] | None
-    jac: Callable[[EpidemicParams], Jac] | None
+    rhs: Callable[[], Rhs] | None
+    jac: Callable[[], Jac] | None
     dilation: Callable[[tuple, EpidemicParams], float]
     fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     remap: Callable[[tuple, EpidemicParams, EpidemicParams], tuple] = lambda y, old, new: y
@@ -191,18 +202,12 @@ def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
     return (z.q, z.p)
 
 
-def _with_params(f: Callable[[tuple, EpidemicParams], tuple], params: EpidemicParams) -> Rhs:
-    """``y -> f(y, params)``, for an ``f`` the caller looked up once."""
-    return lambda y: f(y, params)
-
-
-def _canonical_jac(
-    hessian: Callable[[tuple, EpidemicParams], tuple], params: EpidemicParams
-) -> Jac:
+def _canonical_jac(hessian: Callable[[tuple, EpidemicParams], tuple]) -> Jac:
     """``J Hess``: the Jacobian of ``J grad H`` for a diagonal Hessian, from
-    a ``hessian`` the caller looked up once."""
+    a ``hessian`` the caller looked up once.  A call costs this closure's
+    frame and the Hessian's."""
 
-    def jac(y: tuple) -> tuple:
+    def jac(y: tuple, params: EpidemicParams) -> tuple:
         h0, h1 = hessian(y, params)
         return ((0.0, h1), (-h0, 0.0))
 
@@ -213,16 +218,16 @@ def _canonical_jac(
 #: The energy is separable, so the second rate, -dH/dq0, reads only q0.
 _DIRECT = _Record(
     start=lambda i0, s0, params: (i0, s0),
-    rhs=lambda params: _with_params(hamiltonian.hamilton_rhs_direct, params),
-    jac=lambda params: _canonical_jac(hamiltonian.hessian_direct, params),
+    rhs=lambda: hamiltonian.hamilton_rhs_direct,
+    jac=lambda: _canonical_jac(hamiltonian.hessian_direct),
     dilation=lambda y, params: y[0] * y[1],
     fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
     separable=True,
 )
 _LOG = _Record(
     start=_log_start,
-    rhs=lambda params: _with_params(hamiltonian.hamilton_rhs_log, params),
-    jac=lambda params: _canonical_jac(hamiltonian.hessian_log, params),
+    rhs=lambda: hamiltonian.hamilton_rhs_log,
+    jac=lambda: _canonical_jac(hamiltonian.hessian_log),
     dilation=lambda y, params: math.exp(y[0] + y[1]),
     fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
     separable=True,
@@ -255,14 +260,14 @@ def _extended(base: _Record) -> _Record:
     return base._replace(start=start, rhs=None, jac=None, coords=base)
 
 
-def _rate_rhs_direct(params: EpidemicParams) -> Rhs:
+def _rate_rhs_direct() -> Rhs:
     accel = dynamics.rescaled_accel
-    return lambda y: (y[1], accel(y[1], params))
+    return lambda y, params: (y[1], accel(y[1], params))
 
 
-def _rate_rhs_log(params: EpidemicParams) -> Rhs:
+def _rate_rhs_log() -> Rhs:
     accel = dynamics.log_accel
-    return lambda y: (y[1], accel(y[0], y[1], params))
+    return lambda y, params: (y[1], accel(y[0], y[1], params))
 
 
 def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
@@ -286,8 +291,8 @@ def _rate_dilation_log(y: tuple, params: EpidemicParams) -> float:
 #: the one place each formulation is defined; the march reads only this
 _RECORDS = {
     Formulation.BASIC_T: _DIRECT._replace(
-        rhs=lambda params: _with_params(dynamics.sir_rhs, params),
-        jac=lambda params: lambda y: (
+        rhs=lambda: dynamics.sir_rhs,
+        jac=lambda: lambda y, params: (
             (params.beta * y[1] - params.gamma, params.beta * y[0]),
             (-params.beta * y[1], -params.beta * y[0]),
         ),
@@ -300,7 +305,7 @@ _RECORDS = {
         lagrangian.rate_from_momentum_direct,
         lagrangian.momentum_from_rate_direct,
         _rate_rhs_direct,
-        lambda params: lambda y: ((0.0, 1.0), (0.0, 2.0 * params.r0 * (params.beta - y[1]))),
+        lambda: lambda y, params: ((0.0, 1.0), (0.0, 2.0 * params.r0 * (params.beta - y[1]))),
         _rate_dilation_direct,
         lambda coords, beta, gamma: (coords[:, 0], gamma / (beta - coords[:, 1])),
     ),
@@ -309,7 +314,7 @@ _RECORDS = {
         lagrangian.rate_from_momentum_log,
         lagrangian.momentum_from_rate_log,
         _rate_rhs_log,
-        lambda params: lambda y: (
+        lambda: lambda y, params: (
             (0.0, 1.0),
             (-params.beta * math.exp(y[0]) * (y[1] + params.gamma), -params.beta * math.exp(y[0])),
         ),
@@ -491,21 +496,21 @@ def _newton(
 # ---------------------------------------------------------------------------
 # one-step schemes
 
-def step_explicit_euler(rhs: Rhs, y: tuple, dt: float) -> tuple:
+def step_explicit_euler(rhs: Rhs, params: EpidemicParams, y: tuple, dt: float) -> tuple:
     """Forward Euler on a 2-d state: first order, conserves nothing; the
     baseline."""
-    f0, f1 = rhs(y)
+    f0, f1 = rhs(y, params)
     return (y[0] + dt * f0, y[1] + dt * f1)
 
 
-def step_rk4(rhs: Rhs, y: tuple, dt: float) -> tuple:
+def step_rk4(rhs: Rhs, params: EpidemicParams, y: tuple, dt: float) -> tuple:
     """Classical fourth-order Runge-Kutta step of a 2-d state."""
     half = 0.5 * dt
     y0, y1 = y
-    a0, a1 = rhs(y)
-    b0, b1 = rhs((y0 + half * a0, y1 + half * a1))
-    c0, c1 = rhs((y0 + half * b0, y1 + half * b1))
-    d0, d1 = rhs((y0 + dt * c0, y1 + dt * c1))
+    a0, a1 = rhs(y, params)
+    b0, b1 = rhs((y0 + half * a0, y1 + half * a1), params)
+    c0, c1 = rhs((y0 + half * b0, y1 + half * b1), params)
+    d0, d1 = rhs((y0 + dt * c0, y1 + dt * c1), params)
     sixth = dt / 6.0
     return (
         y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
@@ -516,6 +521,7 @@ def step_rk4(rhs: Rhs, y: tuple, dt: float) -> tuple:
 def step_symplectic_euler(
     rhs: Rhs,
     jac: Jac,
+    params: EpidemicParams,
     y: tuple,
     dt: float,
     *,
@@ -540,16 +546,16 @@ def step_symplectic_euler(
     if len(y) != 2:
         raise ScenarioError(f"symplectic Euler steps 2-d states only, got {len(y)}-d")
     y0, y1 = y
-    f0, f1 = rhs(y)
+    f0, f1 = rhs(y, params)
     q = y0 + dt * f0
     if separable:
-        return (q, y1 + dt * rhs((q, y1))[1])
+        return (q, y1 + dt * rhs((q, y1), params)[1])
 
     def residual(pad: float, p: float) -> tuple:
-        return (pad, p - y1 - dt * rhs((q, p))[1])
+        return (pad, p - y1 - dt * rhs((q, p), params)[1])
 
     def jacobian(pad: float, p: float) -> tuple:
-        return (1.0, 0.0, 0.0, 1.0 - dt * jac((q, p))[1][1])
+        return (1.0, 0.0, 0.0, 1.0 - dt * jac((q, p), params)[1][1])
 
     return (q, _newton(residual, jacobian, 0.0, y1 + dt * f1, tol, max_iter, width=1)[1])
 
@@ -557,6 +563,7 @@ def step_symplectic_euler(
 def step_implicit_midpoint(
     rhs: Rhs,
     jac: Jac,
+    params: EpidemicParams,
     y: tuple,
     dt: float,
     *,
@@ -571,24 +578,24 @@ def step_implicit_midpoint(
     c = 0.5 * dt
 
     def residual(u0: float, u1: float) -> tuple:
-        f0, f1 = rhs((0.5 * (y0 + u0), 0.5 * (y1 + u1)))
+        f0, f1 = rhs((0.5 * (y0 + u0), 0.5 * (y1 + u1)), params)
         return (u0 - y0 - dt * f0, u1 - y1 - dt * f1)
 
     def jacobian(u0: float, u1: float) -> tuple:
-        (d00, d01), (d10, d11) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)))
+        (d00, d01), (d10, d11) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)), params)
         return (1.0 - c * d00, -c * d01, -c * d10, 1.0 - c * d11)
 
-    f0, f1 = rhs(y)
+    f0, f1 = rhs(y, params)
     return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
 
 
 def step_variational_midpoint(
     rhs: Rhs,
     jac: Jac,
+    params: EpidemicParams,
     y: tuple,
     dt: float,
     *,
-    params: EpidemicParams,
     chart: Chart,
     tol: float = 1e-12,
     max_iter: int = 50,
@@ -629,16 +636,17 @@ def step_variational_midpoint(
     def jacobian(u0: float, u1: float) -> tuple:
         # the residual is p_now - (1/2) J q_new - (dt/2) grad H(mid), and
         # jac(mid) = J Hess = ((0, h1), (-h0, 0))
-        (_, d01), (d10, _) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)))
+        (_, d01), (d10, _) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)), params)
         return (c * d10, -0.5, 0.5, -c * d01)
 
-    f0, f1 = rhs(y)
+    f0, f1 = rhs(y, params)
     return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
 
 
 def step_time_fe_cg1(
     rhs: Rhs,
     jac: Jac,
+    params: EpidemicParams,
     y: tuple,
     dt: float,
     *,
@@ -661,7 +669,7 @@ def step_time_fe_cg1(
     def residual(u0: float, u1: float) -> tuple:
         a0 = a1 = 0.0
         for sigma, rest, w, _ in _CG1_STAGES:
-            f0, f1 = rhs((rest * y0 + sigma * u0, rest * y1 + sigma * u1))
+            f0, f1 = rhs((rest * y0 + sigma * u0, rest * y1 + sigma * u1), params)
             a0 += w * f0
             a1 += w * f1
         return (u0 - y0 - dt * a0, u1 - y1 - dt * a1)
@@ -670,14 +678,14 @@ def step_time_fe_cg1(
         # a stage moves with weight sigma as the endpoint u does
         a00 = a01 = a10 = a11 = 0.0
         for sigma, rest, _, ws in _CG1_STAGES:
-            (d00, d01), (d10, d11) = jac((rest * y0 + sigma * u0, rest * y1 + sigma * u1))
+            (d00, d01), (d10, d11) = jac((rest * y0 + sigma * u0, rest * y1 + sigma * u1), params)
             a00 += ws * d00
             a01 += ws * d01
             a10 += ws * d10
             a11 += ws * d11
         return (1.0 - dt * a00, -dt * a01, -dt * a10, 1.0 - dt * a11)
 
-    f0, f1 = rhs(y)
+    f0, f1 = rhs(y, params)
     return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
 
 
@@ -696,21 +704,21 @@ def _make_stepper(
     """
     m = spec.method
     kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
-    rhs = rec.rhs(params)
+    rhs = rec.rhs()
     if m is Method.EXPLICIT_EULER:
-        return partial(step_explicit_euler, rhs)
+        return partial(step_explicit_euler, rhs, params)
     if m is Method.RK4:
-        return partial(step_rk4, rhs)
-    jac = rec.jac(params)
+        return partial(step_rk4, rhs, params)
+    jac = rec.jac()
     if m is Method.SYMPLECTIC_EULER:
-        return partial(step_symplectic_euler, rhs, jac, separable=rec.separable, **kw)
+        return partial(step_symplectic_euler, rhs, jac, params, separable=rec.separable, **kw)
     if m is Method.IMPLICIT_MIDPOINT:
-        return partial(step_implicit_midpoint, rhs, jac, **kw)
+        return partial(step_implicit_midpoint, rhs, jac, params, **kw)
     if m is Method.VARIATIONAL_MIDPOINT:
         chart = spec.formulation.chart
-        return partial(step_variational_midpoint, rhs, jac, params=params, chart=chart, **kw)
+        return partial(step_variational_midpoint, rhs, jac, params, chart=chart, **kw)
     # the last Method, TIME_FE_CG1_GAUSS2: RunSpec coerces every method to one
-    return partial(step_time_fe_cg1, rhs, jac, **kw)
+    return partial(step_time_fe_cg1, rhs, jac, params, **kw)
 
 
 def _check_schedule(spec: RunSpec, schedule: ParamSchedule) -> None:
@@ -784,10 +792,11 @@ def integrate(
 
     dt, stride = spec.dt, spec.sample_stride
     grid = [_segment_steps(b - a, dt) for a, b, _ in segments]
-    # five entries per kept sample, (own clock, other clock, segment, step,
-    # state), kept flat: a tuple per row gives the garbage collector one more
-    # object to track per sample, which slowed a stride-1 march measurably
-    samples = [0.0, 0.0, 0, 0, y]
+    # six entries per kept sample, (own clock, other clock, segment, step,
+    # y0, y1), kept flat: a tuple per row gives the garbage collector one more
+    # object to track per sample, which slowed a stride-1 march measurably,
+    # and a flat row of numbers is one float array in a single conversion
+    samples = [0.0, 0.0, 0, 0, *y]
     sec = 0.0
     step_no = 0
     t_now = 0.0
@@ -818,7 +827,7 @@ def integrate(
                 t_now = b if k == n_last else a + (k + 1) * dt
                 step_no += 1
                 if step_no % stride == 0 or k == n_last:
-                    samples += (t_now, sec, seg_id, step_no, y)
+                    samples += (t_now, sec, seg_id, step_no, y[0], y[1])
     except (NewtonDivergence, RhsDomainError, StepAcrossSingularity) as exc:
         raise type(exc)(f"step {step_no + 1} from clock {t_now:.6g}: {exc}") from exc
     except OverflowError as exc:
@@ -837,7 +846,11 @@ def _build_trajectory(
     samples: list,
 ) -> Trajectory:
     """Sampled columns of a finished march, from its flat list of rows
-    ``own clock, other clock, segment, step, state``.
+    ``own clock, other clock, segment, step, y0, y1``.
+
+    The list becomes one ``(n, 6)`` float array in a single conversion, and
+    every column is a view of it: segment and step numbers are exact in a
+    float, and a marched state is always 2-d.
 
     Refuses, with :class:`InvalidFractions`, a trajectory whose fractions
     leave [0, 1] by more than ``FRACTION_TOL`` or are not finite, and with
@@ -846,18 +859,16 @@ def _build_trajectory(
     and clock value.
     """
     form = spec.formulation
-    prim, sec, seg_ids, steps, states = (samples[j::5] for j in range(5))
-    coords = np.asarray(states, dtype=float)
+    rows = np.array(samples, dtype=float).reshape(-1, 6)
+    prim, sec, coords = rows[:, 0], rows[:, 1], rows[:, 4:]
+    seg_arr = rows[:, 2].astype(np.intp)
     if coords.shape[1] < form.dim:
         # an extended run marched the coordinate block alone
         coords = np.column_stack((coords, *hamiltonian.consistent_momenta(coords.T)))
-    prim_arr = np.asarray(prim)
-    sec_arr = np.asarray(sec)
-    seg_arr = np.asarray(seg_ids)
     if form.clock == "t":
-        t_col, tau_col = prim_arr, sec_arr
+        t_col, tau_col = prim, sec
     else:
-        t_col, tau_col = sec_arr, prim_arr
+        t_col, tau_col = sec, prim
 
     beta = np.array([pars.beta for _, _, pars in segments])[seg_arr]
     gamma = np.array([pars.gamma for _, _, pars in segments])[seg_arr]
@@ -872,7 +883,7 @@ def _build_trajectory(
     bad = np.flatnonzero(~inside.all(axis=0) | (s_col <= 0.0))
     if bad.size:
         k = bad[0]
-        where = f"step {steps[k]} at clock {prim[k]:.6g}"
+        where = f"step {int(rows[k, 3])} at clock {prim[k]:.6g}"
         if not inside[:, k].all():
             raise InvalidFractions(
                 f"{where}: S = {s_col[k]:.6g}, I = {i_col[k]:.6g}, "

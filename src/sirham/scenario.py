@@ -38,6 +38,10 @@ __all__ = [
     "parse_scenario",
 ]
 
+#: PyYAML's safe loader, on libyaml where PyYAML was built with it: the
+#: same documents, parsed about ten times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -156,7 +160,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"invalid YAML in {path}: {exc}") from exc
     return parse_scenario(document)

@@ -9,17 +9,21 @@ They call ``main`` in-process; ``TestUsage`` and the acceptance suite's
 
 import concurrent.futures
 import contextlib
+import importlib.util
 import io
 import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import sirham.cli as cli_module
+import sirham.scenario as scenario_module
 from sirham import (
     CompartmentState,
     EpidemicParams,
@@ -32,7 +36,9 @@ from sirham import (
 from sirham.cli import CSV_HEADER, _parse_grid, trajectory_csv
 from sirham.integrators import Formulation, Method, RunSpec, integrate
 from sirham.plotting import render_curves
-from sirham.scenario import Tolerances, load_scenario
+from sirham.scenario import Tolerances, default_scenario_path, load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TWO_RUNS = """\
 init: {s: 0.99, i: 0.01}
@@ -249,6 +255,30 @@ class TestScenarioParsing:
         path.write_text("init: {s: 0.99, i: [unclosed\n")
         with pytest.raises(ScenarioError, match="invalid YAML"):
             load_scenario(path)
+
+    def test_the_loader_parses_as_the_pure_python_safe_loader(self):
+        """The shipped scenario and every scenario text of the parity grid
+        give the same document under ``load_scenario``'s loader (libyaml's,
+        where PyYAML has it) as under ``yaml.SafeLoader``."""
+        spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
+        parity = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(parity)
+        texts = [default_scenario_path().read_text()] + [text for _, text in parity.grid()]
+        assert len(texts) == 865
+        if yaml.__with_libyaml__:
+            assert scenario_module._LOADER is yaml.CSafeLoader
+        for text in texts:
+            assert yaml.load(text, Loader=scenario_module._LOADER) == yaml.load(
+                text, Loader=yaml.SafeLoader
+            )
+
+    def test_invalid_yaml_exits_2_with_its_line_and_column(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("init: {s: 0.99, i: [unclosed\n")
+        proc = cli("check", path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: invalid YAML in {path}: ")
+        assert "line 1, column 20" in proc.stderr and "line 2, column 1" in proc.stderr
 
 
 class TestGridParsing:

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,14 +44,14 @@ P = EpidemicParams(beta=0.3, gamma=0.1)
 LOG_START = (math.log(0.01), math.log(0.99))
 
 
-def log_rhs(z):
-    return hamilton_rhs_log(z, P)
+def log_rhs(z, params):
+    return hamilton_rhs_log(z, params)
 
 
-log_jac = _RECORDS[Formulation.LOG_T].jac(P)
+log_jac = _RECORDS[Formulation.LOG_T].jac()
 
 
-def rotation(z):
+def rotation(z, params):
     # exactly solvable benchmark independent of the epidemic model:
     # z(t) = (cos t, -sin t) from (1, 0)
     return (z[1], -z[0])
@@ -62,7 +63,7 @@ class TestSteppers:
     def test_rk4_on_the_plain_model(self, params):
         from sirham.dynamics import sir_rhs
 
-        y1 = step_rk4(lambda z: sir_rhs(z, params), (0.01, 0.99), 0.1)
+        y1 = step_rk4(sir_rhs, params, (0.01, 0.99), 0.1)
         assert y1[0] == pytest.approx(0.01019890752362063287781, abs=1e-17)
         assert y1[1] == pytest.approx(0.9897001011277925846213, abs=1e-15)
 
@@ -70,7 +71,7 @@ class TestSteppers:
         # on a linear field one step is exactly the degree-4 Taylor
         # polynomial of the rotation, so the oracle is closed-form
         h = 0.1
-        y1 = step_rk4(rotation, (1.0, 0.0), h)
+        y1 = step_rk4(rotation, None, (1.0, 0.0), h)
         assert y1[0] == pytest.approx(1.0 - h**2 / 2 + h**4 / 24, abs=5e-15)
         assert y1[1] == pytest.approx(-(h - h**3 / 6), abs=5e-15)
         # and the truncation error against the true circle is fifth order
@@ -78,39 +79,41 @@ class TestSteppers:
         assert abs(y1[1] + math.sin(h)) < 1e-7
 
     def test_implicit_midpoint(self):
-        y1 = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
+        y1 = step_implicit_midpoint(log_rhs, log_jac, P, LOG_START, 0.05, tol=1e-14)
         assert y1[0] == pytest.approx(-4.595321305194035394045, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020107634130862215029, abs=5e-13)
 
     def test_time_finite_element_gauss2(self):
-        y1 = step_time_fe_cg1(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
+        y1 = step_time_fe_cg1(log_rhs, log_jac, P, LOG_START, 0.05, tol=1e-14)
         assert y1[0] == pytest.approx(-4.595321305184499989125, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020107695055540187324, abs=5e-13)
 
     def test_symplectic_euler(self):
-        y1 = step_symplectic_euler(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
+        y1 = step_symplectic_euler(log_rhs, log_jac, P, LOG_START, 0.05, tol=1e-14)
         assert y1[0] == pytest.approx(-4.595320185988091368036, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020182065413968143557, abs=5e-13)
 
     def test_symplectic_euler_needs_pairs(self):
         with pytest.raises(ScenarioError):
-            step_symplectic_euler(lambda y: (0.0,), lambda y: ((0.0,),), (1.0,), 0.1)
+            step_symplectic_euler(
+                lambda y, params: (0.0,), lambda y, params: ((0.0,),), P, (1.0,), 0.1
+            )
 
     def test_explicit_euler(self):
-        y1 = step_explicit_euler(log_rhs, LOG_START, 0.05)
+        y1 = step_explicit_euler(log_rhs, P, LOG_START, 0.05)
         assert y1[0] == pytest.approx(-4.595320185988091368036, abs=1e-15)
         assert y1[1] == pytest.approx(-0.01020033585350144118355, abs=1e-15)
 
     def test_variational_equals_implicit_midpoint(self):
         a = step_variational_midpoint(
-            log_rhs, log_jac, LOG_START, 0.05, params=P, chart=Chart.LOGARITHMIC
+            log_rhs, log_jac, P, LOG_START, 0.05, chart=Chart.LOGARITHMIC
         )
-        b = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05)
+        b = step_implicit_midpoint(log_rhs, log_jac, P, LOG_START, 0.05)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
 
     def test_midpoint_is_time_reversible(self):
-        forward = step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05, tol=1e-14)
-        back = step_implicit_midpoint(log_rhs, log_jac, forward, -0.05, tol=1e-14)
+        forward = step_implicit_midpoint(log_rhs, log_jac, P, LOG_START, 0.05, tol=1e-14)
+        back = step_implicit_midpoint(log_rhs, log_jac, P, forward, -0.05, tol=1e-14)
         assert max(abs(x - y) for x, y in zip(back, LOG_START)) <= 1e-13
 
     def test_newton_accepts_a_solution_found_on_its_last_iteration(self):
@@ -118,7 +121,7 @@ class TestSteppers:
         # single allowed iteration suffices; the step is the Cayley map
         h = 0.1
         y1 = step_implicit_midpoint(
-            rotation, lambda z: ((0.0, 1.0), (-1.0, 0.0)), (1.0, 0.0), h, max_iter=1
+            rotation, lambda z, params: ((0.0, 1.0), (-1.0, 0.0)), None, (1.0, 0.0), h, max_iter=1
         )
         d = 1.0 + h * h / 4.0
         assert y1[0] == pytest.approx((1.0 - h * h / 4.0) / d, abs=1e-15)
@@ -127,22 +130,22 @@ class TestSteppers:
     def test_newton_reports_exhaustion(self):
         # an unreachable tolerance forces the iteration cap
         with pytest.raises(NewtonDivergence):
-            step_implicit_midpoint(log_rhs, log_jac, LOG_START, 0.05, tol=0.0, max_iter=2)
+            step_implicit_midpoint(log_rhs, log_jac, P, LOG_START, 0.05, tol=0.0, max_iter=2)
 
     def test_newton_reports_a_singular_jacobian(self):
         # I - (dt/2) Df vanishes when Df = (2/dt) I: every pivot is zero
-        def degenerate(z):
+        def degenerate(z, params):
             return ((40.0, 0.0), (0.0, 40.0))
 
         with pytest.raises(NewtonDivergence, match="singular"):
-            step_implicit_midpoint(log_rhs, degenerate, LOG_START, 0.05)
+            step_implicit_midpoint(log_rhs, degenerate, P, LOG_START, 0.05)
 
     def test_newton_reports_non_finite_iterates(self):
-        def broken(z):
+        def broken(z, params):
             return (math.nan, math.nan)
 
         with pytest.raises(NewtonDivergence):
-            step_implicit_midpoint(broken, log_jac, LOG_START, 0.05)
+            step_implicit_midpoint(broken, log_jac, P, LOG_START, 0.05)
 
     @pytest.mark.parametrize(
         "step", [step_implicit_midpoint, step_time_fe_cg1], ids=lambda s: s.__name__
@@ -151,14 +154,14 @@ class TestSteppers:
         """The predictor solves the first equation exactly and the second
         residual is NaN: that is no solution."""
 
-        def nan_beyond_the_start(z):
+        def nan_beyond_the_start(z, params):
             return (1.0, 1.0) if z == (0.5, 0.5) else (1.0, math.nan)
 
-        def zero(z):
+        def zero(z, params):
             return ((0.0, 0.0), (0.0, 0.0))
 
         with pytest.raises(NewtonDivergence, match="finite range"):
-            step(nan_beyond_the_start, zero, (0.5, 0.5), 0.25)
+            step(nan_beyond_the_start, zero, None, (0.5, 0.5), 0.25)
 
     def test_an_exhausted_nan_residual_reports_norm_nan(self):
         def residual(u0, u1):
@@ -234,12 +237,12 @@ class TestJacobians:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
             if rec.coords is None:
-                assert_jacobian_matches(rec.jac(params)(y), rec.rhs(params), y)
+                assert_jacobian_matches(rec.jac()(y, params), partial(rec.rhs(), params=params), y)
                 continue
             assert rec.rhs is None and rec.jac is None
             q, p = y[:2], y[2:]
             rhs = extended_rates(formulation, params)
-            assert_jacobian_matches(rec.coords.jac(params)(q), lambda x: rhs(x + p)[:2], q)
+            assert_jacobian_matches(rec.coords.jac()(q, params), lambda x: rhs(x + p)[:2], q)
 
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_separable_flag_matches_the_jacobian(self, formulation):
@@ -253,7 +256,7 @@ class TestJacobians:
             if rec.jac is None:
                 d = central_jacobian(extended_rates(formulation, params), y)
             else:
-                d = rec.jac(params)(y)
+                d = rec.jac()(y, params)
             nq = len(y) // 2
             block = [x for row in d[nq:] for x in row[nq:]]
             assert all(x == 0.0 for x in block) is rec.separable, block
@@ -294,11 +297,11 @@ class TestJacobians:
                 # with the record's own rhs and flag
                 if rec.coords is not None:
                     with pytest.raises(ScenarioError, match="2-d states only, got 4-d"):
-                        step(None, None, y, 0.05, separable=rec.separable)
+                        step(None, None, params, y, 0.05, separable=rec.separable)
                     continue
-                rhs = rec.rhs(params)
                 seen = self.newton_systems(
-                    monkeypatch, step, rhs, rec.jac(params), y, 0.05, separable=rec.separable
+                    monkeypatch, step, rec.rhs(), rec.jac(), params, y, 0.05,
+                    separable=rec.separable,
                 )
                 if rec.separable:
                     assert seen == []
@@ -329,11 +332,11 @@ class TestJacobians:
             (residual, jacobian, u, width), = self.newton_systems(
                 monkeypatch,
                 step_variational_midpoint,
-                rec.rhs(params),
-                rec.jac(params),
+                rec.rhs(),
+                rec.jac(),
+                params,
                 y,
                 0.05,
-                params=params,
                 chart=chart,
             )
             assert width == 2
@@ -344,14 +347,14 @@ class TestJacobians:
         evaluations per step on log_t at dt = 0.05."""
         calls = []
 
-        def counting_rhs(z):
+        def counting_rhs(z, params):
             calls.append(z)
-            return log_rhs(z)
+            return log_rhs(z, params)
 
         y = LOG_START
         for _ in range(400):
             calls.clear()
-            y = step_implicit_midpoint(counting_rhs, log_jac, y, 0.05)
+            y = step_implicit_midpoint(counting_rhs, log_jac, P, y, 0.05)
             assert len(calls) <= 3
 
     @pytest.mark.parametrize(

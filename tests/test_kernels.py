@@ -119,12 +119,17 @@ def reference_rhs(formulation, params):
     return lambda y: ref_extended_rates(y, params, chart, TOL)
 
 
+def at(f, params):
+    """``f(y, params)`` as the one-argument closure the reference steps take."""
+    return lambda y: f(y, params)
+
+
 def record_rates(formulation, params):
-    """The record's rate closure; an extended record has none, and its rates
-    are those behind ``extended_rhs``."""
+    """The record's rates at ``params``; an extended record has none, and its
+    rates are those behind ``extended_rhs``."""
     rec = _RECORDS[formulation]
     if rec.rhs is not None:
-        return rec.rhs(params)
+        return at(rec.rhs(), params)
     return lambda y: hamiltonian._extended_rates(y, params, formulation.chart, TOL)
 
 
@@ -334,7 +339,7 @@ def ref_stepper(spec, rec, params):
         return partial(ref_step_variational_midpoint, params=params, chart=chart, **kw)
     if spec.method is Method.SYMPLECTIC_EULER:
         kw["separable"] = rec.separable
-    return partial(REF_STEP[spec.method], rec.rhs(params), rec.jac(params), **kw)
+    return partial(REF_STEP[spec.method], at(rec.rhs(), params), at(rec.jac(), params), **kw)
 
 
 def outcome(f, *args, **kwargs):
@@ -391,7 +396,7 @@ def test_marched_states_equal_the_reference(formulation, method, step, reference
         dt = 0.1 if formulation.clock == "t" else 0.02 * s0 / params.beta
         spec = RunSpec(method=method, formulation=formulation, dt=dt, t_end=40 * dt)
         stepper = integrators._make_stepper(spec, rec, params)
-        new = partial(step, rec.rhs(params))
+        new = partial(step, rec.rhs(), params)
         ref = partial(reference, reference_rhs(marched(formulation), params))
         y = z = w = rec.start(i0, s0, params)
         for _ in range(40):
@@ -441,15 +446,15 @@ def test_gradients_refuse_as_before(slot, value):
 def test_the_refusals_are_the_documented_ones():
     """The reference is not vacuous: each kind of bad point is refused."""
     params = EpidemicParams(beta=0.3, gamma=0.1)
-    rhs = _RECORDS[Formulation.RESCALED_TAU].rhs(params)
+    rhs = _RECORDS[Formulation.RESCALED_TAU].rhs()
     with pytest.raises(SingularDenominator):
-        rhs((0.01, 0.0))
+        rhs((0.01, 0.0), params)
     with pytest.raises(NonPositiveCoordinate):
-        rhs((0.01, -0.1))
+        rhs((0.01, -0.1), params)
     with pytest.raises(NonFiniteInput):
-        rhs((math.nan, 0.99))
+        rhs((math.nan, 0.99), params)
     with pytest.raises(NonFiniteInput):
-        _RECORDS[Formulation.LOG_T].rhs(params)((0.0, math.inf))
+        _RECORDS[Formulation.LOG_T].rhs()((0.0, math.inf), params)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +522,37 @@ def test_a_wrapped_step_sees_every_step(init, schedule, monkeypatch, formulation
     method = step_name.removeprefix("step_")
     integrate(RunSpec(method=method, formulation=formulation, dt=dt, t_end=40 * dt), init, schedule)
     assert len(calls) == 40
+
+
+@pytest.mark.parametrize("method,per_step", [("rk4", 4), ("explicit_euler", 1)])
+@pytest.mark.parametrize(
+    "formulation", [f for f in ALL if f.clock == "t"], ids=lambda f: f.value
+)
+def test_a_wrapped_kernel_sees_each_segments_params(
+    init, monkeypatch, formulation, method, per_step
+):
+    """The step hands every stage the active segment's own ``EpidemicParams``:
+    on three segments, the second and third closing on a short step, a
+    kernel wrapper installed before ``integrate`` sees 10, 16 and 15 steps'
+    stages, each call carrying its segment's parameters as its last
+    argument."""
+    seen = []
+    name = KERNEL[formulation]
+    module = dynamics if hasattr(dynamics, name) else hamiltonian
+    kernel = getattr(module, name)
+
+    def wrapped(*args):
+        seen.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, wrapped)
+    params = (EpidemicParams(0.3, 0.1), EpidemicParams(0.15, 0.1), EpidemicParams(0.3, 0.25))
+    schedule = ParamSchedule(switch_times=(0.0, 1.0, 2.55), params=params)
+    spec = RunSpec(method=method, formulation=formulation, dt=0.1, t_end=4.0)
+    integrate(spec, init, schedule)
+    want = [p for p, n in zip(params, (10, 16, 15)) for _ in range(per_step * n)]
+    assert len(seen) == len(want)
+    assert all(got is p for got, p in zip(seen, want))
 
 
 # ---------------------------------------------------------------------------
@@ -667,18 +703,28 @@ LOG_START = LOG.start(0.01, 0.99, P)
 BASIC_START = BASIC.start(0.01, 0.99, P)
 
 
-def nan_rhs(z):
+def nan_rhs(z, params):
     return (math.nan, math.nan)
 
 
 def momentum_jac(value):
-    return lambda z: ((0.0, 0.0), (0.0, value))
+    return lambda z, params: ((0.0, 0.0), (0.0, value))
+
+
+def paired(step, ref, args, **kwargs):
+    """``step`` on ``args = (rhs, jac, y, dt)`` at P, and ``ref`` on the same
+    rates bound to P."""
+    rhs, jac, y, dt = args
+    return (
+        partial(step, rhs, jac, P, y, dt, **kwargs),
+        partial(ref, at(rhs, P), at(jac, P), y, dt, **kwargs),
+    )
 
 
 def rhs_steps(args, **kwargs):
     """Each step that takes an rhs and its Jacobian, with its reference."""
     return [
-        (partial(step, *args, **kwargs), partial(ref, *args, **kwargs))
+        paired(step, ref, args, **kwargs)
         for step, ref in [
             (step_implicit_midpoint, ref_step_implicit_midpoint),
             (step_time_fe_cg1, ref_step_time_fe_cg1),
@@ -687,12 +733,7 @@ def rhs_steps(args, **kwargs):
 
 
 def symplectic(args, **kwargs):
-    return [
-        (
-            partial(step_symplectic_euler, *args, **kwargs),
-            partial(ref_step_symplectic_euler, *args, **kwargs),
-        )
-    ]
+    return [paired(step_symplectic_euler, ref_step_symplectic_euler, args, **kwargs)]
 
 
 def variational(dt, **kwargs):
@@ -703,11 +744,11 @@ def variational(dt, **kwargs):
         (
             partial(
                 step_variational_midpoint,
-                LOG.rhs(P),
-                LOG.jac(P),
+                LOG.rhs(),
+                LOG.jac(),
+                P,
                 LOG_START,
                 dt,
-                params=P,
                 chart=chart,
                 **kwargs,
             ),
@@ -718,20 +759,20 @@ def variational(dt, **kwargs):
 
 def iteration_cap(monkeypatch):
     cap = {"tol": 0.0, "max_iter": 2}
-    log = (LOG.rhs(P), LOG.jac(P), LOG_START, 0.05)
-    basic = (BASIC.rhs(P), BASIC.jac(P), BASIC_START, 0.05)
+    log = (LOG.rhs(), LOG.jac(), LOG_START, 0.05)
+    basic = (BASIC.rhs(), BASIC.jac(), BASIC_START, 0.05)
     return rhs_steps(log, **cap) + symplectic(basic, **cap) + variational(0.05, **cap)
 
 
 def singular_jacobian(monkeypatch):
     # every entry of I - c*D is -c*1e200 to rounding: the rows are equal
-    flat = lambda z: ((1e200, 1e200), (1e200, 1e200))  # noqa: E731
+    flat = lambda z, params: ((1e200, 1e200), (1e200, 1e200))  # noqa: E731
     # (-0.5*dt/4) * (4, -4) against the fixed entries -/+0.5: equal rows
     monkeypatch.setattr(hamiltonian, "hessian_log", lambda z, params: (4.0, -4.0))
     assert 1.0 - 0.05 * 20.0 == 0.0
     return (
-        rhs_steps((LOG.rhs(P), flat, LOG_START, 0.05))
-        + symplectic((BASIC.rhs(P), momentum_jac(20.0), BASIC_START, 0.05))
+        rhs_steps((LOG.rhs(), flat, LOG_START, 0.05))
+        + symplectic((BASIC.rhs(), momentum_jac(20.0), BASIC_START, 0.05))
         + variational(0.5)
     )
 
@@ -740,14 +781,14 @@ def non_finite_iterate(monkeypatch):
     nan = (math.nan, math.nan)
     monkeypatch.setattr(lagrangian, "extended_lagrangian_gradients", lambda *args: (nan, nan))
 
-    def overflowing_rhs(z):
+    def overflowing_rhs(z, params):
         return (0.0, 1e300 if z[1] < 1.0 else -1e300)
 
     # from the predictor 5e298, a momentum update of 1e299 / 1e-15 overflows
     near_singular = momentum_jac(20.0 * (1.0 - 1e-15))
     return (
-        rhs_steps((nan_rhs, LOG.jac(P), LOG_START, 0.05))
-        + symplectic((nan_rhs, BASIC.jac(P), BASIC_START, 0.05))
+        rhs_steps((nan_rhs, LOG.jac(), LOG_START, 0.05))
+        + symplectic((nan_rhs, BASIC.jac(), BASIC_START, 0.05))
         + symplectic((overflowing_rhs, near_singular, BASIC_START, 0.05))
         + variational(0.05)
     )
@@ -773,7 +814,7 @@ def test_newton_refusals_equal_the_reference(monkeypatch, failure, message):
 
 def test_a_1d_refusal_reports_a_1_tuple():
     """The padded momentum equation reports its iterate as the parent did."""
-    (new, _), = symplectic((nan_rhs, BASIC.jac(P), BASIC_START, 0.05))
+    (new, _), = symplectic((nan_rhs, BASIC.jac(), BASIC_START, 0.05))
     with pytest.raises(NewtonDivergence, match=r"finite range: \(nan,\)$"):
         new()
 
@@ -791,10 +832,13 @@ def test_the_implicit_midpoint_rule_is_the_galerkin_midpoint_rule(formulation):
     solved = 0
     for _ in range(300):
         params, i0, s0 = random_point(rng)
-        rhs, jac, y = rec.rhs(params), rec.jac(params), rec.start(i0, s0, params)
+        rhs, jac, y = rec.rhs(), rec.jac(), rec.start(i0, s0, params)
+        ref_rhs, ref_jac = at(rhs, params), at(jac, params)
         for dt in (0.05, 0.5, 2.0):
-            got = outcome(step_implicit_midpoint, rhs, jac, y, dt)
-            assert got == outcome(ref_step_time_fe_cg1, rhs, jac, y, dt, quadrature="midpoint")
+            got = outcome(step_implicit_midpoint, rhs, jac, params, y, dt)
+            assert got == outcome(
+                ref_step_time_fe_cg1, ref_rhs, ref_jac, y, dt, quadrature="midpoint"
+            )
             solved += not isinstance(got[0], type)
     # the comparison is not vacuous: at least a third of the steps are solved
     assert solved >= 300
