@@ -70,15 +70,20 @@ def _safe_name(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in label)
 
 
+#: the RunSpec fields that do not change a run's trajectory
+_UNHASHED_FIELDS = ("label", "extended_mode", "constraint_tol")
+
+
 def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
     """Stable 12-hex-digit digest of everything that determines a run.
 
-    Every ``RunSpec`` field except the cosmetic ``label`` is hashed, enums
-    by their value.
+    Every ``RunSpec`` field is hashed, enums by their value, except the
+    cosmetic ``label`` and the ``extended_mode`` and ``constraint_tol`` that
+    the march does not read, so that one trajectory has one digest.
     """
     run = {}
     for field in fields(spec):
-        if field.name != "label":
+        if field.name not in _UNHASHED_FIELDS:
             value = getattr(spec, field.name)
             run[field.name] = value.value if isinstance(value, Enum) else value
     payload = {

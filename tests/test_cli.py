@@ -340,7 +340,23 @@ class TestRunCommand:
             digests[name] = digest
             float(wall)
         # the digest hashes JSON of the input numbers only, so it is portable
-        assert digests == {"basic": "f95583efab15", "log": "e06eea3ae053"}
+        assert digests == {"basic": "e6c39ea17deb", "log": "810b6137311b"}
+
+    def test_one_trajectory_has_one_digest(self, tmp_path):
+        """The shipped scenario and its copy with both extended runs in
+        ``reconstruct`` mode, at another ``constraint_tol``, march the same
+        trajectories, so every run keeps its digest."""
+        copy = default_scenario_path().read_text().replace(
+            "formulation: extended_4d_",
+            "extended_mode: reconstruct, constraint_tol: 1.0e-6, formulation: extended_4d_",
+        )
+        path = tmp_path / "reconstruct.yaml"
+        path.write_text(copy)
+        shipped, rebuilt = load_scenario(default_scenario_path()), load_scenario(path)
+        assert [spec.extended_mode for spec in rebuilt.runs].count("reconstruct") == 2
+        assert [cli_module._spec_digest(shipped, spec) for spec in shipped.runs] == [
+            cli_module._spec_digest(rebuilt, spec) for spec in rebuilt.runs
+        ]
 
     def test_csv_schema_and_population_rows(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
