@@ -61,17 +61,13 @@ def trajectory_csv(traj: Trajectory) -> str:
     h0 = traj.h[0]
     drift = (traj.h - h0) / abs(h0)
     table = np.column_stack((traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift))
-    # the whole table in one % operation: one format string repeated per row
+    # one % over the whole table costs less than one per row
     row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
     return CSV_HEADER + "\n" + row_format * len(table) % tuple(table.ravel().tolist())
 
 
 def _safe_name(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in label)
-
-
-#: the RunSpec fields that do not change a run's trajectory
-_UNHASHED_FIELDS = ("label", "extended_mode", "constraint_tol")
 
 
 def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
@@ -83,7 +79,7 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
     """
     run = {}
     for field in fields(spec):
-        if field.name not in _UNHASHED_FIELDS:
+        if field.name not in ("label", "extended_mode", "constraint_tol"):
             value = getattr(spec, field.name)
             run[field.name] = value.value if isinstance(value, Enum) else value
     payload = {
