@@ -74,12 +74,12 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
     """Stable 12-hex-digit digest of everything that determines a run.
 
     Every ``RunSpec`` field is hashed, enums by their value, except the
-    cosmetic ``label`` and the ``extended_mode`` and ``constraint_tol`` that
-    the march does not read, so that one trajectory has one digest.
+    cosmetic ``label`` and the ``extended_mode`` that the march does not
+    read, so that one trajectory has one digest.
     """
     run = {}
     for field in fields(spec):
-        if field.name not in ("label", "extended_mode", "constraint_tol"):
+        if field.name not in ("label", "extended_mode"):
             value = getattr(spec, field.name)
             run[field.name] = value.value if isinstance(value, Enum) else value
     payload = {

@@ -236,11 +236,20 @@ def extended_hamiltonian(
     return h + multiplier[0] * c[0] + multiplier[1] * c[1]
 
 
-def _check_constraint(y: tuple[float, float, float, float], constraint_tol: float) -> None:
-    """Refuse a flattened extended state further than the tolerance off C = 0.
+def _extended_rates(
+    y: tuple[float, float, float, float],
+    params: EpidemicParams,
+    chart: Chart,
+    constraint_tol: float,
+) -> tuple[float, float, float, float]:
+    """Rates for the flattened extended state ``(q0, q1, p0, p1)``, behind
+    :func:`extended_rhs`: ``J grad H`` and ``-(1/2) grad H`` from the chart
+    gradient.
 
-    Both residuals must be within the tolerance, so a NaN is refused; the
-    norm reported is the larger residual, or NaN if either is NaN.
+    First refuses a state further than ``constraint_tol`` off C = 0.  Both
+    residuals must be within the tolerance, so a NaN is refused; the norm
+    reported is the larger residual, or NaN if either is NaN.  The march
+    never calls this: an extended run marches its chart's coordinates.
     """
     c0, c1 = abs(y[0] + 2.0 * y[3]), abs(y[1] - 2.0 * y[2])
     if not (c0 <= constraint_tol and c1 <= constraint_tol):
@@ -249,18 +258,6 @@ def _check_constraint(y: tuple[float, float, float, float], constraint_tol: floa
             f"constraint norm {norm:.3e} exceeds "
             f"tolerance {constraint_tol:.3e} at coords {(y[0], y[1])}"
         )
-
-
-def _extended_rates(
-    y: tuple[float, float, float, float],
-    params: EpidemicParams,
-    chart: Chart,
-    constraint_tol: float,
-) -> tuple[float, float, float, float]:
-    """Rates for the flattened extended state ``(q0, q1, p0, p1)``, behind
-    :func:`extended_rhs`: the constraint test of :func:`_check_constraint`,
-    then ``J grad H`` and ``-(1/2) grad H`` from the chart gradient."""
-    _check_constraint(y, constraint_tol)
     g0, g1 = _chart_energy(chart)[1]((y[0], y[1]), params)
     return (g1, -g0, -0.5 * g0, -0.5 * g1)
 

@@ -20,11 +20,11 @@ Euler's 1-d momentum equation is posed to it padded to two.
 Only what is implicit is solved.  Symplectic Euler is explicit wherever
 the momentum rate does not read the momenta (the separable canonical
 charts), so Newton runs only on ``basic_t`` and the ``single_ode_*``
-reductions.  A 4-d extended run, in either ``extended_mode``, marches its
-2-d coordinate block alone, under its canonical record ``coords``, and the
-trajectory build appends the momenta ``(1/2) J Q`` that the constraint
-``C = Q + 2 J P = 0`` pins to it.  So every step function steps 2-d states
-only, and no step reads or checks the constraint.
+reductions.  The constraint ``C = Q + 2 J P = 0`` pins an extended run's
+momenta to its coordinates, so its record is its chart's canonical one: the
+march steps the 2-d coordinates as a ``rescaled_tau`` or ``log_t`` run does,
+and the trajectory build appends the momenta ``(1/2) J Q``.  Every step
+function steps 2-d states, and no step reads or checks the constraint.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -115,6 +115,10 @@ RUN_DILATION_FLOOR = 1e-14
 #: the most steps a run may ask for: beyond, the clock (k + 1) * dt of the
 #: march no longer tells consecutive step indices k apart
 MAX_STEPS = 2.0**53
+#: the defaults of every Newton solve: both residuals within NEWTON_TOL, in
+#: at most NEWTON_MAX_ITER updates
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 _GAUSS2_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 #: the stages of the Galerkin step: node sigma, 1 - sigma, weight w and w * sigma
@@ -181,20 +185,18 @@ class _Record(NamedTuple):
     that carry a parameter-dependent rate as state need more than the
     identity.  ``separable`` says that the rate of the second half of the
     state (the momenta) does not depend on that half, which makes
-    symplectic Euler explicit.  An extended record is the chart's start
-    with the consistent momenta appended, and names in ``coords`` the
-    canonical record of its coordinate block; it has no rhs and no Jacobian
-    of its own, because the march steps only that block.
+    symplectic Euler explicit.  An extended formulation has no record of
+    its own: it is its chart's canonical record, whose 2-d state holds all
+    an extended run carries, since the constraint pins the momenta.
     """
 
     start: Callable[[float, float, EpidemicParams], tuple]
-    rhs: Callable[[], Rhs] | None
-    jac: Callable[[], Jac] | None
+    rhs: Callable[[], Rhs]
+    jac: Callable[[], Jac]
     dilation: Callable[[tuple, EpidemicParams], float]
     fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     remap: Callable[[tuple, EpidemicParams, EpidemicParams], tuple] = lambda y, old, new: y
     separable: bool = False
-    coords: _Record | None = None
 
 
 def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
@@ -247,17 +249,6 @@ def _single_ode(
         return (y[0], to_rate(to_momentum(y[1], old), new))
 
     return _Record(start, rhs, jac, dilation, fractions, remap)
-
-
-def _extended(base: _Record) -> _Record:
-    """Chart coordinates followed by the momenta the constraint pins to them."""
-
-    def start(i0: float, s0: float, params: EpidemicParams) -> tuple:
-        q = base.start(i0, s0, params)
-        return q + hamiltonian.consistent_momenta(q)
-
-    # no rate reads the momenta, so the record stays separable
-    return base._replace(start=start, rhs=None, jac=None, coords=base)
 
 
 def _rate_rhs_direct() -> Rhs:
@@ -321,8 +312,8 @@ _RECORDS = {
         _rate_dilation_log,
         lambda coords, beta, gamma: (np.exp(coords[:, 0]), (coords[:, 1] + gamma) / beta),
     ),
-    Formulation.EXTENDED_4D_DIRECT: _extended(_DIRECT),
-    Formulation.EXTENDED_4D_LOG: _extended(_LOG),
+    Formulation.EXTENDED_4D_DIRECT: _DIRECT,
+    Formulation.EXTENDED_4D_LOG: _LOG,
 }
 
 
@@ -334,14 +325,16 @@ class RunSpec:
     (ordinary time or the intrinsic epidemic clock).  ``sample_stride``
     keeps every n-th step in the trajectory, and the last step of every
     parameter segment, the run's final state among them, is always kept;
-    clock accumulation still uses every step.  ``extended_mode``
-    ("direct4d" or "reconstruct") and ``constraint_tol`` are validated and
-    kept, so that scenario files that set them still parse, but the march
-    reads neither: a 4-d run in either mode marches exactly as the chart's
-    ``rescaled_tau`` or ``log_t`` run does, and its trajectory appends the
-    momenta the constraint pins to the coordinates, so both modes give one
-    trajectory.  The one method a formulation refuses is
-    ``variational_midpoint``, which steps only those two canonical charts.
+    clock accumulation still uses every step.  ``label`` names the run in
+    file names and the manifest, so it must be printable: no tab, newline
+    or other control character.  ``extended_mode`` ("direct4d" or
+    "reconstruct") is validated and kept, so that scenario files that set
+    it still parse, but the march does not read it: a 4-d run in either
+    mode marches exactly as the chart's ``rescaled_tau`` or ``log_t`` run
+    does, and its trajectory appends the momenta the constraint pins to the
+    coordinates, so both modes give one trajectory.  The one method a
+    formulation refuses is ``variational_midpoint``, which steps only those
+    two canonical charts.
     """
 
     method: Method
@@ -351,19 +344,20 @@ class RunSpec:
     label: str | None = None
     sample_stride: int = 1
     extended_mode: str = "direct4d"
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    constraint_tol: float = hamiltonian.DEFAULT_CONSTRAINT_TOL
+    newton_tol: float = NEWTON_TOL
+    newton_max_iter: int = NEWTON_MAX_ITER
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method(self.method))
         object.__setattr__(self, "formulation", Formulation(self.formulation))
-        for name in ("dt", "t_end", "newton_tol", "constraint_tol"):
+        for name in ("dt", "t_end", "newton_tol"):
             object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         for name in ("sample_stride", "newton_max_iter"):
             object.__setattr__(self, name, _require_int(name, getattr(self, name)))
         if self.label is not None and not isinstance(self.label, str):
             raise ScenarioError(f"label must be a string, got {self.label!r}")
+        if self.label is not None and not self.label.isprintable():
+            raise ScenarioError(f"label must be printable, got {self.label!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
@@ -378,8 +372,6 @@ class RunSpec:
             raise ScenarioError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ScenarioError("newton_max_iter must be >= 1")
-        if not (self.constraint_tol > 0.0 and math.isfinite(self.constraint_tol)):
-            raise ScenarioError(f"constraint_tol must be positive, got {self.constraint_tol}")
         if self.method is Method.VARIATIONAL_MIDPOINT and self.formulation not in (
             Formulation.RESCALED_TAU,
             Formulation.LOG_T,
@@ -403,10 +395,11 @@ class RunSpec:
 class Trajectory:
     """Sampled run: both clocks, fractions, energy, and raw chart state.
 
-    ``coords`` holds the integrated variables themselves, one row per
-    sample (2 or 4 columns depending on the formulation); ``s``, ``i``,
-    ``r`` are the compartment fractions recovered from them, and ``h`` the
-    conserved energy evaluated with the parameters active at each sample.
+    ``coords`` holds the integrated variables, one row per sample, and on
+    an extended formulation the momenta the constraint pins to them (2 or 4
+    columns); ``s``, ``i``, ``r`` are the compartment fractions recovered
+    from them, and ``h`` the conserved energy evaluated with the parameters
+    active at each sample.
     ``chart`` and ``clock`` are the formulation's.
     """
 
@@ -525,8 +518,8 @@ def step_symplectic_euler(
     y: tuple,
     dt: float,
     *,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
     separable: bool = False,
 ) -> tuple:
     """Mixed-endpoint Euler on a state split into (coordinates, momenta).
@@ -540,11 +533,9 @@ def step_symplectic_euler(
     ``single_ode_*`` reductions, solved by Newton with the momentum block
     of ``jac``.  First order; symplectic on the canonical charts.
 
-    Steps 2-d states only, on scalar locals, and refuses any other with
-    :class:`ScenarioError`; the momentum equation is the 1-d Newton solve.
+    Steps a 2-d state on scalar locals; the momentum equation is the 1-d
+    Newton solve.
     """
-    if len(y) != 2:
-        raise ScenarioError(f"symplectic Euler steps 2-d states only, got {len(y)}-d")
     y0, y1 = y
     f0, f1 = rhs(y, params)
     q = y0 + dt * f0
@@ -567,8 +558,8 @@ def step_implicit_midpoint(
     y: tuple,
     dt: float,
     *,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple:
     """Implicit midpoint rule: second order, symplectic with constant J.
 
@@ -597,8 +588,8 @@ def step_variational_midpoint(
     dt: float,
     *,
     chart: Chart,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple:
     """Discrete variational step from the extended first-order Lagrangian.
 
@@ -650,8 +641,8 @@ def step_time_fe_cg1(
     y: tuple,
     dt: float,
     *,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple:
     """Continuous-Galerkin step: linear trial state, constant test functions.
 
@@ -759,8 +750,8 @@ def integrate(
     start keeps its type and names the initial state.  A Newton, domain or
     singularity failure inside the march keeps its type and names the step
     and the clock it started from; an overflow becomes NonFiniteInput.
-    Every switch is a kept sample, whatever the stride.  An extended run,
-    whatever its ``extended_mode``, marches its coordinate block.
+    Every switch is a kept sample, whatever the stride.  An extended run
+    marches its chart's record, whatever its ``extended_mode``.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -775,8 +766,6 @@ def integrate(
     segments = schedule.segments(spec.t_end)
 
     rec = _RECORDS[form]
-    if rec.coords is not None:
-        rec = rec.coords
     dilation = rec.dilation
     try:
         y = rec.start(init.i, init.s, segments[0][2])

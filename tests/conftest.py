@@ -1,6 +1,8 @@
 import pytest
 
 from sirham import CompartmentState, EpidemicParams, ParamSchedule
+from sirham.hamiltonian import consistent_momenta
+from sirham.integrators import _RECORDS
 
 
 @pytest.fixture
@@ -17,3 +19,17 @@ def schedule(params) -> ParamSchedule:
 @pytest.fixture
 def init() -> CompartmentState:
     return CompartmentState(s=0.99, i=0.01, r=0.0)
+
+
+@pytest.fixture
+def start_state():
+    """``start(formulation, i0, s0, params)``: the state a run of
+    ``formulation`` starts from.  An extended formulation's record is its
+    chart's, which starts the coordinates; the 4-d state appends the
+    momenta the constraint pins to them."""
+
+    def start(formulation, i0, s0, params):
+        q = _RECORDS[formulation].start(i0, s0, params)
+        return q + consistent_momenta(q) if formulation.dim == 4 else q
+
+    return start

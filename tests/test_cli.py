@@ -344,11 +344,10 @@ class TestRunCommand:
 
     def test_one_trajectory_has_one_digest(self, tmp_path):
         """The shipped scenario and its copy with both extended runs in
-        ``reconstruct`` mode, at another ``constraint_tol``, march the same
-        trajectories, so every run keeps its digest."""
+        ``reconstruct`` mode march the same trajectories, so every run keeps
+        its digest."""
         copy = default_scenario_path().read_text().replace(
-            "formulation: extended_4d_",
-            "extended_mode: reconstruct, constraint_tol: 1.0e-6, formulation: extended_4d_",
+            "formulation: extended_4d_", "extended_mode: reconstruct, formulation: extended_4d_"
         )
         path = tmp_path / "reconstruct.yaml"
         path.write_text(copy)
@@ -416,6 +415,17 @@ class TestRunCommand:
         proc = cli("run", scenario, "--out", out)
         assert proc.returncode == 2
         assert "t_end / dt = inf steps; the march counts at most 2**53" in proc.stderr
+        assert not (out / "manifest.tsv").exists()
+
+    @pytest.mark.parametrize("label", [r'"two\tcols"', r'"line\nbreak"'], ids=["tab", "newline"])
+    def test_a_label_with_a_control_character_exits_2(self, tmp_path, label):
+        """A tab or a line break in a label would split its manifest row."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN.replace("label: base", f"label: {label}"))
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 2
+        assert "run[0]: label must be printable" in proc.stderr
         assert not (out / "manifest.tsv").exists()
 
     def test_newton_failure_exits_3_with_its_step(self, tmp_path):

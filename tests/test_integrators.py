@@ -93,12 +93,6 @@ class TestSteppers:
         assert y1[0] == pytest.approx(-4.595320185988091368036, abs=5e-13)
         assert y1[1] == pytest.approx(-0.01020182065413968143557, abs=5e-13)
 
-    def test_symplectic_euler_needs_pairs(self):
-        with pytest.raises(ScenarioError):
-            step_symplectic_euler(
-                lambda y, params: (0.0,), lambda y, params: ((0.0,),), P, (1.0,), 0.1
-            )
-
     def test_explicit_euler(self):
         y1 = step_explicit_euler(log_rhs, P, LOG_START, 0.05)
         assert y1[0] == pytest.approx(-4.595320185988091368036, abs=1e-15)
@@ -228,32 +222,31 @@ class TestJacobians:
     differences of the functions they differentiate."""
 
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
-    def test_record_jacobian_matches_the_rhs(self, formulation):
-        """An extended record has no rhs and no Jacobian: its steps step the
-        coordinate block with the canonical record's, whose Jacobian must be
-        that of the coordinate block of the 4-d rates."""
+    def test_record_jacobian_matches_the_rhs(self, start_state, formulation):
+        """An extended formulation's record is its chart's, whose Jacobian
+        must be that of the coordinate block of the 4-d rates."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
-            y = rec.start(i0, s0, params)
-            if rec.coords is None:
-                assert_jacobian_matches(rec.jac()(y, params), partial(rec.rhs(), params=params), y)
-                continue
-            assert rec.rhs is None and rec.jac is None
+            y = start_state(formulation, i0, s0, params)
             q, p = y[:2], y[2:]
-            rhs = extended_rates(formulation, params)
-            assert_jacobian_matches(rec.coords.jac()(q, params), lambda x: rhs(x + p)[:2], q)
+            if formulation.dim == 4:
+                rates = extended_rates(formulation, params)
+                rhs = lambda x: rates(x + p)[:2]  # noqa: E731
+            else:
+                rhs = partial(rec.rhs(), params=params)
+            assert_jacobian_matches(rec.jac()(q, params), rhs, q)
 
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
-    def test_separable_flag_matches_the_jacobian(self, formulation):
+    def test_separable_flag_matches_the_jacobian(self, start_state, formulation):
         """The momentum-momentum block of the record's Jacobian (of the 4-d
-        rates, for the extended records) is zero exactly where ``separable``
-        is set."""
+        rates, for the extended formulations) is zero exactly where the
+        record's ``separable`` is set."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
-            y = rec.start(i0, s0, params)
-            if rec.jac is None:
+            y = start_state(formulation, i0, s0, params)
+            if formulation.dim == 4:
                 d = central_jacobian(extended_rates(formulation, params), y)
             else:
                 d = rec.jac()(y, params)
@@ -285,20 +278,14 @@ class TestJacobians:
     @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
     def test_residual_jacobian_matches_the_residual(self, monkeypatch, step, formulation):
         """Each step as the march builds it.  Symplectic Euler on a separable
-        record never reaches Newton, and refuses a 4-d state; an extended
-        record is marched as its 2-d coordinate block."""
+        record never reaches Newton; an extended formulation's record is its
+        chart's."""
         rec = _RECORDS[formulation]
         for i0, s0, beta, gamma in JACOBIAN_POINTS:
             params = EpidemicParams(beta, gamma)
             y = rec.start(i0, s0, params)
             if step is step_symplectic_euler:
-                # the step itself refuses a 4-d state, whose separable
-                # coordinate block the march steps instead; call the step
-                # with the record's own rhs and flag
-                if rec.coords is not None:
-                    with pytest.raises(ScenarioError, match="2-d states only, got 4-d"):
-                        step(None, None, params, y, 0.05, separable=rec.separable)
-                    continue
+                # call the step with the record's own rhs and flag
                 seen = self.newton_systems(
                     monkeypatch, step, rec.rhs(), rec.jac(), params, y, 0.05,
                     separable=rec.separable,
@@ -313,8 +300,6 @@ class TestJacobians:
                     else Method.TIME_FE_CG1_GAUSS2
                 )
                 spec = RunSpec(method=method, formulation=formulation, dt=0.05, t_end=1.0)
-                if rec.coords is not None:
-                    rec, y = rec.coords, y[:2]
                 stepper = integrators._make_stepper(spec, rec, params)
                 seen = self.newton_systems(monkeypatch, stepper, y, 0.05)
             # a 1-d momentum equation is padded in front by u0 = 0
@@ -416,7 +401,8 @@ class TestRunSpec:
             {"extended_mode": "hybrid"},
             {"newton_tol": 0.0},
             {"newton_max_iter": 0},
-            {"constraint_tol": -1.0},
+            {"label": "two\tcols"},
+            {"label": "line\nbreak"},
         ],
     )
     def test_validation(self, kwargs):

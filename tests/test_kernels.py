@@ -125,21 +125,20 @@ def at(f, params):
 
 
 def record_rates(formulation, params):
-    """The record's rates at ``params``; an extended record has none, and its
-    rates are those behind ``extended_rhs``."""
-    rec = _RECORDS[formulation]
-    if rec.rhs is not None:
-        return at(rec.rhs(), params)
-    return lambda y: hamiltonian._extended_rates(y, params, formulation.chart, TOL)
+    """The rates of a ``formulation`` state at ``params``: the record's, or on
+    a 4-d state the rates behind ``extended_rhs``."""
+    if formulation.dim == 4:
+        return lambda y: hamiltonian._extended_rates(y, params, formulation.chart, TOL)
+    return at(_RECORDS[formulation].rhs(), params)
 
 
-#: the canonical formulation whose record steps an extended state's coordinates
+#: the canonical formulation whose record an extended formulation marches
 CANONICAL = {Chart.DIRECT: Formulation.RESCALED_TAU, Chart.LOGARITHMIC: Formulation.LOG_T}
 
 
 def marched(formulation):
     """The formulation whose record the march steps: an extended run marches
-    its chart's canonical coordinate block."""
+    its chart's canonical record."""
     return CANONICAL[formulation.chart] if formulation.dim == 4 else formulation
 
 
@@ -363,12 +362,11 @@ def random_point(rng):
 
 
 @pytest.mark.parametrize("formulation", ALL, ids=lambda f: f.value)
-def test_record_rates_equal_the_reference(formulation):
+def test_record_rates_equal_the_reference(start_state, formulation):
     rng = random.Random(f"rates-{formulation.value}")
-    rec = _RECORDS[formulation]
     for _ in range(300):
         params, i0, s0 = random_point(rng)
-        y = rec.start(i0, s0, params)
+        y = start_state(formulation, i0, s0, params)
         if formulation.dim == 2:
             # off the start's level set too
             y = (y[0] * rng.uniform(0.5, 1.5), y[1] * rng.uniform(0.9, 1.1))
@@ -387,9 +385,9 @@ def test_record_rates_equal_the_reference(formulation):
 def test_marched_states_equal_the_reference(formulation, method, step, reference):
     """Forty steps of the stepper the march builds, and of the step function
     itself, against the zip-based step on the reference rates.  An extended
-    run is compared through its coordinate record."""
+    formulation's record is its chart's, and so are its reference rates."""
     rng = random.Random(f"march-{formulation.value}-{method}")
-    rec = _RECORDS[marched(formulation)]
+    rec = _RECORDS[formulation]
     for _ in range(20):
         params, i0, s0 = random_point(rng)
         # the tau clock moves S by -beta*tau: keep 20 % of s0 in hand
@@ -414,7 +412,7 @@ def bad_states(formulation, value):
     """A valid state with ``value`` in one slot; the momenta of an extended
     state are the consistent ones, so only the coordinates are bad."""
     params = EpidemicParams(beta=0.3, gamma=0.1)
-    q = _RECORDS[formulation].start(0.01, 0.99, params)[:2]
+    q = _RECORDS[formulation].start(0.01, 0.99, params)
     for slot in (0, 1):
         z = tuple(value if k == slot else x for k, x in enumerate(q))
         yield params, (z + hamiltonian.consistent_momenta(z) if formulation.dim == 4 else z)
@@ -574,8 +572,8 @@ def accepted(method, formulation):
     return True
 
 
-#: what ``_make_stepper`` builds for the implicit methods; an extended run
-#: marches the canonical record of its chart, through which it is compared
+#: what ``_make_stepper`` builds for the implicit methods; an extended
+#: formulation's record is the canonical record of its chart
 IMPLICIT_CASES = [(m, f) for m in IMPLICIT for f in ALL if accepted(m, f)]
 
 
@@ -589,7 +587,7 @@ def test_implicit_steps_equal_the_reference(rhs_calls, method, formulation):
     step reads the momentum ``(1/2) J Q`` off its start, so it skips the
     reference's first call, the gradients at that start."""
     rng = random.Random(f"implicit-{method.value}-{formulation.value}")
-    rec = _RECORDS[marched(formulation)]
+    rec = _RECORDS[formulation]
     n_marched = 0
     for _ in range(20):
         params, i0, s0 = random_point(rng)
@@ -669,7 +667,9 @@ N_4D = 40
 
 @pytest.mark.parametrize("method", list(REF_STEP_4D), ids=lambda m: m.value)
 @pytest.mark.parametrize("formulation", [f for f in ALL if f.dim == 4], ids=lambda f: f.value)
-def test_a_4d_march_keeps_the_constraint_and_the_rebuilt_momenta(formulation, method):
+def test_a_4d_march_keeps_the_constraint_and_the_rebuilt_momenta(
+    start_state, formulation, method
+):
     """Over the fixed grid, the reference 4-d march keeps |C| within
     n_steps * 8 eps * max|Q| at every step, and its momenta equal the
     momentum columns of the run's trajectory, ``consistent_momenta`` of the
@@ -677,7 +677,6 @@ def test_a_4d_march_keeps_the_constraint_and_the_rebuilt_momenta(formulation, me
     budget of 8 eps per step, fixed before measuring."""
     eps = 2.0**-52
     step = REF_STEP_4D[method]
-    start = _RECORDS[formulation].start
     for params in GRID_4D_PARAMS:
         rates = partial(
             hamiltonian._extended_rates, params=params, chart=formulation.chart, constraint_tol=TOL
@@ -688,7 +687,7 @@ def test_a_4d_march_keeps_the_constraint_and_the_rebuilt_momenta(formulation, me
                 spec = RunSpec(method=method, formulation=formulation, dt=dt, t_end=N_4D * dt)
                 traj = integrate(spec, recovered_from(s0, i0), ParamSchedule.constant(params))
                 assert traj.n_samples == N_4D + 1
-                states = [start(i0, s0, params)]
+                states = [start_state(formulation, i0, s0, params)]
                 for _ in range(N_4D):
                     states.append(step(rates, jac, states[-1], dt))
                 bound = N_4D * 8.0 * eps * max(max(abs(y[0]), abs(y[1])) for y in states)
@@ -820,7 +819,7 @@ def test_a_1d_refusal_reports_a_1_tuple():
 
 
 @pytest.mark.parametrize(
-    "formulation", [f for f in ALL if _RECORDS[f].rhs is not None], ids=lambda f: f.value
+    "formulation", [f for f in ALL if f.dim == 2], ids=lambda f: f.value
 )
 def test_the_implicit_midpoint_rule_is_the_galerkin_midpoint_rule(formulation):
     """The Galerkin step on the one-point midpoint quadrature, which only its

@@ -1,9 +1,13 @@
-"""The README's Python API example runs and prints what its comments say."""
+"""The README's Python API example runs and prints what its comments say,
+and its list of optional run keys names the knobs ``RunSpec`` has."""
 
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+
+from sirham import RunSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 NUMBER = r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?"
@@ -40,3 +44,12 @@ def test_python_api_example_prints_its_commented_values(capsys):
     params = namespace["params"]
     s_at_peak = float(re.findall(NUMBER, printed[2])[1])
     assert s_at_peak == pytest.approx(params.gamma / params.beta, rel=1e-15)
+
+
+def test_the_optional_run_keys_are_the_runspec_fields_with_defaults():
+    """README's list of optional run keys, in order, is every ``RunSpec``
+    field with a default, so a knob cannot be added or dropped unlisted."""
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"Optional run keys: (.*?)\.(?:\s|$)", text).group(1)
+    keys = re.findall(r"`(\w+)`", listed)
+    assert keys == [f.name for f in fields(RunSpec) if f.default is not MISSING]

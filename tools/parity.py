@@ -20,8 +20,9 @@ its own ``src/`` first on ``sys.path``:
 Compared per case, in this order: the exit code, stdout and stderr of the
 command; every file it wrote (the manifest without its wall-time column);
 and the arrays ``integrate`` returns, or what it raised.  The tool prints
-the numbers of identical and differing cases and the first field that
-differs in each differing case, and exits 1 on any difference.
+one line per differing case, naming every field that differs in it, then
+the numbers of identical and differing cases, and exits 1 on any
+difference.
 
 ``--cases N`` runs only N grid cases, spread evenly over the grid, and
 none of the other commands.  The tool needs git and numpy only.
@@ -213,11 +214,10 @@ def _unpack(ref: str, into: Path) -> Path:
     return into
 
 
-def _first_difference(a: dict, b: dict) -> str | None:
-    for key in list(a) + [k for k in b if k not in a]:
-        if a.get(key, "<absent>") != b.get(key, "<absent>"):
-            return key
-    return None
+def _differences(a: dict, b: dict) -> list[str]:
+    """Every field whose value differs, or is present on one side only."""
+    keys = list(a) + [k for k in b if k not in a]
+    return [key for key in keys if a.get(key, "<absent>") != b.get(key, "<absent>")]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -255,10 +255,10 @@ def main(argv: list[str] | None = None) -> int:
     names = list(ref) + [k for k in new if k not in ref]
     differing = 0
     for name in names:
-        field = _first_difference(ref.get(name, {}), new.get(name, {}))
-        if field is not None:
+        fields = _differences(ref.get(name, {}), new.get(name, {}))
+        if fields:
             differing += 1
-            print(f"differs: {name}: {field}")
+            print(f"differs: {name}: {', '.join(fields)}")
     print(f"{len(names) - differing} identical, {differing} differing")
     return 1 if differing else 0
 
