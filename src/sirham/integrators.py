@@ -30,9 +30,9 @@ function steps 2-d states, and no step reads or checks the constraint.
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
 the intrinsic epidemic clock tau with d(tau) = S*I dt), the compartment
 fractions, and the conserved energy at every sample.  Runs whose native
-clock is tau obtain the ordinary-time column by trapezoidal accumulation
-of 1/(S*I) during the march; :func:`reconstruct_ordinary_time` performs
-the same quadrature on an existing trajectory's samples.
+clock is tau obtain the ordinary-time column by the trapezoid rule on
+1/(S*I) over every step; :func:`reconstruct_ordinary_time` applies the
+same rule to an existing trajectory's samples.
 
 Each :class:`Formulation` is defined in one place, its private record in
 ``_RECORDS``: initial state, rhs and rhs-Jacobian lookups, S*I dilation,
@@ -53,9 +53,14 @@ their residual and Jacobian there too, with the arithmetic, in the same
 order, of the zip and tuple bodies the kernel tests keep as their
 references.
 
-The march keeps each sample as six numbers in one flat list, own clock,
-other clock, segment, step and the two state components, which
-:func:`_build_trajectory` converts to one float array.
+The march loop only steps: it keeps every state it reaches, two floats
+a step in one flat list, for as long as the march runs, and converts the
+list to one float array when it ends.  The other clock, the dilation
+floor and the choice of kept samples are then one numpy pass over all the
+states, which raises the first failure in step order, as a test after
+every step would have.  That pass reads each record's ``dilation``
+elementwise over columns of states; its exponentials stay ``math.exp``,
+bit for bit the scalar values.
 """
 
 from __future__ import annotations
@@ -179,8 +184,9 @@ class _Record(NamedTuple):
     parameters, so an explicit stage is one call of the kernel itself
     (one closure and its kernel on the ``single_ode_*`` reductions).
     ``dilation(y, params)`` is S*I, the rate of the intrinsic
-    clock, and ``fractions(coords, beta, gamma)`` maps sampled coordinates to
-    the (I, S) columns.  ``remap(y, old, new)`` carries the state across a
+    clock, of one state or elementwise of a pair of state columns, and
+    ``fractions(coords, beta, gamma)`` maps sampled coordinates to the
+    (I, S) columns.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
     identity.  ``separable`` says that the rate of the second half of the
@@ -197,6 +203,21 @@ class _Record(NamedTuple):
     fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     remap: Callable[[tuple, EpidemicParams, EpidemicParams], tuple] = lambda y, old, new: y
     separable: bool = False
+
+
+def _exp(x):
+    """``math.exp`` of a number, or of each entry of an array: ``np.exp``
+    rounds a few percent of float64 inputs differently.  An overflow raises
+    OverflowError either way."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+    return math.exp(x)
+
+
+def _any(test) -> bool:
+    """A comparison of one state, or whether it holds for any entry of a
+    column of states."""
+    return test if isinstance(test, bool) else bool(test.any())
 
 
 def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
@@ -230,7 +251,7 @@ _LOG = _Record(
     start=_log_start,
     rhs=lambda: hamiltonian.hamilton_rhs_log,
     jac=lambda: _canonical_jac(hamiltonian.hessian_log),
-    dilation=lambda y, params: math.exp(y[0] + y[1]),
+    dilation=lambda y, params: _exp(y[0] + y[1]),
     fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
     separable=True,
 )
@@ -263,7 +284,7 @@ def _rate_rhs_log() -> Rhs:
 
 def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
     beta = params.beta
-    if y[1] >= beta:
+    if _any(y[1] >= beta):
         raise OutsideLegendreDomain(
             f"rate {y[1]} reached beta = {beta}; susceptible fraction undefined"
         )
@@ -272,11 +293,11 @@ def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
 
 def _rate_dilation_log(y: tuple, params: EpidemicParams) -> float:
     gamma = params.gamma
-    if y[1] <= -gamma:
+    if _any(y[1] <= -gamma):
         raise OutsideLegendreDomain(
             f"rate {y[1]} reached -gamma = {-gamma}; susceptible fraction undefined"
         )
-    return math.exp(y[0]) * (y[1] + gamma) / params.beta
+    return _exp(y[0]) * (y[1] + gamma) / params.beta
 
 
 #: the one place each formulation is defined; the march reads only this
@@ -691,25 +712,28 @@ def _make_stepper(
     The step scheme and the rhs kernels are looked up by name here, when
     the segment's stepper is built, and bound into it, so a stage costs
     no lookup; a wrapper put in their place before the march starts sees
-    every step and every stage.
+    every step and every stage.  An implicit step's Newton settings are
+    closure locals, passed by keyword with no dictionary built per step.
     """
     m = spec.method
-    kw = {"tol": spec.newton_tol, "max_iter": spec.newton_max_iter}
     rhs = rec.rhs()
     if m is Method.EXPLICIT_EULER:
         return partial(step_explicit_euler, rhs, params)
     if m is Method.RK4:
         return partial(step_rk4, rhs, params)
     jac = rec.jac()
+    tol, max_iter = spec.newton_tol, spec.newton_max_iter
     if m is Method.SYMPLECTIC_EULER:
-        return partial(step_symplectic_euler, rhs, jac, params, separable=rec.separable, **kw)
-    if m is Method.IMPLICIT_MIDPOINT:
-        return partial(step_implicit_midpoint, rhs, jac, params, **kw)
+        step, separable = step_symplectic_euler, rec.separable
+        return lambda y, h: step(
+            rhs, jac, params, y, h, tol=tol, max_iter=max_iter, separable=separable
+        )
     if m is Method.VARIATIONAL_MIDPOINT:
-        chart = spec.formulation.chart
-        return partial(step_variational_midpoint, rhs, jac, params, chart=chart, **kw)
-    # the last Method, TIME_FE_CG1_GAUSS2: RunSpec coerces every method to one
-    return partial(step_time_fe_cg1, rhs, jac, params, **kw)
+        step, chart = step_variational_midpoint, spec.formulation.chart
+        return lambda y, h: step(rhs, jac, params, y, h, chart=chart, tol=tol, max_iter=max_iter)
+    # TIME_FE_CG1_GAUSS2 is the last Method: RunSpec coerces every method to one
+    step = step_implicit_midpoint if m is Method.IMPLICIT_MIDPOINT else step_time_fe_cg1
+    return lambda y, h: step(rhs, jac, params, y, h, tol=tol, max_iter=max_iter)
 
 
 def _check_schedule(spec: RunSpec, schedule: ParamSchedule) -> None:
@@ -732,6 +756,41 @@ def _segment_steps(span: float, dt: float) -> tuple[int, float]:
     return n_full + 1, tail
 
 
+def _trapezoid(h, f):
+    """The trapezoid rule over consecutive values of ``f`` a step ``h``
+    apart: one sum per step.  Halving is exact, so the sums do not depend
+    on whether ``h`` or the pair is halved."""
+    return 0.5 * h * (f[:-1] + f[1:])
+
+
+def _own_clock(
+    spec: RunSpec, segments: Sequence, grid: Sequence[tuple[int, float]], rows
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment and own clock of each stored state numbered in ``rows``: 0 is
+    the start, at clock 0, and j the state after step j.  A step's clock is
+    ``a + k * dt``, k counted from its segment's start ``a``, and the
+    segment's end ``b`` on its closing step."""
+    rows = np.asarray(rows)
+    n = np.array([n for n, _ in grid])
+    ends = np.cumsum(n)
+    # a segment's closing step is its own, also when a segment after it is empty
+    seg = np.searchsorted(ends, rows)
+    a = np.array([a for a, _, _ in segments])[seg]
+    b = np.array([b for _, b, _ in segments])[seg]
+    clock = np.where(rows == ends[seg], b, a + (rows - (ends - n)[seg]) * spec.dt)
+    return seg, np.where(rows == 0, 0.0, clock)
+
+
+def _at_step(exc: Exception, step: int, clock: float) -> Exception:
+    """``exc`` renamed for the march: its step and the clock it started from.
+    An overflow becomes NonFiniteInput."""
+    where = f"step {step} from clock {float(clock):.6g}"
+    if isinstance(exc, OverflowError):
+        # math.exp of a runaway log-chart coordinate, in a rate or the dilation
+        return NonFiniteInput(f"{where}: a value overflowed ({exc})")
+    return type(exc)(f"{where}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # the march
 
@@ -752,6 +811,13 @@ def integrate(
     and the clock it started from; an overflow becomes NonFiniteInput.
     Every switch is a kept sample, whatever the stride.  An extended run
     marches its chart's record, whatever its ``extended_mode``.
+
+    The march itself only steps: every state it reaches is kept, two floats
+    in one flat list, until the march ends.  The clocks, the dilation floor
+    and the choice of samples are then one pass over all the states
+    (:func:`_other_clock`), which raises what a test after every step
+    would have raised first, so a dilation failure at one step still wins
+    over a step failure after it.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -761,85 +827,155 @@ def integrate(
         raise ScenarioError(f"schedule must be a ParamSchedule, got {type(schedule).__name__}")
 
     form = spec.formulation
-    clock_is_t = form.clock == "t"
     _check_schedule(spec, schedule)
     segments = schedule.segments(spec.t_end)
 
     rec = _RECORDS[form]
-    dilation = rec.dilation
     try:
         y = rec.start(init.i, init.s, segments[0][2])
-        dil_prev = dilation(y, segments[0][2])
+        dil = rec.dilation(y, segments[0][2])
     except RhsDomainError as exc:
         # a fraction the chart cannot express, such as ln of a zero
         raise type(exc)(f"initial state: {exc}") from exc
-    if not clock_is_t and dil_prev < START_DILATION_FLOOR:
+    if form.clock == "tau" and dil < START_DILATION_FLOOR:
         raise StepAcrossSingularity(
-            f"S*I = {dil_prev:.3e} at the initial state; the intrinsic clock "
+            f"S*I = {dil:.3e} at the initial state; the intrinsic clock "
             f"is degenerate below {START_DILATION_FLOOR:.0e}"
         )
 
-    dt, stride = spec.dt, spec.sample_stride
+    dt = spec.dt
     grid = [_segment_steps(b - a, dt) for a, b, _ in segments]
-    # six entries per kept sample, (own clock, other clock, segment, step,
-    # y0, y1), kept flat: a tuple per row gives the garbage collector one more
-    # object to track per sample, which slowed a stride-1 march measurably,
-    # and a flat row of numbers is one float array in a single conversion
-    samples = [0.0, 0.0, 0, 0, *y]
-    sec = 0.0
-    step_no = 0
-    t_now = 0.0
+    # the start, then the state after each step, flat: a tuple per state
+    # would give the garbage collector one more object to track per step
+    ys = [*y]
+    # the dilation of each segment's start, after its remap, under its own
+    # parameters: the left end of the segment's first trapezoid
+    starts = []
+    failure = None
     try:
-        for seg_id, ((a, b, pars), (n, h_last)) in enumerate(zip(segments, grid)):
+        for seg_id, ((_, _, pars), (n, h_last)) in enumerate(zip(segments, grid)):
             if seg_id > 0:
                 # the boundary sample keeps the outgoing segment's representation;
                 # only the state marched onward is re-expressed
                 y = rec.remap(y, segments[seg_id - 1][2], pars)
             stepper = _make_stepper(spec, rec, pars)
-            dil_prev = dilation(y, pars)
-            n_last = n - 1
-            for k in range(n):
-                h = h_last if k == n_last else dt
-                y = stepper(y, h)
-                # before the clock moves on, so that a failure names the step's start
-                dil_now = dilation(y, pars)
-                if clock_is_t:
-                    sec += 0.5 * h * (dil_prev + dil_now)
-                else:
-                    if dil_now < RUN_DILATION_FLOOR:
-                        raise StepAcrossSingularity(
-                            f"S*I fell to {dil_now:.3e}; the run crossed the "
-                            "singularity of the time map"
-                        )
-                    sec += 0.5 * h * (1.0 / dil_prev + 1.0 / dil_now)
-                dil_prev = dil_now
-                t_now = b if k == n_last else a + (k + 1) * dt
-                step_no += 1
-                if step_no % stride == 0 or k == n_last:
-                    samples += (t_now, sec, seg_id, step_no, y[0], y[1])
-    except (NewtonDivergence, RhsDomainError, StepAcrossSingularity) as exc:
-        raise type(exc)(f"step {step_no + 1} from clock {t_now:.6g}: {exc}") from exc
-    except OverflowError as exc:
-        # math.exp of a runaway log-chart coordinate, in a rate or the dilation
-        raise NonFiniteInput(
-            f"step {step_no + 1} from clock {t_now:.6g}: a value overflowed ({exc})"
-        ) from exc
+            starts.append(rec.dilation(y, pars))
+            for _ in range(n - 1):
+                y = stepper(y, dt)
+                ys += y
+            if n:
+                y = stepper(y, h_last)
+                ys += y
+    except (NewtonDivergence, RhsDomainError, OverflowError) as exc:
+        # the pass over the states may find an earlier failure
+        failure = exc
+    states = np.array(ys, dtype=float).reshape(-1, 2)
+    # the list holds four times the array's memory
+    del ys
+    sec = _other_clock(spec, rec, segments, grid, states, starts, failure)
+    return _build_trajectory(spec, schedule, segments, grid, states, sec)
 
-    return _build_trajectory(spec, schedule, segments, samples)
+
+def _other_clock(
+    spec: RunSpec,
+    rec: _Record,
+    segments: Sequence,
+    grid: Sequence[tuple[int, float]],
+    states: np.ndarray,
+    starts: Sequence[float],
+    failure: Exception | None,
+) -> np.ndarray:
+    """The clock that is not the run's own, at every stored state: the
+    trapezoid rule over every step of S*I on an ordinary-time run, of
+    1/(S*I) on a rescaled-clock run.
+
+    Each segment's dilations are one elementwise call of the record's
+    ``dilation`` on its states; a segment's first step starts from the
+    dilation of its remapped start.  The step sums are added in step order
+    by ``np.cumsum``, so each value is the running sum a step-by-step march
+    would have kept.  A refusal or an overflow in that call, a dilation
+    under the floor on a rescaled-clock run, or a failure of the march
+    itself is raised by :func:`_first_failure`, in step order.
+    """
+    clock_is_t = spec.formulation.clock == "t"
+    total = len(states) - 1
+    # steps[j] is step j's sum; the start's 0.0 is where the running sum begins
+    steps = np.zeros(len(states))
+    first = total + 1
+    off = 0
+    with np.errstate(all="ignore"):
+        for (_, _, pars), (n, h_last), start in zip(segments, grid, starts):
+            hi = min(off + n, total)
+            if hi > off:
+                try:
+                    dil = rec.dilation(states[off + 1 : hi + 1].T, pars)
+                except (RhsDomainError, OverflowError):
+                    first = off + 1
+                    break
+                f = np.concatenate(([start], dil))
+                if not clock_is_t:
+                    low = np.flatnonzero(dil < RUN_DILATION_FLOOR)
+                    if low.size:
+                        first = off + 1 + int(low[0])
+                        break
+                    f = 1.0 / f
+                seg = steps[off + 1 : hi + 1]
+                seg[:] = _trapezoid(spec.dt, f)
+                if hi == off + n:
+                    seg[-1:] = _trapezoid(h_last, f[-2:])
+            off += n
+    if first <= total or failure is not None:
+        _first_failure(spec, rec, segments, grid, states, first, failure)
+    return np.cumsum(steps)
+
+
+def _first_failure(
+    spec: RunSpec,
+    rec: _Record,
+    segments: Sequence,
+    grid: Sequence[tuple[int, float]],
+    states: np.ndarray,
+    first: int,
+    failure: Exception | None,
+) -> None:
+    """Raise what a march that tested every step would have raised first.
+
+    From state ``first`` on, each stored state's dilation is taken again by
+    the record's ``dilation`` on the state alone, and on a rescaled-clock
+    run tested against the floor, in step order.  Past the last stored
+    state, the march's own ``failure`` is raised.
+    """
+    clock_is_t = spec.formulation.clock == "t"
+    total = len(states) - 1
+    off = 0
+    for (_, _, pars), (n, _) in zip(segments, grid):
+        for j in range(max(first, off + 1), min(off + n, total) + 1):
+            try:
+                dil = rec.dilation(states[j].tolist(), pars)
+                if not clock_is_t and dil < RUN_DILATION_FLOOR:
+                    raise StepAcrossSingularity(
+                        f"S*I fell to {dil:.3e}; the run crossed the "
+                        "singularity of the time map"
+                    )
+            except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
+                raise _at_step(exc, j, _own_clock(spec, segments, grid, [j - 1])[1][0]) from exc
+        off += n
+    raise _at_step(failure, total + 1, _own_clock(spec, segments, grid, [total])[1][0]) from failure
 
 
 def _build_trajectory(
     spec: RunSpec,
     schedule: ParamSchedule,
     segments: Sequence[tuple[float, float, EpidemicParams]],
-    samples: list,
+    grid: Sequence[tuple[int, float]],
+    states: np.ndarray,
+    sec: np.ndarray,
 ) -> Trajectory:
-    """Sampled columns of a finished march, from its flat list of rows
-    ``own clock, other clock, segment, step, y0, y1``.
+    """Sampled columns of a finished march, from every state it reached and
+    the other clock at each.
 
-    The list becomes one ``(n, 6)`` float array in a single conversion, and
-    every column is a view of it: segment and step numbers are exact in a
-    float, and a marched state is always 2-d.
+    The kept samples are the start, every state whose step number is a
+    multiple of the stride, and the last state of every segment.
 
     Refuses, with :class:`InvalidFractions`, a trajectory whose fractions
     leave [0, 1] by more than ``FRACTION_TOL`` or are not finite, and with
@@ -848,9 +984,12 @@ def _build_trajectory(
     and clock value.
     """
     form = spec.formulation
-    rows = np.array(samples, dtype=float).reshape(-1, 6)
-    prim, sec, coords = rows[:, 0], rows[:, 1], rows[:, 4:]
-    seg_arr = rows[:, 2].astype(np.intp)
+    keep = np.zeros(len(states), dtype=bool)
+    keep[:: spec.sample_stride] = True
+    keep[np.cumsum([n for n, _ in grid])] = True
+    rows = np.flatnonzero(keep)
+    seg_arr, prim = _own_clock(spec, segments, grid, rows)
+    sec, coords = sec[rows], states[rows]
     if coords.shape[1] < form.dim:
         # an extended run marched the coordinate block alone
         coords = np.column_stack((coords, *hamiltonian.consistent_momenta(coords.T)))
@@ -872,7 +1011,7 @@ def _build_trajectory(
     bad = np.flatnonzero(~inside.all(axis=0) | (s_col <= 0.0))
     if bad.size:
         k = bad[0]
-        where = f"step {int(rows[k, 3])} at clock {prim[k]:.6g}"
+        where = f"step {rows[k]} at clock {prim[k]:.6g}"
         if not inside[:, k].all():
             raise InvalidFractions(
                 f"{where}: S = {s_col[k]:.6g}, I = {i_col[k]:.6g}, "
@@ -900,9 +1039,9 @@ def reconstruct_ordinary_time(traj: Trajectory) -> Trajectory:
 
     Trapezoidal quadrature of dt/dtau = 1/(S*I) over the stored tau grid;
     second-order accurate under step refinement.  :func:`integrate` already
-    fills the ordinary-time column at full step resolution, so this is
-    only needed for trajectories built by other means (or to check the
-    quadrature itself).
+    fills the ordinary-time column at full step resolution, by the same
+    rule, so this is only needed for trajectories built by other means (or
+    to check the quadrature itself).
     """
     if traj.clock != "tau":
         raise MissingDiagnostic("trajectory already lives in ordinary time")
@@ -914,7 +1053,5 @@ def reconstruct_ordinary_time(traj: Trajectory) -> Trajectory:
     if traj.n_samples < 2:
         t = np.zeros(traj.n_samples)
     else:
-        inv = 1.0 / dil
-        steps = np.diff(traj.tau) * 0.5 * (inv[1:] + inv[:-1])
-        t = np.concatenate(([0.0], np.cumsum(steps)))
+        t = np.concatenate(([0.0], np.cumsum(_trapezoid(np.diff(traj.tau), 1.0 / dil))))
     return replace(traj, t=t)

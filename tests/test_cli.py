@@ -264,7 +264,7 @@ class TestScenarioParsing:
         parity = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(parity)
         texts = [default_scenario_path().read_text()] + [text for _, text in parity.grid()]
-        assert len(texts) == 865
+        assert len(texts) == 1153
         if yaml.__with_libyaml__:
             assert scenario_module._LOADER is yaml.CSafeLoader
         for text in texts:

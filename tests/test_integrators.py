@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -492,6 +493,27 @@ class TestIntegrate:
         assert traj.n_samples == 1
         assert traj.t[0] == 0.0
         assert traj.i[0] == pytest.approx(0.01)
+
+    def test_a_long_march_peaks_at_128_bytes_a_step(self, init, schedule):
+        """The march keeps every state until it ends.  Its memory, fixed from
+        the layout before measuring: 64 B a step of flat list (two floats
+        of 24 B, two pointers of 8 B), a 16 B array it becomes, and a few
+        8 B columns of the pass over the states, the list being freed as
+        soon as it is converted."""
+        n = 200_000
+        spec = RunSpec(
+            method="explicit_euler", formulation="log_t", dt=100.0 / n, t_end=100.0,
+            sample_stride=1000,
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(spec, init, schedule)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert traj.n_samples == n // 1000 + 1
+        assert peak <= 128 * n
 
     def test_sample_stride_keeps_the_final_state(self, init, schedule):
         spec = RunSpec(

@@ -11,6 +11,7 @@ import math
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 
 from sirham import dynamics, hamiltonian, integrators, lagrangian
@@ -27,7 +28,14 @@ from sirham import (
     recovered_from,
 )
 from sirham.core import Chart, apply_J
-from sirham.errors import NonFiniteInput, NonPositiveCoordinate, SingularDenominator
+from sirham.errors import (
+    NonFiniteInput,
+    NonPositiveCoordinate,
+    OutsideLegendreDomain,
+    RhsDomainError,
+    SingularDenominator,
+    StepAcrossSingularity,
+)
 from sirham.integrators import (
     _GAUSS2_NODES,
     _RECORDS,
@@ -551,6 +559,166 @@ def test_a_wrapped_kernel_sees_each_segments_params(
     want = [p for p, n in zip(params, (10, 16, 15)) for _ in range(per_step * n)]
     assert len(seen) == len(want)
     assert all(got is p for got, p in zip(seen, want))
+
+
+# ---------------------------------------------------------------------------
+# the march against a step-by-step reference
+#
+# ``integrate`` only steps, and takes the other clock, the dilation floor and
+# the kept samples in one pass over all the states after the march.  The
+# reference is the loop it replaced, which did all of that after every step,
+# with the scalar dilations that loop called.
+
+
+def ref_rate_dilation_direct(y, params):
+    beta = params.beta
+    if y[1] >= beta:
+        raise OutsideLegendreDomain(
+            f"rate {y[1]} reached beta = {beta}; susceptible fraction undefined"
+        )
+    return y[0] * params.gamma / (beta - y[1])
+
+
+def ref_rate_dilation_log(y, params):
+    gamma = params.gamma
+    if y[1] <= -gamma:
+        raise OutsideLegendreDomain(
+            f"rate {y[1]} reached -gamma = {-gamma}; susceptible fraction undefined"
+        )
+    return math.exp(y[0]) * (y[1] + gamma) / params.beta
+
+
+def ref_dilation(formulation):
+    """S*I of one marched state, as the reference loop took it."""
+    if formulation is Formulation.SINGLE_ODE_DIRECT:
+        return ref_rate_dilation_direct
+    if formulation is Formulation.SINGLE_ODE_LOG:
+        return ref_rate_dilation_log
+    if formulation.chart is Chart.DIRECT:
+        return lambda y, params: y[0] * y[1]
+    return lambda y, params: math.exp(y[0] + y[1])
+
+
+def ref_march(spec, init, schedule):
+    """The kept samples' ``t`` and ``tau`` columns and states, from a loop
+    that takes the dilation, the trapezoid, the floor test and the keep
+    rule after every step; or the type and message of what it raised."""
+    form = spec.formulation
+    segments = schedule.segments(spec.t_end)
+    rec, dilation = _RECORDS[form], ref_dilation(form)
+    y = rec.start(init.i, init.s, segments[0][2])
+    dt, stride = spec.dt, spec.sample_stride
+    rows = [(0.0, 0.0, *y)]
+    sec, step_no, t_now = 0.0, 0, 0.0
+    try:
+        for seg_id, (a, b, pars) in enumerate(segments):
+            n, h_last = integrators._segment_steps(b - a, dt)
+            if seg_id > 0:
+                y = rec.remap(y, segments[seg_id - 1][2], pars)
+            stepper = integrators._make_stepper(spec, rec, pars)
+            dil_prev = dilation(y, pars)
+            for k in range(n):
+                h = h_last if k == n - 1 else dt
+                y = stepper(y, h)
+                dil_now = dilation(y, pars)
+                if form.clock == "t":
+                    sec += 0.5 * h * (dil_prev + dil_now)
+                else:
+                    if dil_now < integrators.RUN_DILATION_FLOOR:
+                        raise StepAcrossSingularity(
+                            f"S*I fell to {dil_now:.3e}; the run crossed the "
+                            "singularity of the time map"
+                        )
+                    sec += 0.5 * h * (1.0 / dil_prev + 1.0 / dil_now)
+                dil_prev = dil_now
+                t_now = b if k == n - 1 else a + (k + 1) * dt
+                step_no += 1
+                if step_no % stride == 0 or k == n - 1:
+                    rows.append((t_now, sec, *y))
+    except (NewtonDivergence, RhsDomainError, StepAcrossSingularity) as exc:
+        return (type(exc), f"step {step_no + 1} from clock {t_now:.6g}: {exc}")
+    except OverflowError as exc:
+        where = f"step {step_no + 1} from clock {t_now:.6g}"
+        return (NonFiniteInput, f"{where}: a value overflowed ({exc})")
+    own, other, y0, y1 = np.array(rows).T
+    t, tau = (own, other) if form.clock == "t" else (other, own)
+    return t, tau, np.column_stack((y0, y1))
+
+
+def rising_rate(monkeypatch):
+    """The rate of ``single_ode_direct`` climbs at 1 per unit tau, so that it
+    reaches beta; the true acceleration never lets it rise."""
+    monkeypatch.setattr(dynamics, "rescaled_accel", lambda rate, params: 1.0)
+
+
+P3 = EpidemicParams(beta=0.3, gamma=0.1)
+THREE_SEGMENTS = ParamSchedule(
+    switch_times=(0.0, 30.0, 61.5),
+    params=(P3, EpidemicParams(beta=0.15, gamma=0.1), EpidemicParams(beta=0.3, gamma=0.25)),
+)
+#: name -> (run, start (s, i), schedule, patch, what the march raises); each
+#: failure comes before a later one of the bare march, named in the comment
+MARCH_CASES = {
+    # the floor at step 1553; S < 0 stops the bare march at step 1650
+    "floor_crossing": (
+        dict(method="rk4", formulation="rescaled_tau", dt=0.002, t_end=3.5, sample_stride=7),
+        (0.99, 0.01), ParamSchedule.constant(P3), None, StepAcrossSingularity,
+    ),
+    # the rate reaches beta at step 11; the bare march runs to the end
+    "rate_reaching_beta": (
+        dict(method="rk4", formulation="single_ode_direct", dt=0.01, t_end=0.5),
+        (0.99, 0.01), ParamSchedule.constant(P3), rising_rate, OutsideLegendreDomain,
+    ),
+    "rate_reaching_minus_gamma": (
+        dict(method="explicit_euler", formulation="single_ode_log", dt=40.0, t_end=100.0),
+        (0.99, 0.01), ParamSchedule.constant(P3), None, OutsideLegendreDomain,
+    ),
+    # ln I jumps past 870 in step 1, whose dilation overflows; the rates of
+    # step 2 overflow in the bare march
+    "log_dilation_overflow": (
+        dict(method="explicit_euler", formulation="log_t", dt=30.0, t_end=90.0),
+        (0.99, 1e-6), ParamSchedule.constant(EpidemicParams(beta=30.0, gamma=0.1)), None,
+        NonFiniteInput,
+    ),
+    # the rate passes -gamma in step 1; Newton gives up in step 2
+    "newton_after_a_refusal": (
+        dict(method="implicit_midpoint", formulation="single_ode_log", dt=20.0, t_end=400.0),
+        (0.99, 0.01), ParamSchedule.constant(EpidemicParams(beta=1.0, gamma=0.1)), None,
+        OutsideLegendreDomain,
+    ),
+    "zero_horizon": (
+        dict(method="rk4", formulation="basic_t", dt=0.1, t_end=0.0),
+        (0.99, 0.01), ParamSchedule.constant(P3), None, None,
+    ),
+    "three_segments_rk4": (
+        dict(method="rk4", formulation="single_ode_log", dt=0.1, t_end=100.0, sample_stride=7),
+        (0.99, 0.01), THREE_SEGMENTS, None, None,
+    ),
+    "three_segments_implicit": (
+        dict(method="implicit_midpoint", formulation="single_ode_log", dt=4.0, t_end=100.0),
+        (0.99, 0.01), THREE_SEGMENTS, None, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MARCH_CASES))
+def test_the_march_equals_the_step_by_step_reference(monkeypatch, case):
+    """Equal ``t``, ``tau`` and states, bit for bit, or the same exception
+    type and message: a dilation failure still wins over a failure of a
+    later step."""
+    run, (s0, i0), schedule, patch, raised = MARCH_CASES[case]
+    if patch is not None:
+        patch(monkeypatch)
+    spec, init = RunSpec(**run), recovered_from(s0, i0)
+    want = ref_march(spec, init, schedule)
+    got = outcome(integrate, spec, init, schedule)
+    if raised is not None:
+        assert want[0] is raised
+        assert got == want
+        return
+    t, tau, states = want
+    for name, column in [("t", t), ("tau", tau), ("coords", states)]:
+        assert getattr(got, name).tobytes() == column.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

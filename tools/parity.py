@@ -11,8 +11,11 @@ its own ``src/`` first on ``sys.path``:
 
 * the grid method x formulation x extended mode x stride {1, 7} x
   {constant, three-segment} schedule x dt {0.1, 4, 40 on t; 0.002, 0.25
-  on tau}, 864 cases.  Each case writes a one-run scenario, runs
-  ``sirham run`` on it and, separately, ``integrate`` on its parsed run;
+  on tau} x t_end {100 on t; 3 and 3.2 on tau}, 1152 cases.  The tau
+  horizon 3.2 lies past the singularity of the time map (tau_max = 3.10),
+  so those runs reach the dilation floor.  Each case writes a one-run
+  scenario, runs ``sirham run`` on it and, separately, ``integrate`` on
+  its parsed run;
 * ``plot`` of one run CSV, with and without ``--no-energy``;
 * ``sweep`` of a constant-schedule scenario;
 * ``check`` on the shipped scenario.
@@ -64,31 +67,32 @@ METHODS = (
     "variational_midpoint",
     "time_fe_cg1_gauss2",
 )
-#: formulation -> (t_end, step sizes), in the formulation's own clock
+#: formulation -> (horizons, step sizes), in the formulation's own clock; a
+#: tau run from the start above ends at tau = 3.10, between its two horizons
 FORMULATIONS = {
-    "basic_t": (100.0, (0.1, 4.0, 40.0)),
-    "log_t": (100.0, (0.1, 4.0, 40.0)),
-    "single_ode_log": (100.0, (0.1, 4.0, 40.0)),
-    "extended_4d_log": (100.0, (0.1, 4.0, 40.0)),
-    "rescaled_tau": (3.0, (0.002, 0.25)),
-    "single_ode_direct": (3.0, (0.002, 0.25)),
-    "extended_4d_direct": (3.0, (0.002, 0.25)),
+    "basic_t": ((100.0,), (0.1, 4.0, 40.0)),
+    "log_t": ((100.0,), (0.1, 4.0, 40.0)),
+    "single_ode_log": ((100.0,), (0.1, 4.0, 40.0)),
+    "extended_4d_log": ((100.0,), (0.1, 4.0, 40.0)),
+    "rescaled_tau": ((3.0, 3.2), (0.002, 0.25)),
+    "single_ode_direct": ((3.0, 3.2), (0.002, 0.25)),
+    "extended_4d_direct": ((3.0, 3.2), (0.002, 0.25)),
 }
 
 
 def grid() -> list[tuple[str, str]]:
     """Every grid case as ``(name, scenario text)``."""
     cases = []
-    for method, (form, (t_end, dts)), mode, stride, sched in itertools.product(
+    for method, (form, (t_ends, dts)), mode, stride, sched in itertools.product(
         METHODS, FORMULATIONS.items(), ("direct4d", "reconstruct"), (1, 7), SCHEDULES
     ):
-        for dt in dts:
+        for t_end, dt in itertools.product(t_ends, dts):
             run = (
                 f"run:\n  - {{method: {method}, formulation: {form}, dt: {dt}, "
                 f"t_end: {t_end}, sample_stride: {stride}, extended_mode: {mode}, "
                 "label: case}\n"
             )
-            name = f"run {method} {form} {mode} stride={stride} {sched} dt={dt}"
+            name = f"run {method} {form} {mode} stride={stride} {sched} t_end={t_end} dt={dt}"
             cases.append((name, INIT + SCHEDULES[sched] + run))
     return cases
 
