@@ -346,7 +346,8 @@ class RunSpec:
     (ordinary time or the intrinsic epidemic clock).  ``sample_stride``
     keeps every n-th step in the trajectory, and the last step of every
     parameter segment, the run's final state among them, is always kept;
-    clock accumulation still uses every step.  ``label`` names the run in
+    the clock quadrature still uses every step, and every step's state is
+    tested against the simplex.  ``label`` names the run in
     file names and the manifest, so it must be printable: no tab, newline
     or other control character.  ``extended_mode`` ("direct4d" or
     "reconstruct") is validated and kept, so that scenario files that set
@@ -809,8 +810,9 @@ def integrate(
     start keeps its type and names the initial state.  A Newton, domain or
     singularity failure inside the march keeps its type and names the step
     and the clock it started from; an overflow becomes NonFiniteInput.
-    Every switch is a kept sample, whatever the stride.  An extended run
-    marches its chart's record, whatever its ``extended_mode``.
+    Every switch is a kept sample, whatever the stride, and every marched
+    state, kept or not, must stay in the simplex.  An extended run marches
+    its chart's record, whatever its ``extended_mode``.
 
     The march itself only steps: every state it reaches is kept, two floats
     in one flat list, until the march ends.  The clocks, the dilation floor
@@ -977,18 +979,41 @@ def _build_trajectory(
     The kept samples are the start, every state whose step number is a
     multiple of the stride, and the last state of every segment.
 
-    Refuses, with :class:`InvalidFractions`, a trajectory whose fractions
-    leave [0, 1] by more than ``FRACTION_TOL`` or are not finite, and with
-    :class:`NonPositiveCoordinate` one with a sample at S <= 0, where the
-    energy's ln S is undefined; either names the first such sample's step
-    and clock value.
+    Every marched state is tested, kept or not.  One whose fractions leave
+    [0, 1] by more than ``FRACTION_TOL`` or are not finite is refused with
+    :class:`InvalidFractions`, and one at S <= 0, where the energy's ln S is
+    undefined, with :class:`NonPositiveCoordinate`; either names the first
+    such state's step and clock value.
     """
     form = spec.formulation
+    ends = np.cumsum([n for n, _ in grid])
+    # S, I and R of every state, a segment at a time, the start in the first
+    sir = np.empty((3, len(states)))
+    lo = 0
+    # a runaway state may be inf - inf here; the test below reads every value
+    with np.errstate(all="ignore"):
+        for (_, _, pars), end in zip(segments, ends):
+            i_seg, s_seg = _RECORDS[form].fractions(states[lo : end + 1], pars.beta, pars.gamma)
+            sir[0, lo : end + 1], sir[1, lo : end + 1] = s_seg, i_seg
+            lo = end + 1
+        sir[2] = 1.0 - sir[0] - sir[1]
+    # a NaN fails both comparisons
+    inside = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
+    bad = np.flatnonzero(~inside | (sir[0] <= 0.0))
+    if bad.size:
+        k = int(bad[0])
+        s, i, r = sir[:, k]
+        where = f"step {k} at clock {_own_clock(spec, segments, grid, [k])[1][0]:.6g}"
+        if not inside[k]:
+            raise InvalidFractions(f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]")
+        raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
+
     keep = np.zeros(len(states), dtype=bool)
     keep[:: spec.sample_stride] = True
-    keep[np.cumsum([n for n, _ in grid])] = True
+    keep[ends] = True
     rows = np.flatnonzero(keep)
     seg_arr, prim = _own_clock(spec, segments, grid, rows)
+    s_col, i_col, r_col = sir[:, rows]
     sec, coords = sec[rows], states[rows]
     if coords.shape[1] < form.dim:
         # an extended run marched the coordinate block alone
@@ -997,27 +1022,8 @@ def _build_trajectory(
         t_col, tau_col = prim, sec
     else:
         t_col, tau_col = sec, prim
-
     beta = np.array([pars.beta for _, _, pars in segments])[seg_arr]
     gamma = np.array([pars.gamma for _, _, pars in segments])[seg_arr]
-
-    # a runaway sample may be inf - inf here; the test below reads every value
-    with np.errstate(all="ignore"):
-        i_col, s_col = _RECORDS[form].fractions(coords, beta, gamma)
-        r_col = 1.0 - s_col - i_col
-    fractions = np.stack((s_col, i_col, r_col))
-    # a NaN fails both comparisons
-    inside = (fractions >= -FRACTION_TOL) & (fractions <= 1.0 + FRACTION_TOL)
-    bad = np.flatnonzero(~inside.all(axis=0) | (s_col <= 0.0))
-    if bad.size:
-        k = bad[0]
-        where = f"step {rows[k]} at clock {prim[k]:.6g}"
-        if not inside[:, k].all():
-            raise InvalidFractions(
-                f"{where}: S = {s_col[k]:.6g}, I = {i_col[k]:.6g}, "
-                f"R = {r_col[k]:.6g} left [0, 1]"
-            )
-        raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s_col[k]:.6g}")
     h_col = beta * (i_col + s_col) - gamma * np.log(s_col)
 
     return Trajectory(

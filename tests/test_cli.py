@@ -486,6 +486,30 @@ class TestRunCommand:
         assert not (out / "basic_t-explicit_euler.csv").exists()
         assert (out / "manifest.tsv").read_text().split("\t")[2] == "InvalidFractions"
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_a_state_between_samples_leaving_the_simplex_exits_3(self, tmp_path, stride):
+        """Every marched state is tested, not only the kept samples: at stride
+        7 the run keeps only its start and step 2, and is refused at step 1
+        as the stride-1 run is."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "init: {s: 0.99, i: 0.01}\n"
+            "schedule:\n"
+            "  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
+            "run:\n"
+            "  - {method: implicit_midpoint, formulation: basic_t, dt: 40.0, t_end: 80.0,"
+            f" sample_stride: {stride}, label: base}}\n"
+        )
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: run base: step 1 at clock 40: "
+            "S = 1.02962, I = -0.0165384, R = -0.0130768 left [0, 1]\n"
+        )
+        assert not (out / "base.csv").exists()
+        assert (out / "manifest.tsv").read_text().split("\t")[2] == "InvalidFractions"
+
     def test_an_overflowing_rate_exits_3_with_its_step(self, tmp_path):
         # dt = 40 throws ln I far enough that exp(ln I) overflows in step 2
         scenario = tmp_path / "scenario.yaml"
