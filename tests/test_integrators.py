@@ -1,6 +1,7 @@
 import math
 import re
-import tracemalloc
+import subprocess
+import sys
 import warnings
 from functools import partial
 
@@ -470,6 +471,24 @@ class TestRunSpec:
         RunSpec(method="variational_midpoint", formulation="log_t", dt=0.1, t_end=1.0)
 
 
+#: 200k explicit Euler steps of log_t at stride 1000: the number of samples
+#: and the traced peak of the march
+LONG_MARCH = """
+import tracemalloc
+from sirham import CompartmentState, EpidemicParams, ParamSchedule, RunSpec, integrate
+spec = RunSpec(
+    method="explicit_euler", formulation="log_t", dt=100.0 / 200_000, t_end=100.0,
+    sample_stride=1000,
+)
+init = CompartmentState(s=0.99, i=0.01, r=0.0)
+schedule = ParamSchedule.constant(EpidemicParams(0.3, 0.1))
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+traj = integrate(spec, init, schedule)
+print(traj.n_samples, tracemalloc.get_traced_memory()[1] - before)
+"""
+
+
 class TestIntegrate:
     def test_argument_types(self, init, schedule):
         spec = RunSpec(method="rk4", formulation="basic_t", dt=0.1, t_end=1.0)
@@ -494,26 +513,21 @@ class TestIntegrate:
         assert traj.t[0] == 0.0
         assert traj.i[0] == pytest.approx(0.01)
 
-    def test_a_long_march_peaks_at_128_bytes_a_step(self, init, schedule):
+    def test_a_long_march_peaks_at_128_bytes_a_step(self):
         """The march keeps every state until it ends.  Its memory, fixed from
         the layout before measuring: 64 B a step of flat list (two floats
         of 24 B, two pointers of 8 B), a 16 B array it becomes, and a few
         8 B columns of the pass over the states, the list being freed as
-        soon as it is converted."""
-        n = 200_000
-        spec = RunSpec(
-            method="explicit_euler", formulation="log_t", dt=100.0 / n, t_end=100.0,
-            sample_stride=1000,
+        soon as it is converted.  Traced in a fresh interpreter, so that
+        the tracer's own record of every live float leaves this process's
+        memory as it was."""
+        proc = subprocess.run(
+            [sys.executable, "-c", LONG_MARCH], capture_output=True, text=True, timeout=300
         )
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            traj = integrate(spec, init, schedule)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert traj.n_samples == n // 1000 + 1
-        assert peak <= 128 * n
+        assert proc.returncode == 0, proc.stderr
+        samples, peak = map(float, proc.stdout.split())
+        assert samples == 201
+        assert peak <= 128 * 200_000
 
     def test_sample_stride_keeps_the_final_state(self, init, schedule):
         spec = RunSpec(

@@ -1,8 +1,10 @@
-"""The flat rhs kernels and the flat one-step schemes against references.
+"""The flat rhs kernels, the flat one-step schemes and the march against
+references.
 
 The references below are the bodies the kernels replaced: the zip-based
-one-step schemes, the tuple Newton iteration of the implicit schemes and
-the rates built as ``J grad H`` from the gradient functions.  The
+one-step schemes, the tuple Newton iteration of the implicit schemes, the
+rates built as ``J grad H`` from the gradient functions, and the march
+loop that took the clocks and the samples after every step.  The
 arithmetic was kept in the same order, so results are compared with
 ``==``, and refusals by exception type and message.
 """
