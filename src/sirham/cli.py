@@ -14,6 +14,11 @@ Exit codes form the contract batch harnesses rely on:
 scenario's runs once and grades conservation and cross-formulation
 agreement against the scenario's tolerances; ``sweep`` repeats the first
 run over a parameter grid; ``plot`` turns a run CSV back into an SVG.
+
+``run`` and ``check`` share one loop over the runs, which marches each
+distinct march once: a run that marches what an earlier run marched, such
+as an extended run and its chart's canonical run at one step, horizon and
+stride, takes that run's trajectory with its own coordinate columns.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from .core import CompartmentState, EpidemicParams, ParamSchedule
 from .diagnostics import conservation_report, pairwise_sup_diff
 from .errors import ScenarioError, SirhamError
-from .integrators import Method, RunSpec, Trajectory, integrate
+from .integrators import Method, RunSpec, Trajectory, _shared_march, integrate
 from .plotting import render_curves
 from .scenario import Scenario, default_scenario_path, load_scenario
 
@@ -94,6 +99,38 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _each_run(scenario: Scenario):
+    """Each run of ``scenario`` in order, as ``(spec, outcome, marched,
+    started)``: the trajectory of the run or the SirhamError its march
+    raised, whether the run marched, and the ``perf_counter`` time its turn
+    began.
+
+    A run that marches what an earlier run already marched without failing
+    takes that run's trajectory (``integrators._shared_march``) and says so
+    under ``--verbose``.  Every march that is run is one call of this
+    module's ``integrate``, by name.  A ScenarioError propagates.
+    """
+    marched: list[Trajectory] = []
+    for spec in scenario.runs:
+        started = time.perf_counter()
+        for twin in marched:
+            outcome = _shared_march(twin, spec)
+            if outcome is not None:
+                log.info("run %s shares the march of %s", spec.name, twin.spec.name)
+                yield spec, outcome, False, started
+                break
+        else:
+            try:
+                outcome = integrate(spec, scenario.init, scenario.schedule)
+            except ScenarioError:
+                raise
+            except SirhamError as exc:
+                outcome = exc
+            else:
+                marched.append(outcome)
+            yield spec, outcome, True, started
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -111,18 +148,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
     failed = False
-    for spec in scenario.runs:
-        digest = _spec_digest(scenario, spec)
-        started = time.perf_counter()
+    for spec, traj, _, started in _each_run(scenario):
         status = "ok"
-        try:
-            traj = integrate(spec, scenario.init, scenario.schedule)
-        except ScenarioError:
-            raise
-        except SirhamError as exc:
+        if isinstance(traj, SirhamError):
             failed = True
-            status = type(exc).__name__
-            print(f"error: run {spec.name}: {exc}", file=sys.stderr)
+            status = type(traj).__name__
+            print(f"error: run {spec.name}: {traj}", file=sys.stderr)
         else:
             path = out_dir / f"{_safe_name(spec.name)}.csv"
             path.write_text(trajectory_csv(traj))
@@ -130,6 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "run %s: %d samples -> %s", spec.name, traj.n_samples, path.name
             )
         wall = time.perf_counter() - started
+        digest = _spec_digest(scenario, spec)
         manifest.append(f"{spec.name}\t{digest}\t{status}\t{wall:.3f}")
     (out_dir / "manifest.tsv").write_text("\n".join(manifest) + "\n")
     return 3 if failed else 0
@@ -142,10 +174,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     tol = scenario.tolerances
     trajectories = []
-    for spec in scenario.runs:
-        started = time.perf_counter()
-        trajectories.append(integrate(spec, scenario.init, scenario.schedule))
-        log.info("integrated %s in %.2fs", spec.name, time.perf_counter() - started)
+    for spec, traj, marched, started in _each_run(scenario):
+        if isinstance(traj, SirhamError):
+            raise traj
+        trajectories.append(traj)
+        if marched:
+            log.info("integrated %s in %.2fs", spec.name, time.perf_counter() - started)
 
     graded: list[tuple[str, float, float]] = []
     for spec, traj in zip(scenario.runs, trajectories):

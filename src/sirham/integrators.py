@@ -38,7 +38,10 @@ Each :class:`Formulation` is defined in one place, its private record in
 ``_RECORDS``: initial state, rhs and rhs-Jacobian lookups, S*I dilation,
 map from sampled coordinates to (I, S), and state remap at a parameter
 switch.  The march and the trajectory build read only the record and name
-no formulation.
+no formulation.  So two runs whose formulations share a record, and whose
+other settings but label and ``extended_mode`` are equal, march the same
+states: :func:`_shared_march` gives the second run its trajectory from the
+first's, and the command line marches each distinct march once.
 
 Every rate and Jacobian is called ``f(y, params)``, and a step scheme
 ``step(rhs[, jac], params, y, dt)`` hands each call the parameters of the
@@ -66,7 +69,7 @@ bit for bit the scalar values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -336,6 +339,48 @@ _RECORDS = {
     Formulation.EXTENDED_4D_DIRECT: _DIRECT,
     Formulation.EXTENDED_4D_LOG: _LOG,
 }
+
+
+def _march_key(spec: RunSpec) -> tuple:
+    """What the march of ``spec`` reads: its formulation's record, the
+    object itself, with the formulation's clock and chart, and every other
+    ``RunSpec`` field except the ``label`` and ``extended_mode`` that the
+    march does not read."""
+    form = spec.formulation
+    rest = tuple(
+        getattr(spec, field.name)
+        for field in fields(spec)
+        if field.name not in ("formulation", "label", "extended_mode")
+    )
+    return (id(_RECORDS[form]), form.clock, form.chart, *rest)
+
+
+def _shared_march(traj: Trajectory, spec: RunSpec) -> Trajectory | None:
+    """The trajectory of ``spec`` taken from ``traj``, when ``spec``
+    marches what the run of ``traj`` marched from the same start and
+    schedule; otherwise None.
+
+    Two runs share a march when their :func:`_march_key` is equal: an
+    extended run and its chart's canonical run at one ``dt``, horizon and
+    stride, say, or two runs that differ only in label or mode.  The
+    shared trajectory carries ``spec`` and its formulation, and the marched
+    coordinate block of ``traj`` with the momenta appended again where
+    ``spec`` is extended, as :func:`_build_trajectory` appends them.  It
+    holds the other columns of ``traj`` themselves, not copies, and on a
+    2-d run a view of its coordinates.
+    """
+    if traj.spec is None or _march_key(traj.spec) != _march_key(spec):
+        return None
+    coords = _with_momenta(traj.coords[:, :2], spec.formulation)
+    return replace(traj, formulation=spec.formulation, spec=spec, coords=coords)
+
+
+def _with_momenta(coords: np.ndarray, form: Formulation) -> np.ndarray:
+    """Marched 2-d coordinates as ``form`` carries them: on an extended
+    formulation, with the momenta the constraint pins to them appended."""
+    if coords.shape[1] < form.dim:
+        return np.column_stack((coords, *hamiltonian.consistent_momenta(coords.T)))
+    return coords
 
 
 @dataclass(frozen=True)
@@ -1014,10 +1059,8 @@ def _build_trajectory(
     rows = np.flatnonzero(keep)
     seg_arr, prim = _own_clock(spec, segments, grid, rows)
     s_col, i_col, r_col = sir[:, rows]
-    sec, coords = sec[rows], states[rows]
-    if coords.shape[1] < form.dim:
-        # an extended run marched the coordinate block alone
-        coords = np.column_stack((coords, *hamiltonian.consistent_momenta(coords.T)))
+    # an extended run marched the coordinate block alone
+    sec, coords = sec[rows], _with_momenta(states[rows], form)
     if form.clock == "t":
         t_col, tau_col = prim, sec
     else:

@@ -88,6 +88,41 @@ tolerances: {h_drift: 1.0}
 """
 
 
+# log_t, its extended twin in both modes, and log_t again under another label
+TWIN_RUNS = """\
+init: {s: 0.99, i: 0.01}
+schedule:
+  - {t: 0.0, beta: 0.3, gamma: 0.1}
+run:
+  - {method: rk4, formulation: log_t, dt: 0.5, t_end: 60.0, sample_stride: 7}
+  - {method: rk4, formulation: extended_4d_log, dt: 0.5, t_end: 60.0, sample_stride: 7}
+  - {method: rk4, formulation: extended_4d_log, dt: 0.5, t_end: 60.0, sample_stride: 7,
+     extended_mode: reconstruct, label: rebuilt}
+  - {method: rk4, formulation: log_t, dt: 0.5, t_end: 60.0, sample_stride: 7, label: again}
+"""
+
+
+def one_run_scenarios(text):
+    """Each run of a scenario text alone, with the scenario's start and
+    schedule."""
+    doc = yaml.safe_load(text)
+    return [yaml.safe_dump({**doc, "run": [run]}) for run in doc["run"]]
+
+
+def counted_integrate(monkeypatch):
+    """Count the calls of ``cli.integrate``, as the traced benchmark pass
+    wraps it."""
+    calls = []
+    real = cli_module.integrate
+
+    def integrate(spec, init, schedule):
+        calls.append(spec.name)
+        return real(spec, init, schedule)
+
+    monkeypatch.setattr(cli_module, "integrate", integrate)
+    return calls
+
+
 def cli(*args):
     """``sirham *args`` in-process: its exit code, stdout and stderr, with
     argparse's ``SystemExit`` code read as the exit code."""
@@ -380,6 +415,70 @@ class TestRunCommand:
         assert proc.returncode == 0
         assert proc.stderr == "run base: 51 samples -> base.csv\n"
 
+    def test_twins_write_the_bytes_of_their_own_runs(self, tmp_path, monkeypatch):
+        """An extended run in either mode and a relabelled duplicate take the
+        march of the first log_t run, and each writes the CSV and manifest
+        row that it writes alone."""
+        calls = counted_integrate(monkeypatch)
+        scenario = tmp_path / "twins.yaml"
+        scenario.write_text(TWIN_RUNS)
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert calls == ["log_t-rk4"]
+        names = ["log_t-rk4", "extended_4d_log-rk4", "rebuilt", "again"]
+        rows = (out / "manifest.tsv").read_text().splitlines()
+        for k, (name, text) in enumerate(zip(names, one_run_scenarios(TWIN_RUNS))):
+            alone = tmp_path / f"{k}.yaml"
+            alone.write_text(text)
+            assert cli("run", alone, "--out", tmp_path / str(k)).returncode == 0
+            csv = f"{name}.csv"
+            assert (out / csv).read_bytes() == (tmp_path / str(k) / csv).read_bytes(), name
+            (row,) = (tmp_path / str(k) / "manifest.tsv").read_text().splitlines()
+            assert rows[k].rpartition("\t")[0] == row.rpartition("\t")[0]
+        assert len(calls) == 1 + len(names)
+
+    def test_verbose_names_the_run_whose_march_is_shared(self, tmp_path):
+        scenario = tmp_path / "twins.yaml"
+        scenario.write_text(TWIN_RUNS)
+        proc = cli("run", scenario, "--out", tmp_path / "out", "--verbose")
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "run log_t-rk4: 19 samples -> log_t-rk4.csv",
+            "run extended_4d_log-rk4 shares the march of log_t-rk4",
+            "run extended_4d_log-rk4: 19 samples -> extended_4d_log-rk4.csv",
+            "run rebuilt shares the march of log_t-rk4",
+            "run rebuilt: 19 samples -> rebuilt.csv",
+            "run again shares the march of log_t-rk4",
+            "run again: 19 samples -> again.csv",
+        ]
+
+    def test_a_failed_march_fails_each_twin_as_it_fails_alone(self, tmp_path):
+        """Explicit Euler at dt 4 leaves the simplex at step 1: each twin
+        reports the failure of its own run alone."""
+        text = TWIN_RUNS.replace("method: rk4", "method: explicit_euler").replace(
+            "dt: 0.5", "dt: 4.0"
+        )
+        scenario = tmp_path / "twins.yaml"
+        scenario.write_text(text)
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 3
+        assert list(out.iterdir()) == [out / "manifest.tsv"]
+        rows = (out / "manifest.tsv").read_text().splitlines()
+        errors = proc.stderr.splitlines()
+        assert len(rows) == len(errors) == 4
+        for k, text in enumerate(one_run_scenarios(text)):
+            alone = tmp_path / f"{k}.yaml"
+            alone.write_text(text)
+            own = cli("run", alone, "--out", tmp_path / str(k))
+            assert own.returncode == 3
+            assert errors[k] + "\n" == own.stderr
+            assert "left [0, 1]" in own.stderr
+            (row,) = (tmp_path / str(k) / "manifest.tsv").read_text().splitlines()
+            assert rows[k].rpartition("\t")[0] == row.rpartition("\t")[0]
+            assert row.split("\t")[2] == "InvalidFractions"
+
     def test_reruns_are_bit_identical(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(ONE_RUN)
@@ -607,6 +706,20 @@ class TestCheckCommand:
         # the two runs' conservation lines, the constraint and the agreement
         assert sum(x.endswith("PASS") for x in lines) == 6
         assert lines[-1] == "all checks passed"
+
+    def test_the_shipped_scenario_marches_five_times(self, monkeypatch):
+        """Each extended run takes the march of its chart's canonical run."""
+        calls = counted_integrate(monkeypatch)
+        proc = cli("check")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert calls == [
+            "basic_t-rk4",
+            "log_t-rk4",
+            "single_ode_log-rk4",
+            "rescaled_tau-rk4",
+            "single_ode_direct-rk4",
+        ]
+        assert proc.stdout.count("PASS") == 17
 
     def test_unreachable_tolerance_fails_with_1(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -917,6 +918,114 @@ class TestExtendedModes:
         q0, q1, p0, p1 = traj.coords.T
         assert np.max(np.abs(q0 + 2.0 * p1)) <= 1e-14
         assert np.max(np.abs(q1 - 2.0 * p0)) <= 1e-14
+
+
+#: each extended formulation with the canonical formulation of its chart,
+#: whose record it marches
+TWIN_PAIRS = {
+    "direct": (Formulation.RESCALED_TAU, Formulation.EXTENDED_4D_DIRECT),
+    "log": (Formulation.LOG_T, Formulation.EXTENDED_4D_LOG),
+}
+#: each pair of formulations whose records step one chart differently
+ONE_CHART_PAIRS = [
+    (Formulation.BASIC_T, Formulation.RESCALED_TAU),
+    (Formulation.BASIC_T, Formulation.SINGLE_ODE_DIRECT),
+    (Formulation.RESCALED_TAU, Formulation.SINGLE_ODE_DIRECT),
+    (Formulation.LOG_T, Formulation.SINGLE_ODE_LOG),
+]
+
+
+def _twin_cases():
+    for method in Method:
+        if method is Method.VARIATIONAL_MIDPOINT:
+            continue  # it refuses the extended formulations
+        for pair, sched in (("direct", "constant"), ("log", "constant"), ("log", "three-segment")):
+            for order in ("canonical-first", "extended-first"):
+                for stride in (1, 7):
+                    yield pytest.param(
+                        method, pair, sched, order, stride,
+                        id=f"{method.value}-{pair}-{sched}-{order}-stride{stride}",
+                    )
+
+
+def _horizon(formulation):
+    return (0.01, 2.4) if formulation.clock == "tau" else (0.5, 60.0)
+
+
+class TestSharedMarch:
+    """``_shared_march``: which runs share a march, and the trajectory a
+    run takes from the one that marched."""
+
+    @pytest.mark.parametrize("method,pair,sched,order,stride", list(_twin_cases()))
+    def test_a_twin_takes_the_trajectory_of_its_own_march(
+        self, init, method, pair, sched, order, stride
+    ):
+        """Bit for bit in all seven arrays, with its own formulation and
+        spec, in either order."""
+        first, second = TWIN_PAIRS[pair]
+        if order == "extended-first":
+            first, second = second, first
+        dt, t_end = _horizon(first)
+        schedule = MODE_SCHEDULES[sched]
+        specs = [
+            RunSpec(method=method, formulation=form, dt=dt, t_end=t_end, sample_stride=stride)
+            for form in (first, second)
+        ]
+        marched = integrate(specs[0], init, schedule)
+        shared = integrators._shared_march(marched, specs[1])
+        own = integrate(specs[1], init, schedule)
+        assert shared is not None
+        assert shared.formulation is second
+        assert shared.spec is specs[1]
+        assert shared.coords.shape == (own.n_samples, second.dim)
+        for name in ("t", "tau", "s", "i", "r", "h", "coords"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+        # the run that marched keeps its own trajectory
+        assert marched.formulation is first and marched.coords.shape[1] == first.dim
+
+    @pytest.mark.parametrize("formulation", list(Formulation))
+    def test_a_label_or_a_mode_does_not_change_the_march(self, init, schedule, formulation):
+        dt, t_end = _horizon(formulation)
+        spec = RunSpec(method="rk4", formulation=formulation, dt=dt, t_end=t_end)
+        other = replace(spec, label="again", extended_mode="reconstruct")
+        marched = integrate(spec, init, schedule)
+        shared = integrators._shared_march(marched, other)
+        assert shared.spec is other
+        for name in ("t", "tau", "s", "i", "r", "h", "coords"):
+            assert np.array_equal(getattr(shared, name), getattr(marched, name)), name
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dt": 0.25},
+            {"t_end": 59.5},
+            {"sample_stride": 7},
+            {"method": Method.RK4},
+            {"newton_tol": 1e-13},
+            {"newton_max_iter": 49},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    @pytest.mark.parametrize("pair", ["same", "twin"])
+    def test_runs_that_march_differently_do_not_share(self, init, schedule, change, pair):
+        spec = RunSpec(method="implicit_midpoint", formulation="log_t", dt=0.5, t_end=60.0)
+        marched = integrate(spec, init, schedule)
+        form = Formulation.LOG_T if pair == "same" else Formulation.EXTENDED_4D_LOG
+        assert integrators._shared_march(marched, replace(spec, formulation=form)) is not None
+        assert integrators._shared_march(marched, replace(spec, formulation=form, **change)) is None
+
+    @pytest.mark.parametrize("first,second", ONE_CHART_PAIRS + [p[::-1] for p in ONE_CHART_PAIRS])
+    def test_different_records_of_one_chart_do_not_share(self, init, schedule, first, second):
+        """Both runs step the same chart at the same dt, horizon and stride,
+        through different records."""
+        spec = RunSpec(method="rk4", formulation=first, dt=0.01, t_end=2.4)
+        marched = integrate(spec, init, schedule)
+        assert integrators._shared_march(marched, replace(spec, formulation=second)) is None
+
+    def test_a_trajectory_without_a_spec_is_not_shared(self, init, schedule):
+        spec = RunSpec(method="rk4", formulation="log_t", dt=0.5, t_end=60.0)
+        marched = replace(integrate(spec, init, schedule), spec=None)
+        assert integrators._shared_march(marched, spec) is None
 
 
 class TestReconstructOrdinaryTime:

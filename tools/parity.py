@@ -16,6 +16,13 @@ its own ``src/`` first on ``sys.path``:
   so those runs reach the dilation floor.  Each case writes a one-run
   scenario, runs ``sirham run`` on it and, separately, ``integrate`` on
   its parsed run;
+* the twin cases: two-run scenarios of a canonical formulation and the
+  extended formulation that marches its record (``rescaled_tau`` with
+  ``extended_4d_direct``, ``log_t`` with ``extended_4d_log``), for every
+  method that steps both, at the grid's step sizes, horizons and
+  schedules, both runs at stride 1 with the canonical run first or both at
+  stride 7 with the extended run first, plus one case per pair at unequal
+  strides, 102 cases.  Each runs ``sirham run`` and ``sirham check``;
 * ``plot`` of one run CSV, with and without ``--no-energy``;
 * ``sweep`` of a constant-schedule scenario;
 * ``check`` on the shipped scenario.
@@ -78,6 +85,38 @@ FORMULATIONS = {
     "single_ode_direct": ((3.0, 3.2), (0.002, 0.25)),
     "extended_4d_direct": ((3.0, 3.2), (0.002, 0.25)),
 }
+
+
+#: each canonical formulation with the extended one that marches its record
+TWINS = {"rescaled_tau": "extended_4d_direct", "log_t": "extended_4d_log"}
+
+
+def twins() -> list[tuple[str, str]]:
+    """Every twin case as ``(name, scenario text)``."""
+    cases = []
+
+    def case(method, pair, sched, t_end, dt, strides):
+        runs = "".join(
+            f"  - {{method: {method}, formulation: {form}, dt: {dt}, t_end: {t_end}, "
+            f"sample_stride: {stride}}}\n"
+            for form, stride in zip(pair, strides)
+        )
+        name = f"twins {method} {' '.join(pair)} strides={strides} {sched} t_end={t_end} dt={dt}"
+        cases.append((name, INIT + SCHEDULES[sched] + "run:\n" + runs))
+
+    for method in METHODS:
+        if method == "variational_midpoint":
+            continue  # it refuses the extended formulations
+        for canonical, extended in TWINS.items():
+            t_ends, dts = FORMULATIONS[canonical]
+            scheds = SCHEDULES if canonical == "log_t" else ("constant",)
+            for sched, t_end, dt in itertools.product(scheds, t_ends, dts):
+                case(method, (canonical, extended), sched, t_end, dt, (1, 1))
+                case(method, (extended, canonical), sched, t_end, dt, (7, 7))
+    for canonical, extended in TWINS.items():
+        t_ends, dts = FORMULATIONS[canonical]
+        case("rk4", (canonical, extended), "constant", t_ends[0], dts[0], (1, 7))
+    return cases
 
 
 def grid() -> list[tuple[str, str]]:
@@ -166,8 +205,24 @@ def worker(src: Path, limit: int | None, result: Path) -> None:
             res.update(_arrays(integrate, load_scenario, scenario))
             results[name] = res
         if limit is None:
+            results.update(_twin_commands(main, work))
             results.update(_other_commands(main, work))
     result.write_text(json.dumps(results))
+
+
+def _twin_commands(main, work: Path) -> dict:
+    """``run`` and ``check`` of every twin case; the fields of ``check``
+    are prefixed."""
+    results = {}
+    for n, (name, text) in enumerate(twins()):
+        scenario, out = work / f"twins{n}.yaml", work / f"twins{n}"
+        scenario.write_text(text)
+        res = _call(main, ["run", str(scenario), "--out", str(out)])
+        res.update(_files(out))
+        checked = _call(main, ["check", str(scenario)])
+        res.update({f"check {key}": value for key, value in checked.items()})
+        results[name] = res
+    return results
 
 
 def _other_commands(main, work: Path) -> dict:
