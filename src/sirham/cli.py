@@ -18,7 +18,8 @@ run over a parameter grid; ``plot`` turns a run CSV back into an SVG.
 ``run`` and ``check`` share one loop over the runs, which marches each
 distinct march once: a run that marches what an earlier run marched, such
 as an extended run and its chart's canonical run at one step, horizon and
-stride, takes that run's trajectory with its own coordinate columns.
+stride, takes that run's trajectory with its own coordinate columns, or
+the failure its march raised.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 from .core import CompartmentState, EpidemicParams, ParamSchedule
 from .diagnostics import conservation_report, pairwise_sup_diff
 from .errors import ScenarioError, SirhamError
-from .integrators import Method, RunSpec, Trajectory, _shared_march, integrate
+from .integrators import Method, RunSpec, Trajectory, _UNMARCHED, _march_key, _shared_march
+from .integrators import integrate
 from .plotting import render_curves
 from .scenario import Scenario, default_scenario_path, load_scenario
 
@@ -79,12 +81,12 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
     """Stable 12-hex-digit digest of everything that determines a run.
 
     Every ``RunSpec`` field is hashed, enums by their value, except the
-    cosmetic ``label`` and the ``extended_mode`` that the march does not
-    read, so that one trajectory has one digest.
+    cosmetic ``label`` and the others the march does not read
+    (``integrators._UNMARCHED``), so that one trajectory has one digest.
     """
     run = {}
     for field in fields(spec):
-        if field.name not in ("label", "extended_mode"):
+        if field.name not in _UNMARCHED:
             value = getattr(spec, field.name)
             run[field.name] = value.value if isinstance(value, Enum) else value
     payload = {
@@ -105,30 +107,31 @@ def _each_run(scenario: Scenario):
     raised, whether the run marched, and the ``perf_counter`` time its turn
     began.
 
-    A run that marches what an earlier run already marched without failing
-    takes that run's trajectory (``integrators._shared_march``) and says so
-    under ``--verbose``.  Every march that is run is one call of this
-    module's ``integrate``, by name.  A ScenarioError propagates.
+    A run that marches what an earlier run already marched takes that
+    march's outcome, its trajectory (``integrators._shared_march``) or its
+    SirhamError, and says so under ``--verbose``.  Every march that is run
+    is one call of this module's ``integrate``, by name.  A ScenarioError
+    propagates.
     """
-    marched: list[Trajectory] = []
+    marched: dict[tuple, tuple[RunSpec, Trajectory | SirhamError]] = {}
     for spec in scenario.runs:
         started = time.perf_counter()
-        for twin in marched:
-            outcome = _shared_march(twin, spec)
-            if outcome is not None:
-                log.info("run %s shares the march of %s", spec.name, twin.spec.name)
-                yield spec, outcome, False, started
-                break
-        else:
-            try:
-                outcome = integrate(spec, scenario.init, scenario.schedule)
-            except ScenarioError:
-                raise
-            except SirhamError as exc:
-                outcome = exc
-            else:
-                marched.append(outcome)
-            yield spec, outcome, True, started
+        key = _march_key(spec)
+        if key in marched:
+            twin, outcome = marched[key]
+            log.info("run %s shares the march of %s", spec.name, twin.name)
+            if isinstance(outcome, Trajectory):
+                outcome = _shared_march(outcome, spec)
+            yield spec, outcome, False, started
+            continue
+        try:
+            outcome = integrate(spec, scenario.init, scenario.schedule)
+        except ScenarioError:
+            raise
+        except SirhamError as exc:
+            outcome = exc
+        marched[key] = (spec, outcome)
+        yield spec, outcome, True, started
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,13 @@ references.
 
 The march loop only steps: it keeps every state it reaches, two floats
 a step in one flat list, for as long as the march runs, and converts the
-list to one float array when it ends.  The other clock, the dilation
-floor and the choice of kept samples are then one numpy pass over all the
-states, which raises the first failure in step order, as a test after
-every step would have.  That pass reads each record's ``dilation``
-elementwise over columns of states; its exponentials stay ``math.exp``,
-bit for bit the scalar values.
+list to one float array when it ends.  The fractions, the other clock and
+the tests of every state are then one numpy pass over all the states,
+which raises the first failing state in step order, and a failure of the
+march itself only once every state it stored passes.  That pass reads each
+record's ``fractions`` and ``dilation`` elementwise over columns of
+states; the dilation's exponentials stay ``math.exp``, bit for bit the
+scalar values.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ class _Record(NamedTuple):
     (one closure and its kernel on the ``single_ode_*`` reductions).
     ``dilation(y, params)`` is S*I, the rate of the intrinsic
     clock, of one state or elementwise of a pair of state columns, and
-    ``fractions(coords, beta, gamma)`` maps sampled coordinates to the
+    ``fractions(coords, beta, gamma)`` maps marched coordinates to the
     (I, S) columns.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
@@ -341,16 +342,19 @@ _RECORDS = {
 }
 
 
+#: the ``RunSpec`` fields that the march does not read
+_UNMARCHED = ("label", "extended_mode")
+
+
 def _march_key(spec: RunSpec) -> tuple:
     """What the march of ``spec`` reads: its formulation's record, the
     object itself, with the formulation's clock and chart, and every other
-    ``RunSpec`` field except the ``label`` and ``extended_mode`` that the
-    march does not read."""
+    ``RunSpec`` field except the :data:`_UNMARCHED`."""
     form = spec.formulation
     rest = tuple(
         getattr(spec, field.name)
         for field in fields(spec)
-        if field.name not in ("formulation", "label", "extended_mode")
+        if field.name not in ("formulation", *_UNMARCHED)
     )
     return (id(_RECORDS[form]), form.clock, form.chart, *rest)
 
@@ -860,11 +864,10 @@ def integrate(
     its chart's record, whatever its ``extended_mode``.
 
     The march itself only steps: every state it reaches is kept, two floats
-    in one flat list, until the march ends.  The clocks, the dilation floor
-    and the choice of samples are then one pass over all the states
-    (:func:`_other_clock`), which raises what a test after every step
-    would have raised first, so a dilation failure at one step still wins
-    over a step failure after it.
+    in one flat list, until the march ends.  The fractions, the other clock
+    and every test of a state are then one pass over all the states
+    (:func:`_tested_states`), which raises the first failing state, so
+    neither the stride nor the horizon changes which failure a run reports.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -919,11 +922,11 @@ def integrate(
     states = np.array(ys, dtype=float).reshape(-1, 2)
     # the list holds four times the array's memory
     del ys
-    sec = _other_clock(spec, rec, segments, grid, states, starts, failure)
-    return _build_trajectory(spec, schedule, segments, grid, states, sec)
+    sir, sec = _tested_states(spec, rec, segments, grid, states, starts, failure)
+    return _build_trajectory(spec, schedule, segments, grid, states, sir, sec)
 
 
-def _other_clock(
+def _tested_states(
     spec: RunSpec,
     rec: _Record,
     segments: Sequence,
@@ -931,83 +934,99 @@ def _other_clock(
     states: np.ndarray,
     starts: Sequence[float],
     failure: Exception | None,
-) -> np.ndarray:
-    """The clock that is not the run's own, at every stored state: the
-    trapezoid rule over every step of S*I on an ordinary-time run, of
-    1/(S*I) on a rescaled-clock run.
+) -> tuple[np.ndarray, np.ndarray]:
+    """S, I and R of every stored state, and the clock that is not the run's
+    own at each: the trapezoid rule over every step of S*I on an
+    ordinary-time run, of 1/(S*I) on a rescaled-clock run.
 
-    Each segment's dilations are one elementwise call of the record's
-    ``dilation`` on its states; a segment's first step starts from the
-    dilation of its remapped start.  The step sums are added in step order
-    by ``np.cumsum``, so each value is the running sum a step-by-step march
-    would have kept.  A refusal or an overflow in that call, a dilation
-    under the floor on a rescaled-clock run, or a failure of the march
-    itself is raised by :func:`_first_failure`, in step order.
+    One walk over the segments.  A segment's states get their fractions
+    from one elementwise call of the record's ``fractions`` and, those it
+    marched, their dilation from one of its ``dilation``, with the
+    segment's parameters; the state it starts from keeps the outgoing
+    segment's.  A state fails when that call refuses it or overflows, when
+    its dilation is under the floor on a rescaled-clock run, when a
+    fraction is not finite or leaves [0, 1] by more than ``FRACTION_TOL``,
+    or at S <= 0, where the energy's ln S is undefined; :func:`_replay`
+    raises the first failing state.  The march's own ``failure`` is raised
+    only once every stored state passes.  A segment's first step starts
+    from the dilation of its remapped start, and ``np.cumsum`` adds the
+    step sums in step order, as a step-by-step march would have.
     """
     clock_is_t = spec.formulation.clock == "t"
     total = len(states) - 1
+    sir = np.empty((3, len(states)))
     # steps[j] is step j's sum; the start's 0.0 is where the running sum begins
     steps = np.zeros(len(states))
-    first = total + 1
-    off = 0
+    # a segment's states are lo..hi, and those it marched off + 1..hi
+    lo = off = 0
+    # a runaway state may be inf - inf here; the tests read every value
     with np.errstate(all="ignore"):
-        for (_, _, pars), (n, h_last), start in zip(segments, grid, starts):
+        for k, ((_, _, pars), (n, h_last), start) in enumerate(zip(segments, grid, starts)):
             hi = min(off + n, total)
-            if hi > off:
-                try:
-                    dil = rec.dilation(states[off + 1 : hi + 1].T, pars)
-                except (RhsDomainError, OverflowError):
-                    first = off + 1
-                    break
-                f = np.concatenate(([start], dil))
+            part = sir[:, lo : hi + 1]
+            part[1], part[0] = rec.fractions(states[lo : hi + 1], pars.beta, pars.gamma)
+            part[2] = 1.0 - part[0] - part[1]
+            # a NaN fails both comparisons
+            ok = ((part >= -FRACTION_TOL) & (part <= 1.0 + FRACTION_TOL)).all(axis=0)
+            ok &= part[0] > 0.0
+            try:
+                dil = rec.dilation(states[off + 1 : hi + 1].T, pars)
+            except (RhsDomainError, OverflowError):
+                # the replay finds the refused state from the segment's first
+                ok[:] = False
+            else:
                 if not clock_is_t:
-                    low = np.flatnonzero(dil < RUN_DILATION_FLOOR)
-                    if low.size:
-                        first = off + 1 + int(low[0])
-                        break
-                    f = 1.0 / f
-                seg = steps[off + 1 : hi + 1]
-                seg[:] = _trapezoid(spec.dt, f)
-                if hi == off + n:
-                    seg[-1:] = _trapezoid(h_last, f[-2:])
-            off += n
-    if first <= total or failure is not None:
-        _first_failure(spec, rec, segments, grid, states, first, failure)
-    return np.cumsum(steps)
+                    ok[off + 1 - lo :] &= ~(dil < RUN_DILATION_FLOOR)
+            if not ok.all():
+                _replay(spec, rec, segments, grid, states, sir, k, lo + int(np.argmin(ok)))
+            f = np.concatenate(([start], dil))
+            if not clock_is_t:
+                f = 1.0 / f
+            seg = steps[off + 1 : hi + 1]
+            seg[:] = _trapezoid(spec.dt, f)
+            if hi == off + n:
+                seg[-1:] = _trapezoid(h_last, f[-2:])
+            lo, off = hi + 1, off + n
+    if failure is not None:
+        raise _at_step(failure, total + 1, _own_clock(spec, segments, grid, [total])[1][0]) from failure
+    return sir, np.cumsum(steps)
 
 
-def _first_failure(
+def _replay(
     spec: RunSpec,
     rec: _Record,
     segments: Sequence,
     grid: Sequence[tuple[int, float]],
     states: np.ndarray,
+    sir: np.ndarray,
+    k: int,
     first: int,
-    failure: Exception | None,
 ) -> None:
-    """Raise what a march that tested every step would have raised first.
-
-    From state ``first`` on, each stored state's dilation is taken again by
-    the record's ``dilation`` on the state alone, and on a rescaled-clock
-    run tested against the floor, in step order.  Past the last stored
-    state, the march's own ``failure`` is raised.
-    """
+    """Raise the first state of segment ``k``, from state ``first`` on, that
+    fails a test of :func:`_tested_states`, each state tested alone.  At one
+    state the dilation, taken by the record on that state, and the floor
+    come first, naming the step and the clock it started from; then the
+    fractions in ``sir``, naming the step and the clock it reached."""
     clock_is_t = spec.formulation.clock == "t"
-    total = len(states) - 1
-    off = 0
-    for (_, _, pars), (n, _) in zip(segments, grid):
-        for j in range(max(first, off + 1), min(off + n, total) + 1):
-            try:
+    pars = segments[k][2]
+    off = sum(n for n, _ in grid[:k])
+    for j in range(first, min(off + grid[k][0], len(states) - 1) + 1):
+        try:
+            if j > off:
                 dil = rec.dilation(states[j].tolist(), pars)
                 if not clock_is_t and dil < RUN_DILATION_FLOOR:
                     raise StepAcrossSingularity(
-                        f"S*I fell to {dil:.3e}; the run crossed the "
-                        "singularity of the time map"
+                        f"S*I fell to {dil:.3e}; the run crossed the singularity of the time map"
                     )
-            except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
-                raise _at_step(exc, j, _own_clock(spec, segments, grid, [j - 1])[1][0]) from exc
-        off += n
-    raise _at_step(failure, total + 1, _own_clock(spec, segments, grid, [total])[1][0]) from failure
+        except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
+            raise _at_step(exc, j, _own_clock(spec, segments, grid, [j - 1])[1][0]) from exc
+        s, i, r = sir[:, j]
+        inside = all(-FRACTION_TOL <= x <= 1.0 + FRACTION_TOL for x in (s, i, r))
+        if not inside or s <= 0.0:
+            where = f"step {j} at clock {_own_clock(spec, segments, grid, [j])[1][0]:.6g}"
+            if not inside:
+                raise InvalidFractions(f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]")
+            raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
 
 
 def _build_trajectory(
@@ -1016,43 +1035,17 @@ def _build_trajectory(
     segments: Sequence[tuple[float, float, EpidemicParams]],
     grid: Sequence[tuple[int, float]],
     states: np.ndarray,
+    sir: np.ndarray,
     sec: np.ndarray,
 ) -> Trajectory:
-    """Sampled columns of a finished march, from every state it reached and
-    the other clock at each.
+    """Sampled columns of a finished march, from every state it reached,
+    their fractions and the other clock at each.
 
     The kept samples are the start, every state whose step number is a
     multiple of the stride, and the last state of every segment.
-
-    Every marched state is tested, kept or not.  One whose fractions leave
-    [0, 1] by more than ``FRACTION_TOL`` or are not finite is refused with
-    :class:`InvalidFractions`, and one at S <= 0, where the energy's ln S is
-    undefined, with :class:`NonPositiveCoordinate`; either names the first
-    such state's step and clock value.
     """
     form = spec.formulation
     ends = np.cumsum([n for n, _ in grid])
-    # S, I and R of every state, a segment at a time, the start in the first
-    sir = np.empty((3, len(states)))
-    lo = 0
-    # a runaway state may be inf - inf here; the test below reads every value
-    with np.errstate(all="ignore"):
-        for (_, _, pars), end in zip(segments, ends):
-            i_seg, s_seg = _RECORDS[form].fractions(states[lo : end + 1], pars.beta, pars.gamma)
-            sir[0, lo : end + 1], sir[1, lo : end + 1] = s_seg, i_seg
-            lo = end + 1
-        sir[2] = 1.0 - sir[0] - sir[1]
-    # a NaN fails both comparisons
-    inside = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
-    bad = np.flatnonzero(~inside | (sir[0] <= 0.0))
-    if bad.size:
-        k = int(bad[0])
-        s, i, r = sir[:, k]
-        where = f"step {k} at clock {_own_clock(spec, segments, grid, [k])[1][0]:.6g}"
-        if not inside[k]:
-            raise InvalidFractions(f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]")
-        raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
-
     keep = np.zeros(len(states), dtype=bool)
     keep[:: spec.sample_stride] = True
     keep[ends] = True

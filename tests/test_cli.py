@@ -102,6 +102,18 @@ run:
 """
 
 
+# rescaled_tau and its extended twin past the singularity of the time map
+# (tau_max = 3.10): the dilation falls under the floor at step 1553
+FLOOR_TWINS = """\
+init: {s: 0.99, i: 0.01}
+schedule:
+  - {t: 0.0, beta: 0.3, gamma: 0.1}
+run:
+  - {method: rk4, formulation: rescaled_tau, dt: 0.002, t_end: 3.2}
+  - {method: rk4, formulation: extended_4d_direct, dt: 0.002, t_end: 3.2}
+"""
+
+
 def one_run_scenarios(text):
     """Each run of a scenario text alone, with the scenario's start and
     schedule."""
@@ -453,31 +465,45 @@ class TestRunCommand:
             "run again: 19 samples -> again.csv",
         ]
 
-    def test_a_failed_march_fails_each_twin_as_it_fails_alone(self, tmp_path):
-        """Explicit Euler at dt 4 leaves the simplex at step 1: each twin
-        reports the failure of its own run alone."""
-        text = TWIN_RUNS.replace("method: rk4", "method: explicit_euler").replace(
-            "dt: 0.5", "dt: 4.0"
-        )
+    @pytest.mark.parametrize(
+        "text, status",
+        [
+            (
+                TWIN_RUNS.replace("method: rk4", "method: explicit_euler").replace(
+                    "dt: 0.5", "dt: 4.0"
+                ),
+                "InvalidFractions",
+            ),
+            (FLOOR_TWINS, "StepAcrossSingularity"),
+        ],
+        ids=["simplex", "floor"],
+    )
+    def test_a_failed_march_fails_each_twin_as_it_fails_alone(
+        self, tmp_path, monkeypatch, text, status
+    ):
+        """Explicit Euler at dt 4 leaves the simplex at step 1, and RK4 on the
+        rescaled clock crosses the dilation floor: the march runs once, and
+        each twin reports the failure of its own run alone."""
+        calls = counted_integrate(monkeypatch)
         scenario = tmp_path / "twins.yaml"
         scenario.write_text(text)
         out = tmp_path / "out"
         proc = cli("run", scenario, "--out", out)
         assert proc.returncode == 3
+        assert len(calls) == 1
         assert list(out.iterdir()) == [out / "manifest.tsv"]
         rows = (out / "manifest.tsv").read_text().splitlines()
         errors = proc.stderr.splitlines()
-        assert len(rows) == len(errors) == 4
+        assert len(rows) == len(errors) == len(yaml.safe_load(text)["run"])
         for k, text in enumerate(one_run_scenarios(text)):
             alone = tmp_path / f"{k}.yaml"
             alone.write_text(text)
             own = cli("run", alone, "--out", tmp_path / str(k))
             assert own.returncode == 3
             assert errors[k] + "\n" == own.stderr
-            assert "left [0, 1]" in own.stderr
             (row,) = (tmp_path / str(k) / "manifest.tsv").read_text().splitlines()
             assert rows[k].rpartition("\t")[0] == row.rpartition("\t")[0]
-            assert row.split("\t")[2] == "InvalidFractions"
+            assert row.split("\t")[2] == status
 
     def test_reruns_are_bit_identical(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
@@ -610,20 +636,21 @@ class TestRunCommand:
         assert (out / "manifest.tsv").read_text().split("\t")[2] == "InvalidFractions"
 
     def test_an_overflowing_rate_exits_3_with_its_step(self, tmp_path):
-        # dt = 40 throws ln I far enough that exp(ln I) overflows in step 2
+        # at beta = 3, dt = 10 throws ln I so far within step 1 that the
+        # exp(ln I) of a later stage overflows; the start is in the simplex
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(
             "init: {s: 0.99, i: 0.01}\n"
             "schedule:\n"
-            "  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
+            "  - {t: 0.0, beta: 3.0, gamma: 0.1}\n"
             "run:\n"
-            "  - {method: rk4, formulation: single_ode_log, dt: 40.0, t_end: 80.0}\n"
+            "  - {method: rk4, formulation: single_ode_log, dt: 10.0, t_end: 80.0}\n"
         )
         out = tmp_path / "out"
         proc = cli("run", scenario, "--out", out)
         assert proc.returncode == 3
         assert proc.stderr == (
-            "error: run single_ode_log-rk4: step 2 from clock 40: "
+            "error: run single_ode_log-rk4: step 1 from clock 0: "
             "a value overflowed (math range error)\n"
         )
         assert not (out / "single_ode_log-rk4.csv").exists()

@@ -621,6 +621,40 @@ class TestIntegrate:
             with pytest.raises(InvalidFractions, match=r"^step 1 at clock 12: "):
                 integrate(spec, init, schedule)
 
+    @pytest.mark.parametrize(
+        "method, horizons, step, clock",
+        [("rk4", (80.0, 400.0), 1, 40), ("explicit_euler", (80.0, 4000.0), 2, 80)],
+    )
+    def test_the_horizon_does_not_change_the_first_failure(
+        self, init, schedule, method, horizons, step, clock
+    ):
+        """At dt 40 the run leaves the simplex at ``step``.  Over the longer
+        horizon the march goes on until a step fails on a non-finite state,
+        but the first failing state is still the one reported."""
+        raised = []
+        for t_end in horizons:
+            spec = RunSpec(method=method, formulation="basic_t", dt=40.0, t_end=t_end)
+            with pytest.raises(InvalidFractions, match=rf"^step {step} at clock {clock}: ") as exc:
+                integrate(spec, init, schedule)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
+
+    def test_a_simplex_exit_wins_over_a_later_newton_failure(self, init):
+        """The implicit midpoint rule at dt 40 closes the first segment in one
+        step, to t = 30 and S = 1.034, out of the simplex; Newton gives up in
+        the step after it, which closes the second segment at t = 61.5."""
+        sched = ParamSchedule(
+            switch_times=(0.0, 30.0, 61.5),
+            params=(EpidemicParams(0.3, 0.1), EpidemicParams(0.15, 0.1), EpidemicParams(0.3, 0.25)),
+        )
+        spec = RunSpec(method="implicit_midpoint", formulation="basic_t", dt=40.0, t_end=100.0)
+        with pytest.raises(InvalidFractions, match=r"^step 1 at clock 30: S = 1\.03433, "):
+            integrate(spec, init, sched)
+        rec = _RECORDS[spec.formulation]
+        y = integrators._make_stepper(spec, rec, sched.params[0])((init.i, init.s), 30.0)
+        with pytest.raises(NewtonDivergence):
+            integrators._make_stepper(spec, rec, sched.params[1])(y, 31.5)
+
     def test_newton_failure_names_the_step_and_the_clock(self, init, schedule):
         spec = RunSpec(
             method="implicit_midpoint",
@@ -689,6 +723,25 @@ class TestIntegrate:
         spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.01, t_end=3.2)
         with pytest.raises(
             StepAcrossSingularity, match=r"^step 311 from clock 3\.1: S\*I fell to -4\.874e-04; "
+        ):
+            integrate(spec, init, schedule)
+
+    def test_a_dilation_under_the_floor_is_refused_inside_the_simplex(
+        self, init, schedule, monkeypatch
+    ):
+        """The floor is a test of its own: a state whose fractions pass but
+        whose dilation is under the floor is refused, at the first such
+        step.  Here the dilation shrinks by 1e-20 once S < 0.5."""
+        spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.01, t_end=3.0)
+        step = int(np.argmax(integrate(spec, init, schedule).s < 0.5))
+        rec = _RECORDS[Formulation.RESCALED_TAU]
+
+        def dilation(y, params):
+            return rec.dilation(y, params) * np.where(np.asarray(y[1]) < 0.5, 1e-20, 1.0)
+
+        monkeypatch.setitem(_RECORDS, Formulation.RESCALED_TAU, rec._replace(dilation=dilation))
+        with pytest.raises(
+            StepAcrossSingularity, match=rf"^step {step} from clock {(step - 1) / 100:g}: S\*I fell"
         ):
             integrate(spec, init, schedule)
 

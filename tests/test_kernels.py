@@ -648,9 +648,10 @@ def ref_march(spec, init, schedule):
 
 
 def rising_rate(monkeypatch):
-    """The rate of ``single_ode_direct`` climbs at 1 per unit tau, so that it
-    reaches beta; the true acceleration never lets it rise."""
-    monkeypatch.setattr(dynamics, "rescaled_accel", lambda rate, params: 1.0)
+    """The rate of ``single_ode_direct`` climbs at 13 per unit tau; at dt
+    0.01 a step carries it from below beta - gamma, where S <= 1, to beyond
+    beta.  The true acceleration never lets it rise."""
+    monkeypatch.setattr(dynamics, "rescaled_accel", lambda rate, params: 13.0)
 
 
 P3 = EpidemicParams(beta=0.3, gamma=0.1)
@@ -659,21 +660,39 @@ THREE_SEGMENTS = ParamSchedule(
     params=(P3, EpidemicParams(beta=0.15, gamma=0.1), EpidemicParams(beta=0.3, gamma=0.25)),
 )
 #: name -> (run, start (s, i), schedule, patch, what the march raises); each
-#: failure comes before a later one of the bare march, named in the comment
+#: failure comes before a later one of the bare march, named in the comment.
+#: The reference tests no state against the simplex, so every state before
+#: a case's failure is inside it.
 MARCH_CASES = {
     # the floor at step 1553; S < 0 stops the bare march at step 1650
     "floor_crossing": (
         dict(method="rk4", formulation="rescaled_tau", dt=0.002, t_end=3.5, sample_stride=7),
         (0.99, 0.01), ParamSchedule.constant(P3), None, StepAcrossSingularity,
     ),
-    # the rate reaches beta at step 11; the bare march runs to the end
+    # the rate passes beta in step 2; the bare march runs to the end
     "rate_reaching_beta": (
         dict(method="rk4", formulation="single_ode_direct", dt=0.01, t_end=0.5),
-        (0.99, 0.01), ParamSchedule.constant(P3), rising_rate, OutsideLegendreDomain,
+        (0.4, 0.01), ParamSchedule.constant(P3), rising_rate, OutsideLegendreDomain,
     ),
     "rate_reaching_minus_gamma": (
-        dict(method="explicit_euler", formulation="single_ode_log", dt=40.0, t_end=100.0),
-        (0.99, 0.01), ParamSchedule.constant(P3), None, OutsideLegendreDomain,
+        dict(method="explicit_euler", formulation="single_ode_log", dt=8.0, t_end=40.0),
+        (0.6, 0.3), ParamSchedule.constant(P3), None, OutsideLegendreDomain,
+    ),
+    # beta jumps to 3 at t = 30, and the rate passes -gamma in step 32, the
+    # second of the second segment
+    "rate_reaching_minus_gamma_after_a_switch": (
+        dict(method="explicit_euler", formulation="single_ode_log", dt=1.0, t_end=100.0),
+        (0.99, 0.01),
+        ParamSchedule(switch_times=(0.0, 30.0), params=(P3, EpidemicParams(beta=3.0, gamma=0.1))),
+        None, OutsideLegendreDomain,
+    ),
+    # beta jumps to 5 instead, and the rate passes -gamma in step 31, the
+    # first of the second segment
+    "rate_reaching_minus_gamma_at_a_switch": (
+        dict(method="explicit_euler", formulation="single_ode_log", dt=1.0, t_end=100.0),
+        (0.99, 0.01),
+        ParamSchedule(switch_times=(0.0, 30.0), params=(P3, EpidemicParams(beta=5.0, gamma=0.1))),
+        None, OutsideLegendreDomain,
     ),
     # ln I jumps past 870 in step 1, whose dilation overflows; the rates of
     # step 2 overflow in the bare march
