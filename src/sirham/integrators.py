@@ -23,8 +23,9 @@ charts), so Newton runs only on ``basic_t`` and the ``single_ode_*``
 reductions.  The constraint ``C = Q + 2 J P = 0`` pins an extended run's
 momenta to its coordinates, so its record is its chart's canonical one: the
 march steps the 2-d coordinates as a ``rescaled_tau`` or ``log_t`` run does,
-and the trajectory build appends the momenta ``(1/2) J Q``.  Every step
-function steps 2-d states, and no step reads or checks the constraint.
+and the walk that builds the trajectory appends the momenta ``(1/2) J Q``.
+Every step function steps 2-d states, and no step reads or checks the
+constraint.
 
 :func:`integrate` marches a :class:`RunSpec` over a parameter schedule and
 returns a :class:`Trajectory` carrying both clocks (ordinary time t and
@@ -37,8 +38,8 @@ same rule to an existing trajectory's samples.
 Each :class:`Formulation` is defined in one place, its private record in
 ``_RECORDS``: initial state, rhs and rhs-Jacobian lookups, S*I dilation,
 map from sampled coordinates to (I, S), and state remap at a parameter
-switch.  The march and the trajectory build read only the record and name
-no formulation.  So two runs whose formulations share a record, and whose
+switch.  The march and the walk after it read only the record and name no
+formulation.  So two runs whose formulations share a record, and whose
 other settings but label and ``extended_mode`` are equal, march the same
 states: :func:`_shared_march` gives the second run its trajectory from the
 first's, and the command line marches each distinct march once.
@@ -56,13 +57,15 @@ their residual and Jacobian there too, with the arithmetic, in the same
 order, of the zip and tuple bodies the kernel tests keep as their
 references.
 
-The march loop only steps: it keeps every state it reaches, two floats
-a step in one flat list, for as long as the march runs, and converts the
-list to one float array when it ends.  The fractions, the other clock and
-the tests of every state are then one numpy pass over all the states,
-which raises the first failing state in step order, and a failure of the
-march itself only once every state it stored passes.  That pass reads each
-record's ``fractions`` and ``dilation`` elementwise over columns of
+The step grid is laid out once, one ``_Segment`` a parameter segment: its
+ends, parameters, step count, closing step and the steps before it.  The
+march loop only steps: it keeps every state it reaches, two floats a step
+in one flat list, for as long as the march runs, and converts the list to
+one float array when it ends.  One walk over the segments then tests each
+segment's states and builds its kept rows, numpy over the segment's
+states: it raises the first failing state in step order, and a failure of
+the march itself only once every state it stored passes.  The walk reads
+each record's ``fractions`` and ``dilation`` elementwise over columns of
 states; the dilation's exponentials stay ``math.exp``, bit for bit the
 scalar values.
 """
@@ -190,7 +193,8 @@ class _Record(NamedTuple):
     ``dilation(y, params)`` is S*I, the rate of the intrinsic
     clock, of one state or elementwise of a pair of state columns, and
     ``fractions(coords, beta, gamma)`` maps marched coordinates to the
-    (I, S) columns.  ``remap(y, old, new)`` carries the state across a
+    (I, S) columns; the walk after the march calls each once a segment,
+    on all its states.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
     identity.  ``separable`` says that the rate of the second half of the
@@ -216,12 +220,6 @@ def _exp(x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(math.exp, x.tolist()), float, x.size)
     return math.exp(x)
-
-
-def _any(test) -> bool:
-    """A comparison of one state, or whether it holds for any entry of a
-    column of states."""
-    return test if isinstance(test, bool) else bool(test.any())
 
 
 def _log_start(i0: float, s0: float, params: EpidemicParams) -> tuple:
@@ -288,7 +286,7 @@ def _rate_rhs_log() -> Rhs:
 
 def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
     beta = params.beta
-    if _any(y[1] >= beta):
+    if np.any(y[1] >= beta):
         raise OutsideLegendreDomain(
             f"rate {y[1]} reached beta = {beta}; susceptible fraction undefined"
         )
@@ -297,7 +295,7 @@ def _rate_dilation_direct(y: tuple, params: EpidemicParams) -> float:
 
 def _rate_dilation_log(y: tuple, params: EpidemicParams) -> float:
     gamma = params.gamma
-    if _any(y[1] <= -gamma):
+    if np.any(y[1] <= -gamma):
         raise OutsideLegendreDomain(
             f"rate {y[1]} reached -gamma = {-gamma}; susceptible fraction undefined"
         )
@@ -369,9 +367,9 @@ def _shared_march(traj: Trajectory, spec: RunSpec) -> Trajectory | None:
     stride, say, or two runs that differ only in label or mode.  The
     shared trajectory carries ``spec`` and its formulation, and the marched
     coordinate block of ``traj`` with the momenta appended again where
-    ``spec`` is extended, as :func:`_build_trajectory` appends them.  It
-    holds the other columns of ``traj`` themselves, not copies, and on a
-    2-d run a view of its coordinates.
+    ``spec`` is extended, as :func:`_walk` appends them.  It holds the
+    other columns of ``traj`` themselves, not copies, and on a 2-d run a
+    view of its coordinates.
     """
     if traj.spec is None or _march_key(traj.spec) != _march_key(spec):
         return None
@@ -796,6 +794,20 @@ def _check_schedule(spec: RunSpec, schedule: ParamSchedule) -> None:
         )
 
 
+class _Segment(NamedTuple):
+    """One parameter segment of the step grid: from ``a`` to ``b`` under
+    ``params``, in ``n`` steps after the ``off`` steps of the segments
+    before it, its closing step ``h_last`` long.  State j is the state
+    after step j, so the segment marches states ``off + 1`` to ``off + n``."""
+
+    a: float
+    b: float
+    params: EpidemicParams
+    n: int
+    h_last: float
+    off: int
+
+
 def _segment_steps(span: float, dt: float) -> tuple[int, float]:
     """Number of steps in a segment and the length of its last: full dt
     steps, then a short closing step where dt does not divide the span."""
@@ -813,22 +825,14 @@ def _trapezoid(h, f):
     return 0.5 * h * (f[:-1] + f[1:])
 
 
-def _own_clock(
-    spec: RunSpec, segments: Sequence, grid: Sequence[tuple[int, float]], rows
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment and own clock of each stored state numbered in ``rows``: 0 is
-    the start, at clock 0, and j the state after step j.  A step's clock is
-    ``a + k * dt``, k counted from its segment's start ``a``, and the
-    segment's end ``b`` on its closing step."""
-    rows = np.asarray(rows)
-    n = np.array([n for n, _ in grid])
-    ends = np.cumsum(n)
-    # a segment's closing step is its own, also when a segment after it is empty
-    seg = np.searchsorted(ends, rows)
-    a = np.array([a for a, _, _ in segments])[seg]
-    b = np.array([b for _, b, _ in segments])[seg]
-    clock = np.where(rows == ends[seg], b, a + (rows - (ends - n)[seg]) * spec.dt)
-    return seg, np.where(rows == 0, 0.0, clock)
+def _clock(grid: Sequence[_Segment], j: int, dt: float) -> float:
+    """Own clock of state ``j``: 0 at the start, else ``a + k * dt`` k steps
+    into the first segment that state j does not outlast, and that
+    segment's end ``b`` on its closing step.  So a segment's closing step
+    stays its own when a segment of no steps follows it."""
+    holder = next(seg for seg in grid if j <= seg.off + seg.n)
+    k = j - holder.off
+    return holder.b if k == holder.n > 0 else holder.a + k * dt
 
 
 def _at_step(exc: Exception, step: int, clock: float) -> Exception:
@@ -863,11 +867,13 @@ def integrate(
     state, kept or not, must stay in the simplex.  An extended run marches
     its chart's record, whatever its ``extended_mode``.
 
-    The march itself only steps: every state it reaches is kept, two floats
-    in one flat list, until the march ends.  The fractions, the other clock
-    and every test of a state are then one pass over all the states
-    (:func:`_tested_states`), which raises the first failing state, so
-    neither the stride nor the horizon changes which failure a run reports.
+    The grid is laid once, one :class:`_Segment` a segment, and the march
+    and the walk after it read only that list.  The march itself only
+    steps: every state it reaches is kept, two floats in one flat list,
+    until the march ends.  One walk over the segments it started
+    (:func:`_walk`) then tests every state and raises the first failing
+    one, so neither the stride nor the horizon changes which failure a run
+    reports, and builds each segment's kept rows.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -878,12 +884,17 @@ def integrate(
 
     form = spec.formulation
     _check_schedule(spec, schedule)
-    segments = schedule.segments(spec.t_end)
+    dt = spec.dt
+    grid, off = [], 0
+    for a, b, params in schedule.segments(spec.t_end):
+        n, h_last = _segment_steps(b - a, dt)
+        grid.append(_Segment(a, b, params, n, h_last, off))
+        off += n
 
     rec = _RECORDS[form]
     try:
-        y = rec.start(init.i, init.s, segments[0][2])
-        dil = rec.dilation(y, segments[0][2])
+        y = rec.start(init.i, init.s, grid[0].params)
+        dil = rec.dilation(y, grid[0].params)
     except RhsDomainError as exc:
         # a fraction the chart cannot express, such as ln of a zero
         raise type(exc)(f"initial state: {exc}") from exc
@@ -893,82 +904,92 @@ def integrate(
             f"is degenerate below {START_DILATION_FLOOR:.0e}"
         )
 
-    dt = spec.dt
-    grid = [_segment_steps(b - a, dt) for a, b, _ in segments]
     # the start, then the state after each step, flat: a tuple per state
     # would give the garbage collector one more object to track per step
     ys = [*y]
     # the dilation of each segment's start, after its remap, under its own
     # parameters: the left end of the segment's first trapezoid
-    starts = []
+    starts = [dil]
     failure = None
     try:
-        for seg_id, ((_, _, pars), (n, h_last)) in enumerate(zip(segments, grid)):
-            if seg_id > 0:
+        for k, seg in enumerate(grid):
+            pars = seg.params
+            if k:
                 # the boundary sample keeps the outgoing segment's representation;
                 # only the state marched onward is re-expressed
-                y = rec.remap(y, segments[seg_id - 1][2], pars)
+                y = rec.remap(y, grid[k - 1].params, pars)
+                starts.append(rec.dilation(y, pars))
             stepper = _make_stepper(spec, rec, pars)
-            starts.append(rec.dilation(y, pars))
-            for _ in range(n - 1):
+            for _ in range(seg.n - 1):
                 y = stepper(y, dt)
                 ys += y
-            if n:
-                y = stepper(y, h_last)
+            if seg.n:
+                y = stepper(y, seg.h_last)
                 ys += y
     except (NewtonDivergence, RhsDomainError, OverflowError) as exc:
-        # the pass over the states may find an earlier failure
+        # the walk over the states may find an earlier failure
         failure = exc
     states = np.array(ys, dtype=float).reshape(-1, 2)
     # the list holds four times the array's memory
     del ys
-    sir, sec = _tested_states(spec, rec, segments, grid, states, starts, failure)
-    return _build_trajectory(spec, schedule, segments, grid, states, sir, sec)
+    return _walk(spec, schedule, rec, grid, states, starts, failure)
 
 
-def _tested_states(
+def _walk(
     spec: RunSpec,
+    schedule: ParamSchedule,
     rec: _Record,
-    segments: Sequence,
-    grid: Sequence[tuple[int, float]],
+    grid: Sequence[_Segment],
     states: np.ndarray,
     starts: Sequence[float],
     failure: Exception | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """S, I and R of every stored state, and the clock that is not the run's
-    own at each: the trapezoid rule over every step of S*I on an
-    ordinary-time run, of 1/(S*I) on a rescaled-clock run.
+) -> Trajectory:
+    """Test every stored state and build the sampled trajectory, in one walk
+    over the segments the march started.
 
-    One walk over the segments.  A segment's states get their fractions
-    from one elementwise call of the record's ``fractions`` and, those it
-    marched, their dilation from one of its ``dilation``, with the
-    segment's parameters; the state it starts from keeps the outgoing
-    segment's.  A state fails when that call refuses it or overflows, when
-    its dilation is under the floor on a rescaled-clock run, when a
-    fraction is not finite or leaves [0, 1] by more than ``FRACTION_TOL``,
-    or at S <= 0, where the energy's ln S is undefined; :func:`_replay`
-    raises the first failing state.  The march's own ``failure`` is raised
-    only once every stored state passes.  A segment's first step starts
-    from the dilation of its remapped start, and ``np.cumsum`` adds the
-    step sums in step order, as a step-by-step march would have.
+    A segment holds the states it marched, the first segment the start too:
+    a state belongs to the first segment it does not outlast.  Its states
+    get their S, I and R from one elementwise call of the record's
+    ``fractions`` and, those it marched, their dilation from one of its
+    ``dilation``, with the segment's parameters.  A state fails when that
+    call refuses it or overflows, when its dilation is under the floor on a
+    rescaled-clock run, when a fraction is not finite or leaves [0, 1] by
+    more than ``FRACTION_TOL``, or at S <= 0, where the energy's ln S is
+    undefined; :func:`_replay` raises the first failing state.  The march's
+    own ``failure`` is raised only once every stored state passes.
+
+    The clock that is not the run's own is the trapezoid rule over every
+    step of S*I on an ordinary-time run, of 1/(S*I) on a rescaled-clock
+    run: a segment's first step starts from the dilation of its remapped
+    start, and ``np.cumsum`` goes on from the previous segment's sum, adding
+    the step sums in step order as a step-by-step march would have.  The
+    kept rows are the start, every state whose step number is a multiple of
+    the stride, and the closing step of every segment.  Their own clock is
+    ``a + k * dt``, k steps into the segment, or ``b`` on its closing step,
+    and their energy takes the segment's own beta and gamma.
     """
-    clock_is_t = spec.formulation.clock == "t"
+    form = spec.formulation
+    clock_is_t = form.clock == "t"
+    dt, stride = spec.dt, spec.sample_stride
     total = len(states) - 1
-    sir = np.empty((3, len(states)))
-    # steps[j] is step j's sum; the start's 0.0 is where the running sum begins
-    steps = np.zeros(len(states))
+    # per segment: its kept rows, their own clock, other clock, (S, I, R) and h
+    parts = []
+    # the other clock at the segment's start
+    carry = 0.0
     # a segment's states are lo..hi, and those it marched off + 1..hi
-    lo = off = 0
+    lo = 0
     # a runaway state may be inf - inf here; the tests read every value
     with np.errstate(all="ignore"):
-        for k, ((_, _, pars), (n, h_last), start) in enumerate(zip(segments, grid, starts)):
-            hi = min(off + n, total)
-            part = sir[:, lo : hi + 1]
-            part[1], part[0] = rec.fractions(states[lo : hi + 1], pars.beta, pars.gamma)
-            part[2] = 1.0 - part[0] - part[1]
+        for seg, start in zip(grid, starts):
+            off, pars = seg.off, seg.params
+            hi = min(off + seg.n, total)
+            closes = 0 < seg.n == hi - off
+            sir = np.empty((3, hi + 1 - lo))
+            sir[1], sir[0] = rec.fractions(states[lo : hi + 1], pars.beta, pars.gamma)
+            sir[2] = 1.0 - sir[0] - sir[1]
             # a NaN fails both comparisons
-            ok = ((part >= -FRACTION_TOL) & (part <= 1.0 + FRACTION_TOL)).all(axis=0)
-            ok &= part[0] > 0.0
+            ok = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
+            ok &= sir[0] > 0.0
             try:
                 dil = rec.dilation(states[off + 1 : hi + 1].T, pars)
             except (RhsDomainError, OverflowError):
@@ -978,102 +999,68 @@ def _tested_states(
                 if not clock_is_t:
                     ok[off + 1 - lo :] &= ~(dil < RUN_DILATION_FLOOR)
             if not ok.all():
-                _replay(spec, rec, segments, grid, states, sir, k, lo + int(np.argmin(ok)))
+                _replay(spec, rec, grid, seg, states, sir, lo, lo + int(np.argmin(ok)))
             f = np.concatenate(([start], dil))
             if not clock_is_t:
                 f = 1.0 / f
-            seg = steps[off + 1 : hi + 1]
-            seg[:] = _trapezoid(spec.dt, f)
-            if hi == off + n:
-                seg[-1:] = _trapezoid(h_last, f[-2:])
-            lo, off = hi + 1, off + n
+            # the other clock at states off..hi, going on from the last segment's
+            sec = np.concatenate(([carry], _trapezoid(dt, f)))
+            if closes:
+                sec[-1:] = _trapezoid(seg.h_last, f[-2:])
+            carry = np.cumsum(sec, out=sec)[-1]
+            rows = np.arange(lo + -lo % stride, hi + 1, stride)
+            if closes and hi % stride:
+                rows = np.append(rows, hi)
+            prim = seg.a + (rows - off) * dt
+            if closes:
+                prim[-1] = seg.b
+            kept = sir[:, rows - lo]
+            h = pars.beta * (kept[1] + kept[0]) - pars.gamma * np.log(kept[0])
+            parts.append((rows, prim, sec[rows - off], kept, h))
+            lo = hi + 1
     if failure is not None:
-        raise _at_step(failure, total + 1, _own_clock(spec, segments, grid, [total])[1][0]) from failure
-    return sir, np.cumsum(steps)
+        raise _at_step(failure, total + 1, _clock(grid, total, dt)) from failure
+    rows, prim, sec, (s, i, r), h = (np.concatenate(col, axis=-1) for col in zip(*parts))
+    t, tau = (prim, sec) if clock_is_t else (sec, prim)
+    # an extended run marched the coordinate block alone
+    coords = _with_momenta(states[rows], form)
+    return Trajectory(form, t, tau, s, i, r, h, coords, schedule, spec)
 
 
 def _replay(
     spec: RunSpec,
     rec: _Record,
-    segments: Sequence,
-    grid: Sequence[tuple[int, float]],
+    grid: Sequence[_Segment],
+    seg: _Segment,
     states: np.ndarray,
     sir: np.ndarray,
-    k: int,
+    lo: int,
     first: int,
 ) -> None:
-    """Raise the first state of segment ``k``, from state ``first`` on, that
-    fails a test of :func:`_tested_states`, each state tested alone.  At one
+    """Raise the first state of ``seg``, from state ``first`` on, that
+    fails a test of :func:`_walk`, each state tested alone; ``sir`` holds
+    the fractions of the segment's states from state ``lo`` on.  At one
     state the dilation, taken by the record on that state, and the floor
     come first, naming the step and the clock it started from; then the
-    fractions in ``sir``, naming the step and the clock it reached."""
+    fractions, naming the step and the clock it reached."""
     clock_is_t = spec.formulation.clock == "t"
-    pars = segments[k][2]
-    off = sum(n for n, _ in grid[:k])
-    for j in range(first, min(off + grid[k][0], len(states) - 1) + 1):
+    for j in range(first, lo + sir.shape[1]):
         try:
-            if j > off:
-                dil = rec.dilation(states[j].tolist(), pars)
+            if j > seg.off:
+                dil = rec.dilation(states[j].tolist(), seg.params)
                 if not clock_is_t and dil < RUN_DILATION_FLOOR:
                     raise StepAcrossSingularity(
                         f"S*I fell to {dil:.3e}; the run crossed the singularity of the time map"
                     )
         except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
-            raise _at_step(exc, j, _own_clock(spec, segments, grid, [j - 1])[1][0]) from exc
-        s, i, r = sir[:, j]
+            raise _at_step(exc, j, _clock(grid, j - 1, spec.dt)) from exc
+        s, i, r = sir[:, j - lo]
         inside = all(-FRACTION_TOL <= x <= 1.0 + FRACTION_TOL for x in (s, i, r))
         if not inside or s <= 0.0:
-            where = f"step {j} at clock {_own_clock(spec, segments, grid, [j])[1][0]:.6g}"
+            where = f"step {j} at clock {_clock(grid, j, spec.dt):.6g}"
             if not inside:
                 raise InvalidFractions(f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]")
             raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
-
-
-def _build_trajectory(
-    spec: RunSpec,
-    schedule: ParamSchedule,
-    segments: Sequence[tuple[float, float, EpidemicParams]],
-    grid: Sequence[tuple[int, float]],
-    states: np.ndarray,
-    sir: np.ndarray,
-    sec: np.ndarray,
-) -> Trajectory:
-    """Sampled columns of a finished march, from every state it reached,
-    their fractions and the other clock at each.
-
-    The kept samples are the start, every state whose step number is a
-    multiple of the stride, and the last state of every segment.
-    """
-    form = spec.formulation
-    ends = np.cumsum([n for n, _ in grid])
-    keep = np.zeros(len(states), dtype=bool)
-    keep[:: spec.sample_stride] = True
-    keep[ends] = True
-    rows = np.flatnonzero(keep)
-    seg_arr, prim = _own_clock(spec, segments, grid, rows)
-    s_col, i_col, r_col = sir[:, rows]
-    # an extended run marched the coordinate block alone
-    sec, coords = sec[rows], _with_momenta(states[rows], form)
-    if form.clock == "t":
-        t_col, tau_col = prim, sec
-    else:
-        t_col, tau_col = sec, prim
-    beta = np.array([pars.beta for _, _, pars in segments])[seg_arr]
-    gamma = np.array([pars.gamma for _, _, pars in segments])[seg_arr]
-    h_col = beta * (i_col + s_col) - gamma * np.log(s_col)
-
-    return Trajectory(
-        formulation=form,
-        t=t_col,
-        tau=tau_col,
-        s=s_col,
-        i=i_col,
-        r=r_col,
-        h=h_col,
-        coords=coords,
-        schedule=schedule,
-        spec=spec,
-    )
 
 
 def reconstruct_ordinary_time(traj: Trajectory) -> Trajectory:

@@ -22,6 +22,7 @@ from sirham import (
     MissingDiagnostic,
     NewtonDivergence,
     NonPositiveCoordinate,
+    OutsideLegendreDomain,
     ParamSchedule,
     RhsDomainError,
     RunSpec,
@@ -556,6 +557,38 @@ class TestIntegrate:
             last.append((traj.t[-1], traj.tau[-1], traj.h[-1], *traj.coords[-1]))
         assert last[0] == last[1]
         assert last[0][0] == 50.0
+
+    def test_a_failure_after_a_segment_of_no_steps_starts_from_clock_0(self):
+        # the switch at 1e-12 leaves the first segment no step: the start is
+        # still that segment's state, at clock 0, not the next segment's
+        sched = ParamSchedule(
+            switch_times=(0.0, 1e-12),
+            params=(EpidemicParams(1.0, 0.1), EpidemicParams(1.0, 0.1)),
+        )
+        spec = RunSpec(method="explicit_euler", formulation="single_ode_log", dt=8.0, t_end=40.0)
+        init = CompartmentState(s=0.6, i=0.3, r=0.1)
+        with pytest.raises(OutsideLegendreDomain, match=r"^step 1 from clock 0: rate -0\.94 "):
+            integrate(spec, init, sched)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_a_closing_step_before_a_segment_of_no_steps_is_its_own(self, init, stride):
+        # the segment from 30 to 30 + 1e-12 takes no step: the state at 30 is
+        # the closing step of the first segment, in its fractions and energy
+        sched = ParamSchedule(
+            switch_times=(0.0, 30.0, 30.0 + 1e-12),
+            params=(
+                EpidemicParams(0.3, 0.1), EpidemicParams(0.15, 0.1), EpidemicParams(0.3, 0.25)
+            ),
+        )
+        spec = RunSpec(
+            method="rk4", formulation="single_ode_log", dt=0.1, t_end=60.0, sample_stride=stride
+        )
+        traj = integrate(spec, init, sched)
+        (row,) = np.flatnonzero(np.abs(traj.t - 30.0) < 1e-6)
+        assert traj.t[row] == 30.0
+        s, i = traj.s[row], traj.i[row]
+        assert s == pytest.approx((traj.coords[row, 1] + 0.1) / 0.3, rel=1e-14)
+        assert traj.h[row] == pytest.approx(0.3 * (i + s) - 0.1 * math.log(s), rel=1e-14)
 
     @pytest.mark.parametrize(
         "formulation",

@@ -23,6 +23,11 @@ its own ``src/`` first on ``sys.path``:
   schedules, both runs at stride 1 with the canonical run first or both at
   stride 7 with the extended run first, plus one case per pair at unequal
   strides, 102 cases.  Each runs ``sirham run`` and ``sirham check``;
+* the zero-step cases: two schedules with a switch within 1e-9 dt of the
+  next, so that one segment takes no step (a switch at 1e-12 at dt 8, and
+  switches at 30 and 30 + 1e-12 at dt 0.1), x method {explicit_euler,
+  rk4, implicit_midpoint} x formulation {basic_t, log_t, single_ode_log} x
+  stride {1, 7}, 36 cases, each run as a grid case is;
 * ``plot`` of one run CSV, with and without ``--no-energy``;
 * ``sweep`` of a constant-schedule scenario;
 * ``check`` on the shipped scenario.
@@ -35,7 +40,7 @@ the numbers of identical and differing cases, and exits 1 on any
 difference.
 
 ``--cases N`` runs only N grid cases, spread evenly over the grid, and
-none of the other commands.  The tool needs git and numpy only.
+none of the other cases or commands.  The tool needs git and numpy only.
 """
 
 from __future__ import annotations
@@ -87,6 +92,27 @@ FORMULATIONS = {
 }
 
 
+#: schedules with a segment of no steps: (init, schedule, dt, t_end)
+ZERO_STEP = {
+    "at-start": (
+        "init: {s: 0.6, i: 0.3}\n",
+        "schedule:\n"
+        "  - {t: 0.0, beta: 1.0, gamma: 0.1}\n"
+        "  - {t: 1.0e-12, beta: 1.0, gamma: 0.1}\n",
+        8.0,
+        40.0,
+    ),
+    "mid-run": (
+        INIT,
+        "schedule:\n"
+        "  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
+        "  - {t: 30.0, beta: 0.15, gamma: 0.1}\n"
+        "  - {t: 30.000000000001, beta: 0.3, gamma: 0.25}\n",
+        0.1,
+        60.0,
+    ),
+}
+
 #: each canonical formulation with the extended one that marches its record
 TWINS = {"rescaled_tau": "extended_4d_direct", "log_t": "extended_4d_log"}
 
@@ -133,6 +159,24 @@ def grid() -> list[tuple[str, str]]:
             )
             name = f"run {method} {form} {mode} stride={stride} {sched} t_end={t_end} dt={dt}"
             cases.append((name, INIT + SCHEDULES[sched] + run))
+    return cases
+
+
+def zero_step() -> list[tuple[str, str]]:
+    """Every zero-step case as ``(name, scenario text)``."""
+    cases = []
+    for (sched, (init, schedule, dt, t_end)), method, form, stride in itertools.product(
+        ZERO_STEP.items(),
+        ("explicit_euler", "rk4", "implicit_midpoint"),
+        ("basic_t", "log_t", "single_ode_log"),
+        (1, 7),
+    ):
+        run = (
+            f"run:\n  - {{method: {method}, formulation: {form}, dt: {dt}, "
+            f"t_end: {t_end}, sample_stride: {stride}, label: case}}\n"
+        )
+        name = f"zero-step {method} {form} stride={stride} {sched}"
+        cases.append((name, init + schedule + run))
     return cases
 
 
@@ -194,6 +238,8 @@ def worker(src: Path, limit: int | None, result: Path) -> None:
     cases = grid()
     if limit is not None:
         cases = [cases[k * len(cases) // limit] for k in range(limit)]
+    else:
+        cases += zero_step()
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
