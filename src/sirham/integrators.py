@@ -58,16 +58,16 @@ order, of the zip and tuple bodies the kernel tests keep as their
 references.
 
 The step grid is laid out once, one ``_Segment`` a parameter segment: its
-ends, parameters, step count, closing step and the steps before it.  The
-march loop only steps: it keeps every state it reaches, two floats a step
-in one flat list, for as long as the march runs, and converts the list to
-one float array when it ends.  One walk over the segments then tests each
-segment's states and builds its kept rows, numpy over the segment's
-states: it raises the first failing state in step order, and a failure of
-the march itself only once every state it stored passes.  The walk reads
-each record's ``fractions`` and ``dilation`` elementwise over columns of
-states; the dilation's exponentials stay ``math.exp``, bit for bit the
-scalar values.
+ends, parameters, step count, closing step and the steps before it.  Each
+segment is marched, tested and kept in turn.  The march loop only steps,
+keeping the segment's states, two floats a step in one flat list, as one
+float array when the segment ends; its walk then tests them and builds
+its kept rows, numpy over the segment's states, and they are released
+before the next segment is marched.  A run raises its first failing state
+in step order, and a failure of the march itself only once every state it
+stored passes.  The walk reads each record's ``fractions`` and
+``dilation`` elementwise over columns of states; the dilation's
+exponentials stay ``math.exp`` over the array, bit for bit the scalar values.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ class _Record(NamedTuple):
     ``dilation(y, params)`` is S*I, the rate of the intrinsic
     clock, of one state or elementwise of a pair of state columns, and
     ``fractions(coords, beta, gamma)`` maps marched coordinates to the
-    (I, S) columns; the walk after the march calls each once a segment,
-    on all its states.  ``remap(y, old, new)`` carries the state across a
+    (I, S) columns; the walk after a segment's march calls each once, on
+    all the segment's states.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
     identity.  ``separable`` says that the rate of the second half of the
@@ -218,7 +218,7 @@ def _exp(x):
     rounds a few percent of float64 inputs differently.  An overflow raises
     OverflowError either way."""
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+        return np.fromiter(map(math.exp, x), float, x.size)
     return math.exp(x)
 
 
@@ -835,10 +835,10 @@ def _clock(grid: Sequence[_Segment], j: int, dt: float) -> float:
     return holder.b if k == holder.n > 0 else holder.a + k * dt
 
 
-def _at_step(exc: Exception, step: int, clock: float) -> Exception:
-    """``exc`` renamed for the march: its step and the clock it started from.
-    An overflow becomes NonFiniteInput."""
-    where = f"step {step} from clock {float(clock):.6g}"
+def _at_step(exc: Exception, grid: Sequence[_Segment], step: int, dt: float) -> Exception:
+    """``exc`` renamed for the march: its step and the clock it started from,
+    that of state ``step - 1``.  An overflow becomes NonFiniteInput."""
+    where = f"step {step} from clock {_clock(grid, step - 1, dt):.6g}"
     if isinstance(exc, OverflowError):
         # math.exp of a runaway log-chart coordinate, in a rate or the dilation
         return NonFiniteInput(f"{where}: a value overflowed ({exc})")
@@ -867,13 +867,13 @@ def integrate(
     state, kept or not, must stay in the simplex.  An extended run marches
     its chart's record, whatever its ``extended_mode``.
 
-    The grid is laid once, one :class:`_Segment` a segment, and the march
-    and the walk after it read only that list.  The march itself only
-    steps: every state it reaches is kept, two floats in one flat list,
-    until the march ends.  One walk over the segments it started
-    (:func:`_walk`) then tests every state and raises the first failing
-    one, so neither the stride nor the horizon changes which failure a run
-    reports, and builds each segment's kept rows.
+    The grid is laid once, one :class:`_Segment` a segment, and each is
+    marched, tested and kept in turn: the march loop only steps, keeping
+    the segment's states, two floats each in one flat list, and then
+    :func:`_walk` tests them, raises the first failing one and builds the
+    segment's kept rows.  The march's own failure is raised only once every
+    state it stored passes, so neither stride nor horizon changes which
+    failure a run reports, and no segment after a failing state is marched.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -904,21 +904,23 @@ def integrate(
             f"is degenerate below {START_DILATION_FLOOR:.0e}"
         )
 
-    # the start, then the state after each step, flat: a tuple per state
-    # would give the garbage collector one more object to track per step
+    # a segment's states, flat: a tuple per state would give the garbage
+    # collector one more object to track per step
     ys = [*y]
-    # the dilation of each segment's start, after its remap, under its own
-    # parameters: the left end of the segment's first trapezoid
-    starts = [dil]
-    failure = None
-    try:
-        for k, seg in enumerate(grid):
-            pars = seg.params
+    # per segment: its kept rows' own clock, other clock, (S, I, R), h and states
+    parts = []
+    # the other clock at the segment's start
+    carry = 0.0
+    for k, seg in enumerate(grid):
+        pars = seg.params
+        failure = None
+        try:
             if k:
                 # the boundary sample keeps the outgoing segment's representation;
                 # only the state marched onward is re-expressed
                 y = rec.remap(y, grid[k - 1].params, pars)
-                starts.append(rec.dilation(y, pars))
+                # the left end of the segment's first trapezoid
+                dil = rec.dilation(y, pars)
             stepper = _make_stepper(spec, rec, pars)
             for _ in range(seg.n - 1):
                 y = stepper(y, dt)
@@ -926,105 +928,102 @@ def integrate(
             if seg.n:
                 y = stepper(y, seg.h_last)
                 ys += y
-    except (NewtonDivergence, RhsDomainError, OverflowError) as exc:
-        # the walk over the states may find an earlier failure
-        failure = exc
-    states = np.array(ys, dtype=float).reshape(-1, 2)
-    # the list holds four times the array's memory
-    del ys
-    return _walk(spec, schedule, rec, grid, states, starts, failure)
+        except (NewtonDivergence, RhsDomainError, OverflowError) as exc:
+            # the walk over the segment's states may find an earlier failure
+            failure = exc
+        # the list holds four times the array's memory
+        states, ys = np.array(ys, dtype=float).reshape(-1, 2), []
+        # the first segment holds the start, state 0, before its marched states
+        lo = seg.off + (k > 0)
+        carry, part = _walk(spec, rec, grid, seg, states, lo, dil, carry)
+        parts.append(part)
+        if failure is not None:
+            raise _at_step(failure, grid, lo + len(states), dt) from failure
+        # released before the next segment is marched
+        del states
+    *cols, coords = zip(*parts)
+    prim, sec, (s, i, r), h = (np.concatenate(col, axis=-1) for col in cols)
+    t, tau = (prim, sec) if form.clock == "t" else (sec, prim)
+    # an extended run marched the coordinate block alone
+    coords = _with_momenta(np.concatenate(coords), form)
+    return Trajectory(form, t, tau, s, i, r, h, coords, schedule, spec)
 
 
 def _walk(
     spec: RunSpec,
-    schedule: ParamSchedule,
     rec: _Record,
     grid: Sequence[_Segment],
+    seg: _Segment,
     states: np.ndarray,
-    starts: Sequence[float],
-    failure: Exception | None,
-) -> Trajectory:
-    """Test every stored state and build the sampled trajectory, in one walk
-    over the segments the march started.
+    lo: int,
+    start: float,
+    carry: float,
+) -> tuple[float, tuple]:
+    """Test one segment's states and build its kept rows: the other clock's
+    sum at its last state, and the rows' own clock, other clock, (S, I, R),
+    energy and states.
 
-    A segment holds the states it marched, the first segment the start too:
-    a state belongs to the first segment it does not outlast.  Its states
-    get their S, I and R from one elementwise call of the record's
-    ``fractions`` and, those it marched, their dilation from one of its
-    ``dilation``, with the segment's parameters.  A state fails when that
-    call refuses it or overflows, when its dilation is under the floor on a
-    rescaled-clock run, when a fraction is not finite or leaves [0, 1] by
-    more than ``FRACTION_TOL``, or at S <= 0, where the energy's ln S is
-    undefined; :func:`_replay` raises the first failing state.  The march's
-    own ``failure`` is raised only once every stored state passes.
+    ``states`` are the segment's from state ``lo`` on, the first segment's
+    start before those it marched.  They get their S, I and R from one
+    elementwise call of the record's ``fractions`` and, those it marched,
+    their dilation from one of its ``dilation``, with the segment's
+    parameters.  A state fails when that call refuses it or
+    overflows, when its dilation is under the floor on a rescaled-clock
+    run, when a fraction is not finite or leaves [0, 1] by more than
+    ``FRACTION_TOL``, or at S <= 0, where the energy's ln S is undefined;
+    :func:`_replay` raises the first failing state.
 
     The clock that is not the run's own is the trapezoid rule over every
     step of S*I on an ordinary-time run, of 1/(S*I) on a rescaled-clock
-    run: a segment's first step starts from the dilation of its remapped
-    start, and ``np.cumsum`` goes on from the previous segment's sum, adding
-    the step sums in step order as a step-by-step march would have.  The
-    kept rows are the start, every state whose step number is a multiple of
-    the stride, and the closing step of every segment.  Their own clock is
-    ``a + k * dt``, k steps into the segment, or ``b`` on its closing step,
-    and their energy takes the segment's own beta and gamma.
+    run: the segment's first step starts from ``start``, the dilation of
+    its remapped start, and ``np.cumsum`` goes on from ``carry``, the
+    previous segment's sum, adding the step sums in step order as a
+    step-by-step march would have.  The kept rows are the start, every
+    state whose step number is a multiple of the stride, and the closing
+    step of every segment.  Their own clock is ``a + k * dt``, k steps into
+    the segment, or ``b`` on its closing step, and their energy takes the
+    segment's own beta and gamma.
     """
-    form = spec.formulation
-    clock_is_t = form.clock == "t"
+    clock_is_t = spec.formulation.clock == "t"
     dt, stride = spec.dt, spec.sample_stride
-    total = len(states) - 1
-    # per segment: its kept rows, their own clock, other clock, (S, I, R) and h
-    parts = []
-    # the other clock at the segment's start
-    carry = 0.0
-    # a segment's states are lo..hi, and those it marched off + 1..hi
-    lo = 0
+    off, pars = seg.off, seg.params
+    hi = lo + len(states) - 1
+    closes = 0 < seg.n == hi - off
     # a runaway state may be inf - inf here; the tests read every value
     with np.errstate(all="ignore"):
-        for seg, start in zip(grid, starts):
-            off, pars = seg.off, seg.params
-            hi = min(off + seg.n, total)
-            closes = 0 < seg.n == hi - off
-            sir = np.empty((3, hi + 1 - lo))
-            sir[1], sir[0] = rec.fractions(states[lo : hi + 1], pars.beta, pars.gamma)
-            sir[2] = 1.0 - sir[0] - sir[1]
-            # a NaN fails both comparisons
-            ok = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
-            ok &= sir[0] > 0.0
-            try:
-                dil = rec.dilation(states[off + 1 : hi + 1].T, pars)
-            except (RhsDomainError, OverflowError):
-                # the replay finds the refused state from the segment's first
-                ok[:] = False
-            else:
-                if not clock_is_t:
-                    ok[off + 1 - lo :] &= ~(dil < RUN_DILATION_FLOOR)
-            if not ok.all():
-                _replay(spec, rec, grid, seg, states, sir, lo, lo + int(np.argmin(ok)))
-            f = np.concatenate(([start], dil))
+        sir = np.empty((3, len(states)))
+        sir[1], sir[0] = rec.fractions(states, pars.beta, pars.gamma)
+        sir[2] = 1.0 - sir[0] - sir[1]
+        # a NaN fails both comparisons
+        ok = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
+        ok &= sir[0] > 0.0
+        try:
+            dil = rec.dilation(states[off + 1 - lo :].T, pars)
+        except (RhsDomainError, OverflowError):
+            # the replay finds the refused state from the segment's first
+            ok[:] = False
+        else:
             if not clock_is_t:
-                f = 1.0 / f
-            # the other clock at states off..hi, going on from the last segment's
-            sec = np.concatenate(([carry], _trapezoid(dt, f)))
-            if closes:
-                sec[-1:] = _trapezoid(seg.h_last, f[-2:])
-            carry = np.cumsum(sec, out=sec)[-1]
-            rows = np.arange(lo + -lo % stride, hi + 1, stride)
-            if closes and hi % stride:
-                rows = np.append(rows, hi)
-            prim = seg.a + (rows - off) * dt
-            if closes:
-                prim[-1] = seg.b
-            kept = sir[:, rows - lo]
-            h = pars.beta * (kept[1] + kept[0]) - pars.gamma * np.log(kept[0])
-            parts.append((rows, prim, sec[rows - off], kept, h))
-            lo = hi + 1
-    if failure is not None:
-        raise _at_step(failure, total + 1, _clock(grid, total, dt)) from failure
-    rows, prim, sec, (s, i, r), h = (np.concatenate(col, axis=-1) for col in zip(*parts))
-    t, tau = (prim, sec) if clock_is_t else (sec, prim)
-    # an extended run marched the coordinate block alone
-    coords = _with_momenta(states[rows], form)
-    return Trajectory(form, t, tau, s, i, r, h, coords, schedule, spec)
+                ok[off + 1 - lo :] &= ~(dil < RUN_DILATION_FLOOR)
+        if not ok.all():
+            _replay(spec, rec, grid, seg, states, sir, lo, lo + int(np.argmin(ok)))
+        f = np.concatenate(([start], dil))
+        if not clock_is_t:
+            f = 1.0 / f
+        # the other clock at states off..hi, going on from the last segment's
+        sec = np.concatenate(([carry], _trapezoid(dt, f)))
+        if closes:
+            sec[-1:] = _trapezoid(seg.h_last, f[-2:])
+        carry = np.cumsum(sec, out=sec)[-1]
+        rows = np.arange(lo + -lo % stride, hi + 1, stride)
+        if closes and hi % stride:
+            rows = np.append(rows, hi)
+        prim = seg.a + (rows - off) * dt
+        if closes:
+            prim[-1] = seg.b
+        kept = sir[:, rows - lo]
+        h = pars.beta * (kept[1] + kept[0]) - pars.gamma * np.log(kept[0])
+    return carry, (prim, sec[rows - off], kept, h, states[rows - lo])
 
 
 def _replay(
@@ -1038,22 +1037,22 @@ def _replay(
     first: int,
 ) -> None:
     """Raise the first state of ``seg``, from state ``first`` on, that
-    fails a test of :func:`_walk`, each state tested alone; ``sir`` holds
-    the fractions of the segment's states from state ``lo`` on.  At one
-    state the dilation, taken by the record on that state, and the floor
-    come first, naming the step and the clock it started from; then the
-    fractions, naming the step and the clock it reached."""
+    fails a test of :func:`_walk`, each state tested alone; ``states`` and
+    ``sir`` hold the segment's states and their fractions from state ``lo``
+    on.  At one state the dilation, taken by the record on that state, and
+    the floor come first, naming the step and the clock it started from;
+    then the fractions, naming the step and the clock it reached."""
     clock_is_t = spec.formulation.clock == "t"
-    for j in range(first, lo + sir.shape[1]):
+    for j in range(first, lo + len(states)):
         try:
             if j > seg.off:
-                dil = rec.dilation(states[j].tolist(), seg.params)
+                dil = rec.dilation(states[j - lo].tolist(), seg.params)
                 if not clock_is_t and dil < RUN_DILATION_FLOOR:
                     raise StepAcrossSingularity(
                         f"S*I fell to {dil:.3e}; the run crossed the singularity of the time map"
                     )
         except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
-            raise _at_step(exc, j, _clock(grid, j - 1, spec.dt)) from exc
+            raise _at_step(exc, grid, j, spec.dt) from exc
         s, i, r = sir[:, j - lo]
         inside = all(-FRACTION_TOL <= x <= 1.0 + FRACTION_TOL for x in (s, i, r))
         if not inside or s <= 0.0:

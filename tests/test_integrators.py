@@ -473,8 +473,9 @@ class TestRunSpec:
         RunSpec(method="variational_midpoint", formulation="log_t", dt=0.1, t_end=1.0)
 
 
-#: 200k explicit Euler steps of log_t at stride 1000: the number of samples
-#: and the traced peak of the march
+#: 200k explicit Euler steps of log_t at stride 1000, under the schedule
+#: that ``format`` fills in: the number of samples and the traced peak of
+#: the march
 LONG_MARCH = """
 import tracemalloc
 from sirham import CompartmentState, EpidemicParams, ParamSchedule, RunSpec, integrate
@@ -483,7 +484,7 @@ spec = RunSpec(
     sample_stride=1000,
 )
 init = CompartmentState(s=0.99, i=0.01, r=0.0)
-schedule = ParamSchedule.constant(EpidemicParams(0.3, 0.1))
+schedule = {schedule}
 tracemalloc.start()
 before = tracemalloc.get_traced_memory()[0]
 traj = integrate(spec, init, schedule)
@@ -515,21 +516,34 @@ class TestIntegrate:
         assert traj.t[0] == 0.0
         assert traj.i[0] == pytest.approx(0.01)
 
-    def test_a_long_march_peaks_at_128_bytes_a_step(self):
-        """The march keeps every state until it ends.  Its memory, fixed from
-        the layout before measuring: 64 B a step of flat list (two floats
-        of 24 B, two pointers of 8 B), a 16 B array it becomes, and a few
-        8 B columns of the pass over the states, the list being freed as
-        soon as it is converted.  Traced in a fresh interpreter, so that
-        the tracer's own record of every live float leaves this process's
+    @pytest.mark.parametrize(
+        "schedule, longest",
+        [
+            pytest.param("ParamSchedule.constant(EpidemicParams(0.3, 0.1))", 200_000, id="constant"),
+            pytest.param(
+                "ParamSchedule((0.0, 50.0), (EpidemicParams(0.3, 0.1),) * 2)", 100_000,
+                id="two_segments",
+            ),
+        ],
+    )
+    def test_a_long_march_peaks_at_128_bytes_a_step(self, schedule, longest):
+        """The march keeps every state of a segment until the segment ends.
+        Its memory, fixed from the layout before measuring: 64 B a step of
+        flat list (two floats of 24 B, two pointers of 8 B), a 16 B array it
+        becomes, and a few 8 B columns of the walk over the segment's
+        states, the list being freed as soon as it is converted, and the
+        array before the next segment is marched: so the bound is per step
+        of the longest segment.  Traced in a fresh interpreter, so that the
+        tracer's own record of every live float leaves this process's
         memory as it was."""
         proc = subprocess.run(
-            [sys.executable, "-c", LONG_MARCH], capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", LONG_MARCH.format(schedule=schedule)],
+            capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         samples, peak = map(float, proc.stdout.split())
         assert samples == 201
-        assert peak <= 128 * 200_000
+        assert peak <= 128 * longest
 
     def test_sample_stride_keeps_the_final_state(self, init, schedule):
         spec = RunSpec(
@@ -687,6 +701,27 @@ class TestIntegrate:
         y = integrators._make_stepper(spec, rec, sched.params[0])((init.i, init.s), 30.0)
         with pytest.raises(NewtonDivergence):
             integrators._make_stepper(spec, rec, sched.params[1])(y, 31.5)
+
+    def test_no_segment_after_a_failing_state_is_marched(self, init, monkeypatch):
+        """Symplectic Euler at dt 40 closes the first segment in one step, out
+        of the simplex.  The run stops there: the segment after the switch
+        at t = 40, 99 steps long, is never marched."""
+        calls = []
+        real_step = integrators.step_symplectic_euler
+
+        def counted_step(*args, **kwargs):
+            calls.append(None)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrators, "step_symplectic_euler", counted_step)
+        sched = ParamSchedule(
+            switch_times=(0.0, 40.0),
+            params=(EpidemicParams(0.3, 0.1), EpidemicParams(0.3, 0.1000001)),
+        )
+        spec = RunSpec(method="symplectic_euler", formulation="log_t", dt=40.0, t_end=4000.0)
+        with pytest.raises(InvalidFractions, match=r"^step 1 at clock 40: S = 1\.61929e-138, "):
+            integrate(spec, init, sched)
+        assert len(calls) == 1
 
     def test_newton_failure_names_the_step_and_the_clock(self, init, schedule):
         spec = RunSpec(
