@@ -12,10 +12,11 @@ high-order scheme.  Each scheme is written once: the implicit midpoint
 rule is the one-stage Gauss collocation method, so the Galerkin step
 takes the two-point Gauss rule only.  Implicit equations are solved by
 Newton iteration from an explicit-Euler predictor, with the exact Jacobian
-each scheme assembles from the analytic Jacobian of the rhs.
-:func:`_newton` is the one Newton loop: it iterates a 2-d unknown on
-scalar locals and solves each update by 2x2 elimination; symplectic
-Euler's 1-d momentum equation is posed to it padded to two.
+each scheme assembles from the analytic Jacobian of the rhs.  Each
+implicit step runs its own iteration on scalar locals, its residual and
+Jacobian written inline: a 2-d unknown is updated by one 2x2 elimination,
+:func:`_solve2`, and symplectic Euler's 1-d momentum equation by a scalar
+division.
 
 Only what is implicit is solved.  Symplectic Euler is explicit wherever
 the momentum rate does not read the momenta (the separable canonical
@@ -53,9 +54,9 @@ a wrapper put in their place before :func:`integrate` is called sees every
 step and every stage.  An explicit stage is one flat kernel call, and on
 the ``single_ode_*`` reductions that call goes through the record's
 closure.  Every step works on scalar locals, the implicit ones building
-their residual and Jacobian there too, with the arithmetic, in the same
-order, of the zip and tuple bodies the kernel tests keep as their
-references.
+their residual and Jacobian there too, with no closure built per step,
+and with the arithmetic, in the same order, of the zip and tuple bodies
+the kernel tests keep as their references.
 
 The step grid is laid out once, one ``_Segment`` a parameter segment: its
 ends, parameters, step count, closing step and the steps before it.  Each
@@ -497,66 +498,47 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Newton iteration for the implicit schemes
+# one-step schemes
+#
+# Each implicit step runs its own Newton iteration on scalar locals: from
+# the explicit-Euler predictor, the residual at the iterate, then, until
+# it is within ``tol`` (a NaN is not) or ``max_iter`` updates are spent,
+# one exact-Jacobian update and the residual again.  It refuses a zero
+# pivot, an iterate that is not finite, and a residual still outside
+# ``tol`` after ``max_iter`` updates, each with its message below.
+
+_ZERO_PIVOT = "singular Jacobian in Newton iteration: zero pivot"
+
 
 def _solve2(a00, a01, a10, a11, b0, b1) -> tuple:
     """Solve the 2x2 Newton system ``a x = b`` by elimination with partial
-    pivoting; ``a`` is given row by row, as :func:`_newton`'s Jacobian
-    returns it.  A zero pivot refuses the system as singular."""
+    pivoting; ``a`` is given row by row.  A zero pivot refuses the system
+    as singular."""
     if abs(a10) > abs(a00):
         a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
     if a00 == 0.0:
-        raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+        raise NewtonDivergence(_ZERO_PIVOT)
     m = a10 / a00
     u11 = a11 - m * a01
     if u11 == 0.0:
-        raise NewtonDivergence("singular Jacobian in Newton iteration: zero pivot")
+        raise NewtonDivergence(_ZERO_PIVOT)
     x1 = (b1 - m * b0) / u11
     return ((b0 - a01 * x1) / a00, x1)
 
 
-def _newton(
-    residual: Callable[[float, float], tuple],
-    jacobian: Callable[[float, float], tuple],
-    u0: float,
-    u1: float,
-    tol: float,
-    max_iter: int,
-    width: int = 2,
-) -> tuple:
-    """Solve ``residual(u0, u1) = (0, 0)`` by Newton iteration from ``(u0, u1)``.
+def _left_finite_range(iterate: tuple) -> NewtonDivergence:
+    """The refusal of an iterate, a 1- or 2-tuple, that is not finite."""
+    return NewtonDivergence(f"Newton iterate left the finite range: {iterate}")
 
-    ``jacobian(u0, u1)`` returns the residual's Jacobian row by row, ``(a00,
-    a01, a10, a11)``; each update is one :func:`_solve2`.  The iterate is
-    converged once both residuals are within ``tol``, so a NaN in either
-    is not.  A 1-d equation in ``u1`` is posed with ``width=1`` and padded
-    in front by ``u0 = 0``, started at 0.0: residual ``u0`` and Jacobian row
-    ``(1, 0)``, so ``u0`` stays 0.0, each update is ``r1 / a11`` and a
-    refusal reports the iterate as ``(u1,)``.
-    """
-    r0, r1 = residual(u0, u1)
-    for _ in range(max_iter):
-        if abs(r0) <= tol and abs(r1) <= tol:
-            return u0, u1
-        a00, a01, a10, a11 = jacobian(u0, u1)
-        x0, x1 = _solve2(a00, a01, a10, a11, r0, r1)
-        u0 -= x0
-        u1 -= x1
-        if not (math.isfinite(u0) and math.isfinite(u1)):
-            raise NewtonDivergence(
-                f"Newton iterate left the finite range: {(u0, u1)[2 - width:]}"
-            )
-        r0, r1 = residual(u0, u1)
-    if abs(r0) <= tol and abs(r1) <= tol:
-        return u0, u1
+
+def _not_converged(max_iter: int, r0: float, r1: float = 0.0) -> NewtonDivergence:
+    """The refusal of a residual still outside the tolerance after
+    ``max_iter`` updates; its norm is NaN where either entry is."""
     norm = math.nan if math.isnan(r0) or math.isnan(r1) else max(abs(r0), abs(r1))
-    raise NewtonDivergence(
+    return NewtonDivergence(
         f"no convergence after {max_iter} iterations, residual norm {norm:.3e}"
     )
 
-
-# ---------------------------------------------------------------------------
-# one-step schemes
 
 def step_explicit_euler(rhs: Rhs, params: EpidemicParams, y: tuple, dt: float) -> tuple:
     """Forward Euler on a 2-d state: first order, conserves nothing; the
@@ -602,22 +584,30 @@ def step_symplectic_euler(
     ``single_ode_*`` reductions, solved by Newton with the momentum block
     of ``jac``.  First order; symplectic on the canonical charts.
 
-    Steps a 2-d state on scalar locals; the momentum equation is the 1-d
-    Newton solve.
+    Steps a 2-d state on scalar locals; the momentum equation is a scalar
+    Newton iteration, each update ``p -= r / a`` with ``a = 1 - dt *
+    J11``, and a refusal reports its iterate as ``(p,)``.
     """
     y0, y1 = y
     f0, f1 = rhs(y, params)
     q = y0 + dt * f0
     if separable:
         return (q, y1 + dt * rhs((q, y1), params)[1])
-
-    def residual(pad: float, p: float) -> tuple:
-        return (pad, p - y1 - dt * rhs((q, p), params)[1])
-
-    def jacobian(pad: float, p: float) -> tuple:
-        return (1.0, 0.0, 0.0, 1.0 - dt * jac((q, p), params)[1][1])
-
-    return (q, _newton(residual, jacobian, 0.0, y1 + dt * f1, tol, max_iter, width=1)[1])
+    p = y1 + dt * f1
+    n = 0
+    while True:
+        r = p - y1 - dt * rhs((q, p), params)[1]
+        if abs(r) <= tol:
+            return (q, p)
+        if n == max_iter:
+            raise _not_converged(max_iter, r)
+        n += 1
+        a = 1.0 - dt * jac((q, p), params)[1][1]
+        if a == 0.0:
+            raise NewtonDivergence(_ZERO_PIVOT)
+        p -= r / a
+        if not math.isfinite(p):
+            raise _left_finite_range((p,))
 
 
 def step_implicit_midpoint(
@@ -636,17 +626,24 @@ def step_implicit_midpoint(
     """
     y0, y1 = y
     c = 0.5 * dt
-
-    def residual(u0: float, u1: float) -> tuple:
-        f0, f1 = rhs((0.5 * (y0 + u0), 0.5 * (y1 + u1)), params)
-        return (u0 - y0 - dt * f0, u1 - y1 - dt * f1)
-
-    def jacobian(u0: float, u1: float) -> tuple:
-        (d00, d01), (d10, d11) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)), params)
-        return (1.0 - c * d00, -c * d01, -c * d10, 1.0 - c * d11)
-
     f0, f1 = rhs(y, params)
-    return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
+    u0, u1 = y0 + dt * f0, y1 + dt * f1
+    n = 0
+    while True:
+        mid = (0.5 * (y0 + u0), 0.5 * (y1 + u1))
+        f0, f1 = rhs(mid, params)
+        r0, r1 = u0 - y0 - dt * f0, u1 - y1 - dt * f1
+        if abs(r0) <= tol and abs(r1) <= tol:
+            return (u0, u1)
+        if n == max_iter:
+            raise _not_converged(max_iter, r0, r1)
+        n += 1
+        (d00, d01), (d10, d11) = jac(mid, params)
+        x0, x1 = _solve2(1.0 - c * d00, -c * d01, -c * d10, 1.0 - c * d11, r0, r1)
+        u0 -= x0
+        u1 -= x1
+        if not (math.isfinite(u0) and math.isfinite(u1)):
+            raise _left_finite_range((u0, u1))
 
 
 def step_variational_midpoint(
@@ -685,22 +682,27 @@ def step_variational_midpoint(
     c = 0.25 * dt
     # the continuous momentum now: the rate block (1/2) J Q of the gradients
     p0, p1 = 0.5 * y1, -0.5 * y0
-
-    def residual(u0: float, u1: float) -> tuple:
-        d_mid, d_rate = gradients(
-            (0.5 * (y0 + u0), 0.5 * (y1 + u1)), ((u0 - y0) / dt, (u1 - y1) / dt), params, chart
-        )
+    f0, f1 = rhs(y, params)
+    u0, u1 = y0 + dt * f0, y1 + dt * f1
+    n = 0
+    while True:
+        mid = (0.5 * (y0 + u0), 0.5 * (y1 + u1))
+        d_mid, d_rate = gradients(mid, ((u0 - y0) / dt, (u1 - y1) / dt), params, chart)
         # d/da of L_d(a, b): half a step of the midpoint slot minus the rate slot
-        return (p0 + half * d_mid[0] - d_rate[0], p1 + half * d_mid[1] - d_rate[1])
-
-    def jacobian(u0: float, u1: float) -> tuple:
+        r0, r1 = p0 + half * d_mid[0] - d_rate[0], p1 + half * d_mid[1] - d_rate[1]
+        if abs(r0) <= tol and abs(r1) <= tol:
+            return (u0, u1)
+        if n == max_iter:
+            raise _not_converged(max_iter, r0, r1)
+        n += 1
         # the residual is p_now - (1/2) J q_new - (dt/2) grad H(mid), and
         # jac(mid) = J Hess = ((0, h1), (-h0, 0))
-        (_, d01), (d10, _) = jac((0.5 * (y0 + u0), 0.5 * (y1 + u1)), params)
-        return (c * d10, -0.5, 0.5, -c * d01)
-
-    f0, f1 = rhs(y, params)
-    return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
+        (_, d01), (d10, _) = jac(mid, params)
+        x0, x1 = _solve2(c * d10, -0.5, 0.5, -c * d01, r0, r1)
+        u0 -= x0
+        u1 -= x1
+        if not (math.isfinite(u0) and math.isfinite(u1)):
+            raise _left_finite_range((u0, u1))
 
 
 def step_time_fe_cg1(
@@ -725,16 +727,21 @@ def step_time_fe_cg1(
     sums start from 0.0 and add the nodes in order.
     """
     y0, y1 = y
-
-    def residual(u0: float, u1: float) -> tuple:
+    f0, f1 = rhs(y, params)
+    u0, u1 = y0 + dt * f0, y1 + dt * f1
+    n = 0
+    while True:
         a0 = a1 = 0.0
         for sigma, rest, w, _ in _CG1_STAGES:
             f0, f1 = rhs((rest * y0 + sigma * u0, rest * y1 + sigma * u1), params)
             a0 += w * f0
             a1 += w * f1
-        return (u0 - y0 - dt * a0, u1 - y1 - dt * a1)
-
-    def jacobian(u0: float, u1: float) -> tuple:
+        r0, r1 = u0 - y0 - dt * a0, u1 - y1 - dt * a1
+        if abs(r0) <= tol and abs(r1) <= tol:
+            return (u0, u1)
+        if n == max_iter:
+            raise _not_converged(max_iter, r0, r1)
+        n += 1
         # a stage moves with weight sigma as the endpoint u does
         a00 = a01 = a10 = a11 = 0.0
         for sigma, rest, _, ws in _CG1_STAGES:
@@ -743,10 +750,11 @@ def step_time_fe_cg1(
             a01 += ws * d01
             a10 += ws * d10
             a11 += ws * d11
-        return (1.0 - dt * a00, -dt * a01, -dt * a10, 1.0 - dt * a11)
-
-    f0, f1 = rhs(y, params)
-    return _newton(residual, jacobian, y0 + dt * f0, y1 + dt * f1, tol, max_iter)
+        x0, x1 = _solve2(1.0 - dt * a00, -dt * a01, -dt * a10, 1.0 - dt * a11, r0, r1)
+        u0 -= x0
+        u1 -= x1
+        if not (math.isfinite(u0) and math.isfinite(u1)):
+            raise _left_finite_range((u0, u1))
 
 
 # ---------------------------------------------------------------------------

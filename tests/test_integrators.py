@@ -44,6 +44,8 @@ from sirham.integrators import (
     step_variational_midpoint,
 )
 
+from finite_differences import JACOBIAN_POINTS, assert_jacobian_matches, central_jacobian
+
 P = EpidemicParams(beta=0.3, gamma=0.1)
 LOG_START = (math.log(0.01), math.log(0.99))
 
@@ -162,40 +164,18 @@ class TestSteppers:
             step(nan_beyond_the_start, zero, None, (0.5, 0.5), 0.25)
 
     def test_an_exhausted_nan_residual_reports_norm_nan(self):
-        def residual(u0, u1):
-            return (0.0, math.nan)
+        """With no update allowed the first residual is refused.  On the 2-d
+        steps it is (0.0, NaN), the predictor solving the first equation
+        exactly, so its norm is NaN and not the 0.0 of max(0.0, NaN)."""
 
-        with pytest.raises(NewtonDivergence, match="residual norm nan$"):
-            integrators._newton(residual, None, 0.0, 0.0, 1e-12, 0)
+        def nan_second_rate(z, params):
+            return (1.0, math.nan)
 
-
-def central_jacobian(f, y, rel=1e-6):
-    """Central finite differences of ``f`` at ``y``, as rows."""
-    cols = []
-    for j in range(len(y)):
-        h = rel * max(1.0, abs(y[j]))
-        up, down = list(y), list(y)
-        up[j] += h
-        down[j] -= h
-        cols.append([(a - b) / (2.0 * h) for a, b in zip(f(tuple(up)), f(tuple(down)))])
-    return [[col[k] for col in cols] for k in range(len(cols[0]))]
+        for step in (step_implicit_midpoint, step_time_fe_cg1, step_symplectic_euler):
+            with pytest.raises(NewtonDivergence, match="after 0 iterations, residual norm nan$"):
+                step(nan_second_rate, None, None, (0.5, 0.5), 0.25, max_iter=0)
 
 
-def assert_jacobian_matches(analytic, f, y):
-    reference = central_jacobian(f, y)
-    assert [len(row) for row in analytic] == [len(row) for row in reference]
-    scale = max(1.0, max(abs(x) for row in reference for x in row))
-    err = max(abs(a - b) for ra, rb in zip(analytic, reference) for a, b in zip(ra, rb))
-    assert err <= 1e-9 * scale
-
-
-#: (i0, s0, beta, gamma) points the Jacobian checks visit
-JACOBIAN_POINTS = [
-    (0.01, 0.99, 0.3, 0.1),
-    (0.2, 0.5, 0.3, 0.1),
-    (0.05, 0.3, 0.5, 0.2),
-    (0.4, 0.45, 0.25, 0.15),
-]
 #: loose enough that the finite-difference bumps of an extended state pass
 #: the constraint check, which the rates themselves never read
 FD_CONSTRAINT_TOL = 1.0
@@ -208,17 +188,46 @@ def extended_rates(formulation, params):
 
 
 @pytest.fixture
-def newton_sizes(monkeypatch):
-    """The width of the unknown each Newton call solves for, in call order."""
-    sizes = []
-    newton = integrators._newton
+def bound_calls(monkeypatch):
+    """``bound_calls(formulation)``: the calls that a march of
+    ``formulation`` makes of the rates and the Jacobian it binds, split by
+    step.  Each step is ``(y, calls)``, the state it starts from and its
+    calls as ``("rhs" or "jac", state)`` in call order.  The record's
+    lookups and the steppers the march builds are wrapped, so the list
+    fills as the march runs."""
+    steps = []
 
-    def capture(residual, jacobian, u0, u1, tol, max_iter, width=2):
-        sizes.append(width)
-        return newton(residual, jacobian, u0, u1, tol, max_iter, width)
+    def recording(name, lookup):
+        def bound():
+            f = lookup()
 
-    monkeypatch.setattr(integrators, "_newton", capture)
-    return sizes
+            def call(y, params):
+                steps[-1][1].append((name, y))
+                return f(y, params)
+
+            return call
+
+        return bound
+
+    make_stepper = integrators._make_stepper
+
+    def splitting(spec, rec, params):
+        stepper = make_stepper(spec, rec, params)
+
+        def step(y, h):
+            steps.append((y, []))
+            return stepper(y, h)
+
+        return step
+
+    def record(formulation):
+        rec = _RECORDS[formulation]
+        wrapped = rec._replace(rhs=recording("rhs", rec.rhs), jac=recording("jac", rec.jac))
+        monkeypatch.setitem(_RECORDS, formulation, wrapped)
+        monkeypatch.setattr(integrators, "_make_stepper", splitting)
+        return steps
+
+    return record
 
 
 class TestJacobians:
@@ -258,79 +267,6 @@ class TestJacobians:
             block = [x for row in d[nq:] for x in row[nq:]]
             assert all(x == 0.0 for x in block) is rec.separable, block
 
-    @staticmethod
-    def newton_systems(monkeypatch, step, *args, **kwargs):
-        """The residual and Jacobian of each Newton call a step makes, as
-        functions of the unknown pair, with its predictor and width."""
-        seen = []
-        newton = integrators._newton
-
-        def capture(residual, jacobian, u0, u1, tol, max_iter, width=2):
-            a00, a01, a10, a11 = jacobian(u0, u1)
-            seen.append((lambda u: residual(*u), ((a00, a01), (a10, a11)), (u0, u1), width))
-            return newton(residual, jacobian, u0, u1, tol, max_iter, width)
-
-        monkeypatch.setattr(integrators, "_newton", capture)
-        step(*args, **kwargs)
-        return seen
-
-    @pytest.mark.parametrize(
-        "step",
-        [step_implicit_midpoint, step_time_fe_cg1, step_symplectic_euler],
-        ids=lambda s: s.__name__,
-    )
-    @pytest.mark.parametrize("formulation", list(Formulation), ids=lambda f: f.value)
-    def test_residual_jacobian_matches_the_residual(self, monkeypatch, step, formulation):
-        """Each step as the march builds it.  Symplectic Euler on a separable
-        record never reaches Newton; an extended formulation's record is its
-        chart's."""
-        rec = _RECORDS[formulation]
-        for i0, s0, beta, gamma in JACOBIAN_POINTS:
-            params = EpidemicParams(beta, gamma)
-            y = rec.start(i0, s0, params)
-            if step is step_symplectic_euler:
-                # call the step with the record's own rhs and flag
-                seen = self.newton_systems(
-                    monkeypatch, step, rec.rhs(), rec.jac(), params, y, 0.05,
-                    separable=rec.separable,
-                )
-                if rec.separable:
-                    assert seen == []
-                    continue
-            else:
-                method = (
-                    Method.IMPLICIT_MIDPOINT
-                    if step is step_implicit_midpoint
-                    else Method.TIME_FE_CG1_GAUSS2
-                )
-                spec = RunSpec(method=method, formulation=formulation, dt=0.05, t_end=1.0)
-                stepper = integrators._make_stepper(spec, rec, params)
-                seen = self.newton_systems(monkeypatch, stepper, y, 0.05)
-            # a 1-d momentum equation is padded in front by u0 = 0
-            (residual, jacobian, u, width), = seen
-            assert width == (1 if step is step_symplectic_euler else 2)
-            assert_jacobian_matches(jacobian, residual, u)
-
-    @pytest.mark.parametrize("chart", list(Chart), ids=lambda c: c.value)
-    def test_variational_residual_jacobian(self, monkeypatch, chart):
-        formulation = Formulation.RESCALED_TAU if chart is Chart.DIRECT else Formulation.LOG_T
-        for i0, s0, beta, gamma in JACOBIAN_POINTS:
-            params = EpidemicParams(beta, gamma)
-            rec = _RECORDS[formulation]
-            y = rec.start(i0, s0, params)
-            (residual, jacobian, u, width), = self.newton_systems(
-                monkeypatch,
-                step_variational_midpoint,
-                rec.rhs(),
-                rec.jac(),
-                params,
-                y,
-                0.05,
-                chart=chart,
-            )
-            assert width == 2
-            assert_jacobian_matches(jacobian, residual, u)
-
     def test_implicit_midpoint_takes_one_newton_update(self):
         """Predictor, first residual and one exact update: three rhs
         evaluations per step on log_t at dt = 0.05."""
@@ -351,9 +287,11 @@ class TestJacobians:
         [("log_t", "hamilton_rhs_log", 0.05), ("rescaled_tau", "hamilton_rhs_direct", 0.005)],
     )
     def test_symplectic_euler_is_explicit_on_separable_charts(
-        self, init, schedule, monkeypatch, formulation, rhs_name, dt
+        self, init, schedule, monkeypatch, bound_calls, formulation, rhs_name, dt
     ):
-        """Two rhs evaluations per step and no Newton call over 400 steps."""
+        """Two rhs evaluations per step and no Newton over 400 steps: the
+        rates at the state, then at the new coordinates with the old
+        momentum, and no Jacobian."""
         calls = []
         rhs = getattr(integrators.hamiltonian, rhs_name)
 
@@ -361,23 +299,37 @@ class TestJacobians:
             calls.append(None)
             return rhs(*args)
 
-        def no_newton(*args):
-            raise AssertionError("symplectic Euler called Newton on a separable chart")
-
         monkeypatch.setattr(integrators.hamiltonian, rhs_name, counting)
-        monkeypatch.setattr(integrators, "_newton", no_newton)
+        steps = bound_calls(Formulation(formulation))
         spec = RunSpec(method="symplectic_euler", formulation=formulation, dt=dt, t_end=400 * dt)
         traj = integrate(spec, init, schedule)
         assert traj.n_samples == 401
         assert len(calls) == 2 * 400
+        assert len(steps) == 400
+        for y, calls in steps:
+            assert [name for name, _ in calls] == ["rhs", "rhs"]
+            (_, at_y), (_, moved) = calls
+            assert at_y == y and moved[1] == y[1]
 
     @pytest.mark.parametrize("formulation", ["basic_t", "single_ode_direct", "single_ode_log"])
     def test_symplectic_euler_keeps_newton_where_momenta_feed_back(
-        self, init, schedule, newton_sizes, formulation
+        self, init, schedule, bound_calls, formulation
     ):
+        """Each of the 50 steps solves its momentum equation by Newton: the
+        rates at the state, the first residual at the new coordinates, then
+        at least one update, a Jacobian and a residual, every one of them
+        at those coordinates, so the unknown is the momentum alone."""
+        steps = bound_calls(Formulation(formulation))
         spec = RunSpec(method="symplectic_euler", formulation=formulation, dt=0.01, t_end=0.5)
         integrate(spec, init, schedule)
-        assert newton_sizes == [1] * 50
+        assert len(steps) == 50
+        for y, calls in steps:
+            names = [name for name, _ in calls]
+            updates = (len(names) - 2) // 2
+            assert updates >= 1 and names == ["rhs", "rhs"] + ["jac", "rhs"] * updates
+            assert calls[0][1] == y
+            q = calls[1][1][0]
+            assert all(len(z) == 2 and z[0] == q for _, z in calls[1:])
 
 
 class TestRunSpec:
@@ -1009,12 +961,18 @@ class TestExtendedModes:
     @pytest.mark.parametrize("method", ["implicit_midpoint", "time_fe_cg1_gauss2"])
     @pytest.mark.parametrize("formulation", ["extended_4d_direct", "extended_4d_log"])
     def test_implicit_direct4d_solves_only_2_vectors(
-        self, init, schedule, newton_sizes, method, formulation
+        self, init, schedule, bound_calls, method, formulation
     ):
+        """Each of the 50 steps runs Newton, calling the Jacobian at least
+        once, and the rates and the Jacobian see 2-d states only."""
         spec = RunSpec(method=method, formulation=formulation, dt=0.01, t_end=0.5)
+        steps = bound_calls(spec.formulation)
         traj = integrate(spec, init, schedule)
         assert traj.coords.shape == (51, 4)
-        assert newton_sizes == [2] * 50
+        assert len(steps) == 50
+        for y, calls in steps:
+            assert len(y) == 2 and any(name == "jac" for name, _ in calls)
+            assert all(len(z) == 2 for _, z in calls)
 
     def test_reconstruction_pins_the_constraint_to_zero(self, init, schedule):
         spec = RunSpec(

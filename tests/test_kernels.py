@@ -49,6 +49,8 @@ from sirham.integrators import (
     step_variational_midpoint,
 )
 
+from finite_differences import JACOBIAN_POINTS, assert_jacobian_matches
+
 TOL = 1e-9
 ALL = list(Formulation)
 
@@ -743,7 +745,7 @@ def test_the_march_equals_the_step_by_step_reference(monkeypatch, case):
 
 
 # ---------------------------------------------------------------------------
-# the flat Newton of the implicit steps
+# the Newton iterations of the implicit steps
 
 IMPLICIT = [
     Method.SYMPLECTIC_EULER,
@@ -800,6 +802,46 @@ def test_implicit_steps_equal_the_reference(rhs_calls, method, formulation):
             n_marched += 1
     # the comparison is not vacuous: most starts march all forty steps
     assert n_marched >= 40 * 15
+
+
+@pytest.fixture
+def ref_newton_systems(monkeypatch):
+    """The residual, the Jacobian at the start, and the start of each call
+    of the reference Newton iteration, in call order."""
+    seen = []
+    newton = ref_newton
+
+    def capture(residual, jacobian, y0, tol, max_iter):
+        seen.append((residual, jacobian(y0), y0))
+        return newton(residual, jacobian, y0, tol, max_iter)
+
+    monkeypatch.setitem(globals(), "ref_newton", capture)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "method,formulation", IMPLICIT_CASES, ids=lambda x: x.value
+)
+def test_reference_newton_jacobians_match_their_residuals(ref_newton_systems, method, formulation):
+    """The Jacobian of each reference step's Newton system at its predictor,
+    against central differences of its residual, for the stepper the march
+    builds at each of the Jacobian points.  Symplectic Euler on a separable
+    record never reaches Newton, and elsewhere solves for the momentum
+    alone.  The steps of the march equal these references bit for bit, in
+    their states and in their traced calls
+    (``test_implicit_steps_equal_the_reference``)."""
+    rec = _RECORDS[formulation]
+    spec = RunSpec(method=method, formulation=formulation, dt=0.05, t_end=1.0)
+    for i0, s0, beta, gamma in JACOBIAN_POINTS:
+        params = EpidemicParams(beta, gamma)
+        ref_newton_systems.clear()
+        ref_stepper(spec, rec, params)(rec.start(i0, s0, params), 0.05)
+        if method is Method.SYMPLECTIC_EULER and rec.separable:
+            assert ref_newton_systems == []
+            continue
+        (residual, jacobian, u), = ref_newton_systems
+        assert len(u) == (1 if method is Method.SYMPLECTIC_EULER else 2)
+        assert_jacobian_matches(jacobian, residual, u)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1043,8 @@ def test_newton_refusals_equal_the_reference(monkeypatch, failure, message):
 
 
 def test_a_1d_refusal_reports_a_1_tuple():
-    """The padded momentum equation reports its iterate as the parent did."""
+    """The momentum equation of symplectic Euler, a scalar Newton
+    iteration, reports its iterate as a 1-tuple, as the reference does."""
     (new, _), = symplectic((nan_rhs, BASIC.jac(), BASIC_START, 0.05))
     with pytest.raises(NewtonDivergence, match=r"finite range: \(nan,\)$"):
         new()

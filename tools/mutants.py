@@ -1,0 +1,262 @@
+"""Mutation check: source edits that named tests must catch.
+
+Usage::
+
+    python tools/mutants.py [NAME ...]
+
+Each entry of :data:`MUTANTS` is one edit of one file, ``old`` replaced by
+``new`` where ``old`` occurs exactly once, with the test node ids that
+must fail once it is made.  The tool copies the files git lists, tracked
+or untracked but not ignored, into a temporary directory.  There it runs
+every named test once on the unedited copy, where each must pass; then,
+for each mutant, makes its edit, runs its tests with pytest and undoes
+the edit.  A mutant is caught when every one of its tests fails, and
+survives otherwise.
+
+It prints one line per mutant, ``caught NAME`` or ``SURVIVED NAME`` with
+the tests that passed, and exits 1 if any mutant survives.  It exits 2,
+before any edit, where a mutant does not apply: its ``old`` text is not
+found exactly once, it names no test, or one of its tests fails or is not
+collected on the unedited copy.  Names select mutants; with none, all run.  The tool needs
+git and the standard library; the tests it runs need what the tier-1
+suite needs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+INTEGRATORS = "src/sirham/integrators.py"
+KERNEL_TESTS = "tests/test_kernels.py::"
+MARCH_TESTS = "tests/test_integrators.py::"
+NOT_SHARED = "test_runs_that_march_differently_do_not_share"
+
+
+def implicit_step_test(method: str, formulation: str) -> str:
+    """The test that binds the implicit step of the march to its reference."""
+    return KERNEL_TESTS + f"test_implicit_steps_equal_the_reference[{method}-{formulation}]"
+
+
+class Mutant(NamedTuple):
+    """``old`` replaced by ``new`` in the file at ``path``, and the node ids
+    of the tests that must fail once it is made."""
+
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant(
+        "midpoint-a10-sign",
+        INTEGRATORS,
+        "_solve2(1.0 - c * d00, -c * d01, -c * d10, 1.0 - c * d11, r0, r1)",
+        "_solve2(1.0 - c * d00, -c * d01, c * d10, 1.0 - c * d11, r0, r1)",
+        (
+            implicit_step_test("implicit_midpoint", "log_t"),
+            MARCH_TESTS + "TestJacobians::test_implicit_midpoint_takes_one_newton_update",
+        ),
+    ),
+    Mutant(
+        "variational-d01-for-d10",
+        INTEGRATORS,
+        "_solve2(c * d10, -0.5, 0.5, -c * d01, r0, r1)",
+        "_solve2(c * d01, -0.5, 0.5, -c * d01, r0, r1)",
+        (
+            implicit_step_test("variational_midpoint", "rescaled_tau"),
+            implicit_step_test("variational_midpoint", "log_t"),
+        ),
+    ),
+    Mutant(
+        "galerkin-d01-into-a10",
+        INTEGRATORS,
+        "a10 += ws * d10",
+        "a10 += ws * d01",
+        (
+            implicit_step_test("time_fe_cg1_gauss2", "basic_t"),
+            implicit_step_test("time_fe_cg1_gauss2", "log_t"),
+        ),
+    ),
+    # each stage weighted by w alone, not by w * sigma, its derivative
+    Mutant(
+        "galerkin-jacobian-without-sigma",
+        INTEGRATORS,
+        "for sigma, rest, _, ws in _CG1_STAGES:",
+        "for sigma, rest, ws, _ in _CG1_STAGES:",
+        (
+            implicit_step_test("time_fe_cg1_gauss2", "basic_t"),
+            implicit_step_test("time_fe_cg1_gauss2", "log_t"),
+        ),
+    ),
+    Mutant(
+        "symplectic-euler-pivot-sign",
+        INTEGRATORS,
+        "a = 1.0 - dt * jac((q, p), params)[1][1]",
+        "a = 1.0 + dt * jac((q, p), params)[1][1]",
+        (
+            implicit_step_test("symplectic_euler", "basic_t"),
+            KERNEL_TESTS + "test_newton_refusals_equal_the_reference[singular_jacobian]",
+        ),
+    ),
+    # a solution that the last allowed update reaches is refused
+    Mutant(
+        "midpoint-cap-before-residual-test",
+        INTEGRATORS,
+        "        r0, r1 = u0 - y0 - dt * f0, u1 - y1 - dt * f1\n"
+        "        if abs(r0) <= tol and abs(r1) <= tol:\n"
+        "            return (u0, u1)\n"
+        "        if n == max_iter:\n"
+        "            raise _not_converged(max_iter, r0, r1)\n",
+        "        r0, r1 = u0 - y0 - dt * f0, u1 - y1 - dt * f1\n"
+        "        if n == max_iter:\n"
+        "            raise _not_converged(max_iter, r0, r1)\n"
+        "        if abs(r0) <= tol and abs(r1) <= tol:\n"
+        "            return (u0, u1)\n",
+        (MARCH_TESTS + "TestSteppers::test_newton_accepts_a_solution_found_on_its_last_iteration",),
+    ),
+    Mutant(
+        "symplectic-euler-refusal-reports-q-p",
+        INTEGRATORS,
+        "raise _left_finite_range((p,))",
+        "raise _left_finite_range((q, p))",
+        (KERNEL_TESTS + "test_a_1d_refusal_reports_a_1_tuple",),
+    ),
+    Mutant(
+        "march-key-without-stride",
+        INTEGRATORS,
+        'if field.name not in ("formulation", *_UNMARCHED)',
+        'if field.name not in ("formulation", "sample_stride", *_UNMARCHED)',
+        (
+            MARCH_TESTS + f"TestSharedMarch::{NOT_SHARED}[same-sample_stride]",
+            MARCH_TESTS + f"TestSharedMarch::{NOT_SHARED}[twin-sample_stride]",
+        ),
+    ),
+    Mutant(
+        "np-exp-log-dilation",
+        INTEGRATORS,
+        "dilation=lambda y, params: _exp(y[0] + y[1]),",
+        "dilation=lambda y, params: np.exp(y[0] + y[1]),",
+        (KERNEL_TESTS + "test_the_march_equals_the_step_by_step_reference[log_dilation_overflow]",),
+    ),
+    Mutant(
+        "rk4-regrouped-sum",
+        INTEGRATORS,
+        "y0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),",
+        "y0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),",
+        (KERNEL_TESTS + "test_marched_states_equal_the_reference[log_t-rk4]",),
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    """The files git lists, tracked or untracked but not ignored, under ``dest``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT,
+        check=True,
+        capture_output=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(source, dest / name)
+
+
+def junit_key(node_id: str) -> tuple[str, str]:
+    """The ``(classname, name)`` pytest's JUnit report gives a node id."""
+    path, *parts = node_id.split("::")
+    module = path.removesuffix(".py").replace("/", ".")
+    return ".".join([module, *parts[:-1]]), parts[-1]
+
+
+def run_tests(tree: Path, node_ids: list[str]) -> dict[str, bool]:
+    """Whether each test of ``node_ids`` that pytest collected in ``tree`` passed."""
+    report = tree / "junit.xml"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
+         f"--junitxml={report}", *node_ids],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+    results = {}
+    if report.exists():
+        for case in ET.parse(report).iter("testcase"):
+            results[case.get("classname"), case.get("name")] = not any(
+                child.tag in ("failure", "error", "skipped") for child in case
+            )
+        report.unlink()
+    return {node: results[junit_key(node)] for node in node_ids if junit_key(node) in results}
+
+
+def check(mutants: list[Mutant]) -> int:
+    """Run ``mutants`` on a copy of the tree; the exit status."""
+    with tempfile.TemporaryDirectory(prefix="sirham-mutants-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        texts = {}
+        for mutant in mutants:
+            text = texts.setdefault(mutant.path, (tree / mutant.path).read_text())
+            if text.count(mutant.old) != 1:
+                print(f"{mutant.name}: its text is in {mutant.path} "
+                      f"{text.count(mutant.old)} times, not once")
+                return 2
+            if not mutant.tests:
+                print(f"{mutant.name}: names no test")
+                return 2
+        named = sorted({node for mutant in mutants for node in mutant.tests})
+        unedited = run_tests(tree, named)
+        broken = [node for node in named if not unedited.get(node, False)]
+        if broken:
+            print("failing or not collected before any edit: " + ", ".join(broken))
+            return 2
+        survivors = 0
+        for mutant in mutants:
+            path = tree / mutant.path
+            path.write_text(texts[mutant.path].replace(mutant.old, mutant.new))
+            try:
+                outcome = run_tests(tree, list(mutant.tests))
+            finally:
+                path.write_text(texts[mutant.path])
+            # a test that the edit keeps from being collected fails too
+            passed = [node for node in mutant.tests if outcome.get(node, False)]
+            if passed:
+                survivors += 1
+                print(f"SURVIVED {mutant.name}: " + ", ".join(passed))
+            else:
+                print(f"caught {mutant.name}")
+    return 1 if survivors else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="the mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error("unknown mutant: " + ", ".join(unknown))
+    start = time.perf_counter()
+    status = check([by_name[name] for name in args.names] or MUTANTS)
+    print(f"{time.perf_counter() - start:.1f} s")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
