@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CompartmentState, EpidemicParams, ParamSchedule
-from .diagnostics import conservation_report, pairwise_sup_diff
+from .diagnostics import _relative_drift, conservation_report, pairwise_sup_diff
 from .errors import ScenarioError, SirhamError
 from .integrators import Method, RunSpec, Trajectory, _UNMARCHED, _march_key, _shared_march
 from .integrators import integrate
@@ -62,11 +62,11 @@ def trajectory_csv(traj: Trajectory) -> str:
     """Serialize a trajectory to the documented CSV schema.
 
     Every float is written at 17 significant digits, enough for a lossless
-    round trip, and the drift column is the signed relative deviation of
-    the energy from its starting value.
+    round trip.  ``H`` is the run's energy column, and ``H_rel_drift`` is
+    its signed relative deviation from its starting value,
+    ``(H - H[0]) / |H[0]|``, as :mod:`sirham.diagnostics` grades it.
     """
-    h0 = traj.h[0]
-    drift = (traj.h - h0) / abs(h0)
+    drift = _relative_drift(traj.h)
     table = np.column_stack((traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift))
     # one % over the whole table costs less than one per row
     row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -380,7 +380,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         s=data[:, 2],
         i=data[:, 3],
         r=data[:, 4],
-        h=None if args.no_energy else data[:, 5],
+        drift=None if args.no_energy else data[:, 6],
     )
     Path(args.out).write_text(svg)
     log.info("wrote %s", args.out)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Chart, EpidemicParams, recovered_from
 from .errors import MissingDiagnostic, NoEpidemic, ScenarioError
-from .hamiltonian import _chart_energy, _constraint_residual
+from .hamiltonian import _chart_energy, _constraint_residual, hamiltonian_direct
 from .integrators import Trajectory
 
 __all__ = [
@@ -47,14 +47,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # trajectory monitors
 
+def _relative_drift(h: np.ndarray) -> np.ndarray:
+    """Signed relative drift ``(h - h[0]) / |h[0]|`` of an energy column: a
+    run CSV's ``H_rel_drift``, and what the graded drifts take the largest
+    magnitude of."""
+    return (h - h[0]) / abs(h[0])
+
+
 def hamiltonian_drift(traj: Trajectory) -> float:
     """Largest relative deviation of the energy column from its start."""
     if traj.h is None or len(traj.h) == 0:
         raise MissingDiagnostic("trajectory carries no energy column")
-    h0 = traj.h[0]
-    if h0 == 0.0:
+    if traj.h[0] == 0.0:
         raise MissingDiagnostic("relative drift undefined for zero initial energy")
-    return float(np.max(np.abs(traj.h - h0)) / abs(h0))
+    return float(np.max(np.abs(_relative_drift(traj.h))))
 
 
 def population_conservation(traj: Trajectory, independent_r: bool = False) -> float:
@@ -104,9 +110,10 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
     """Grade a trajectory segment by segment.
 
     Parameter switches change the energy level, so the per-segment drifts
-    recompute H from the fraction columns with each segment's own
-    parameters (boundary samples included on both sides); the global
-    number is taken over the stored column and will show the jumps.
+    recompute H from the fraction columns by ``hamiltonian_direct`` with
+    each segment's own parameters (boundary samples included on both
+    sides), and raise its refusal of a sample at S <= 0 or not finite; the
+    global number is taken over the stored column and will show the jumps.
     """
     if traj.n_samples == 0:
         raise MissingDiagnostic("empty trajectory")
@@ -118,9 +125,8 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
         if not np.any(mask):
             per_segment.append(0.0)
             continue
-        s, i = traj.s[mask], traj.i[mask]
-        h = pars.beta * (i + s) - pars.gamma * np.log(s)
-        per_segment.append(float(np.max(np.abs(h - h[0])) / abs(h[0])))
+        h = hamiltonian_direct((traj.i[mask], traj.s[mask]), pars)
+        per_segment.append(float(np.max(np.abs(_relative_drift(h)))))
     constraint = None
     if traj.coords.ndim == 2 and traj.coords.shape[1] == 4:
         constraint = constraint_drift(traj)

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import Chart, EpidemicParams, ExtendedPhasePoint, apply_J
 from .errors import (
     ConstraintViolation,
@@ -86,14 +88,16 @@ def _domain_error(z: tuple[float, float]) -> RhsDomainError:
 # ---------------------------------------------------------------------------
 # direct chart
 
-def hamiltonian_direct(z: tuple[float, float], params: EpidemicParams) -> float:
-    """Conserved energy at ``z = (I, S)``."""
+def hamiltonian_direct(z: tuple, params: EpidemicParams) -> float | np.ndarray:
+    """Conserved energy at ``z = (I, S)``, one state or a pair of sample
+    columns elementwise, refused for any value that is not finite or any
+    S <= 0.  A run's H column and its per-segment drifts call it."""
     i, s = z
-    if not (math.isfinite(i) and math.isfinite(s)):
+    if not (np.all(np.isfinite(i)) and np.all(np.isfinite(s))):
         raise NonFiniteInput(f"state must be finite, got {z}")
-    if s <= 0.0:
+    if np.any(s <= 0.0):
         raise NonPositiveCoordinate(f"ln(S) undefined for S = {s}")
-    return params.beta * (i + s) - params.gamma * math.log(s)
+    return params.beta * (i + s) - params.gamma * np.log(s)
 
 
 def gradient_direct(
@@ -251,7 +255,7 @@ def _extended_rates(
     reported is the larger residual, or NaN if either is NaN.  The march
     never calls this: an extended run marches its chart's coordinates.
     """
-    c0, c1 = abs(y[0] + 2.0 * y[3]), abs(y[1] - 2.0 * y[2])
+    c0, c1 = map(abs, _constraint_residual(*y))
     if not (c0 <= constraint_tol and c1 <= constraint_tol):
         norm = math.nan if math.isnan(c0) or math.isnan(c1) else max(c0, c1)
         raise ConstraintViolation(

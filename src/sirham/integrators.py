@@ -989,7 +989,8 @@ def _walk(
     step-by-step march would have.  The kept rows are the start, every
     state whose step number is a multiple of the stride, and the closing
     step of every segment.  Their own clock is ``a + k * dt``, k steps into
-    the segment, or ``b`` on its closing step, and their energy takes the
+    the segment, or ``b`` on its closing step, and their energy is
+    :func:`~sirham.hamiltonian.hamiltonian_direct` of their (I, S) under the
     segment's own beta and gamma.
     """
     clock_is_t = spec.formulation.clock == "t"
@@ -1030,7 +1031,7 @@ def _walk(
         if closes:
             prim[-1] = seg.b
         kept = sir[:, rows - lo]
-        h = pars.beta * (kept[1] + kept[0]) - pars.gamma * np.log(kept[0])
+    h = hamiltonian.hamiltonian_direct((kept[1], kept[0]), pars)
     return carry, (prim, sec[rows - off], kept, h, states[rows - lo])
 
 

@@ -54,14 +54,15 @@ def render_curves(
     s: np.ndarray,
     i: np.ndarray,
     r: np.ndarray,
-    h: np.ndarray | None = None,
+    drift: np.ndarray | None = None,
 ) -> str:
-    """Render compartment curves, and the energy drift when ``h`` is given, to SVG."""
+    """Render compartment curves, and the magnitude of ``drift`` when it is
+    given, to SVG; ``plot`` passes a run CSV's ``H_rel_drift`` column."""
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise MissingDiagnostic("nothing to plot: no samples")
 
-    with_energy = h is not None and len(h) and h[0] != 0.0
+    with_energy = drift is not None and len(drift)
     margin_l, margin_r, margin_t, margin_b = 56.0, 16.0, 28.0, 40.0
     gap = 36.0
     usable = _HEIGHT - margin_t - margin_b
@@ -109,8 +110,7 @@ def render_curves(
     parts.append(f'<text x="{_fmt(margin_l)}" y="{_fmt(margin_t - 8)}">{_TITLE}</text>')
 
     if with_energy:
-        h = np.asarray(h, dtype=float)
-        drift = np.abs(h / h[0] - 1.0)
+        drift = np.abs(np.asarray(drift, dtype=float))
         d_hi = float(np.max(drift))
         d_hi = d_hi if d_hi > 0.0 else 1e-16
         e_top = bottom + gap

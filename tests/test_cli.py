@@ -976,6 +976,23 @@ class TestPlotCommand:
         assert "#aa3377" in with_panel.read_text()
         assert "#aa3377" not in without_panel.read_text()
 
+    def test_the_drift_label_reads_the_csv_column(self, tmp_path):
+        """The panel's ``max`` is the largest |H_rel_drift| of the CSV, on a
+        run whose drift, near 1.5e-12, ``H / H[0] - 1`` would lose in its
+        sixth digit."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            ONE_RUN.replace("basic_t, dt: 0.1, t_end: 5.0", "log_t, dt: 0.05, t_end: 100.0")
+        )
+        out = tmp_path / "out"
+        assert cli("run", scenario, "--out", out).returncode == 0
+        target = tmp_path / "drift.svg"
+        assert cli("plot", out / "base.csv", "--out", target).returncode == 0
+        drift = np.loadtxt(out / "base.csv", delimiter=",", skiprows=1, usecols=6)
+        assert 1e-12 < np.max(np.abs(drift)) < 2e-12
+        want = f"relative energy drift (max {np.max(np.abs(drift)):.6g})"
+        assert want in target.read_text()
+
     def test_single_sample_becomes_markers(self, run_csv, tmp_path):
         lines = run_csv.read_text().splitlines()
         short = tmp_path / "short.csv"

@@ -16,6 +16,8 @@ from sirham import (
     Method,
     MissingDiagnostic,
     NoEpidemic,
+    NonFiniteInput,
+    NonPositiveCoordinate,
     ParamSchedule,
     RunSpec,
     ScenarioError,
@@ -231,6 +233,48 @@ class TestConservationReport:
     def test_empty_trajectory_is_rejected(self):
         traj = synthetic([], [], [], [], [], np.zeros((0, 2)))
         with pytest.raises(MissingDiagnostic):
+            conservation_report(traj)
+
+    def test_each_energy_row_is_the_energy_of_its_state(self):
+        """Every row of the H column is ``hamiltonian_direct`` of its own
+        (I, S) under its segment's parameters, bit for bit, and each segment
+        holds its level.  After beta is cut to 0.01, S stays near 1 and
+        gamma*ln(S) is most of H, so a ``log`` that rounds apart from the
+        column's reaches H: a column of ``np.log`` beside a one-state energy
+        of ``math.log`` fails on 13 of the 1201 rows on an AVX-512 host,
+        whose numpy has its own vectorised ``log``.  Where numpy calls the C
+        library's ``log``, such a pair passes."""
+        schedule = ParamSchedule(
+            switch_times=(0.0, 5.0),
+            params=(P, EpidemicParams(0.01, 0.1)),
+        )
+        traj = integrate(RunSpec("rk4", "log_t", dt=0.05, t_end=60.0), INIT, schedule)
+        # the row at t = 5 is the first segment's closing step
+        seg = np.searchsorted(schedule.switch_times, traj.t, side="left").clip(1) - 1
+        assert np.count_nonzero(seg == 0) == 101 and np.count_nonzero(seg == 1) == 1100
+        rows = zip(traj.i.tolist(), traj.s.tolist(), seg.tolist())
+        want = np.array([hamiltonian_direct((i, s), schedule.params[k]) for i, s, k in rows])
+        assert np.flatnonzero(traj.h != want).tolist() == []
+        for k in (0, 1):
+            h = traj.h[seg == k]
+            assert np.max(np.abs(h - h[0])) < 1e-9 * h[0]
+
+    @pytest.mark.parametrize(
+        "s, raised",
+        [(0.0, NonPositiveCoordinate), (-0.1, NonPositiveCoordinate), (math.nan, NonFiniteInput)],
+        ids=["zero", "negative", "nan"],
+    )
+    def test_a_sample_the_energy_refuses_is_raised(self, s, raised):
+        # made by hand: integrate keeps no sample with S <= 0 or a NaN
+        traj = synthetic(
+            [0.0, 1.0, 2.0],
+            [0.9, s, 0.9],
+            [0.05, 0.05, 0.05],
+            [0.05, 0.05, 0.05],
+            [0.5, 0.5, 0.5],
+            np.zeros((3, 2)),
+        )
+        with pytest.raises(raised):
             conservation_report(traj)
 
 

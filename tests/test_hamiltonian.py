@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +78,23 @@ class TestDirectChart:
     def test_energy_rejects_non_positive_s(self, params):
         with pytest.raises(NonPositiveCoordinate):
             hamiltonian_direct((0.01, 0.0), params)
+
+    @pytest.mark.parametrize(
+        "i, s, raised",
+        [
+            ((0.01, math.nan), (0.99, 0.5), NonFiniteInput),
+            ((0.01, 0.2), (0.99, math.inf), NonFiniteInput),
+            ((0.01, 0.2), (0.99, 0.0), NonPositiveCoordinate),
+            ((0.01, 0.2), (0.99, -0.5), NonPositiveCoordinate),
+        ],
+        ids=["nan_i", "inf_s", "zero_s", "negative_s"],
+    )
+    def test_energy_refuses_a_column_as_it_refuses_its_state(self, params, i, s, raised):
+        # the second state alone, then the pair of columns that holds it
+        with pytest.raises(raised):
+            hamiltonian_direct((i[1], s[1]), params)
+        with pytest.raises(raised):
+            hamiltonian_direct((np.array(i), np.array(s)), params)
 
     def test_gradient_values(self, params):
         gi, gs = gradient_direct((0.01, 0.99), params)

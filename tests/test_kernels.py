@@ -709,6 +709,12 @@ MARCH_CASES = {
         (0.99, 0.01), ParamSchedule.constant(EpidemicParams(beta=1.0, gamma=0.1)), None,
         OutsideLegendreDomain,
     ),
+    # a completed log-chart run: each tau step is the trapezoid of the
+    # dilation exp(ln I + ln S), bit for bit
+    "log_t_explicit_euler": (
+        dict(method="explicit_euler", formulation="log_t", dt=0.1, t_end=100.0),
+        (0.99, 0.01), ParamSchedule.constant(P3), None, None,
+    ),
     "zero_horizon": (
         dict(method="rk4", formulation="basic_t", dt=0.1, t_end=0.0),
         (0.99, 0.01), ParamSchedule.constant(P3), None, None,

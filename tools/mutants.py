@@ -148,7 +148,23 @@ MUTANTS = [
         INTEGRATORS,
         "dilation=lambda y, params: _exp(y[0] + y[1]),",
         "dilation=lambda y, params: np.exp(y[0] + y[1]),",
-        (KERNEL_TESTS + "test_the_march_equals_the_step_by_step_reference[log_dilation_overflow]",),
+        (
+            KERNEL_TESTS + "test_the_march_equals_the_step_by_step_reference[log_dilation_overflow]",
+            KERNEL_TESTS + "test_the_march_equals_the_step_by_step_reference[log_t_explicit_euler]",
+        ),
+    ),
+    # the one formula for H: the run's H column, its graded drifts and the
+    # shipped check all read it
+    Mutant(
+        "energy-log-term-sign",
+        "src/sirham/hamiltonian.py",
+        "return params.beta * (i + s) - params.gamma * np.log(s)",
+        "return params.beta * (i + s) + params.gamma * np.log(s)",
+        (
+            "tests/test_cli.py::TestCheckCommand::test_the_shipped_scenario_marches_five_times",
+            "tests/test_diagnostics.py::TestConservationReport::"
+            "test_each_energy_row_is_the_energy_of_its_state",
+        ),
     ),
     Mutant(
         "rk4-regrouped-sum",
