@@ -375,6 +375,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"malformed CSV in {path}: expected 7 columns, got {data.shape[1]}"
         )
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = rows[1 + int(np.argmin(finite))]
+        raise ScenarioError(f"malformed CSV row in {path}: a cell is not finite: {row}")
     svg = render_curves(
         t=data[:, 0],
         s=data[:, 2],

@@ -64,11 +64,14 @@ segment is marched, tested and kept in turn.  The march loop only steps,
 keeping the segment's states, two floats a step in one flat list, as one
 float array when the segment ends; its walk then tests them and builds
 its kept rows, numpy over the segment's states, and they are released
-before the next segment is marched.  A run raises its first failing state
-in step order, and a failure of the march itself only once every state it
-stored passes.  The walk reads each record's ``fractions`` and
-``dilation`` elementwise over columns of states; the dilation's
-exponentials stay ``math.exp`` over the array, bit for bit the scalar values.
+before the next segment is marched.  A walk takes from the one before it
+only both clocks of the state its segment starts from, and gives each
+state its own clock once, for the kept rows and every failure message.
+A run raises its first failing state in step order, and a failure of the
+march itself only once every state it stored passes.  The walk reads each
+record's ``fractions`` and ``dilation`` elementwise over columns of states;
+the dilation's exponentials stay ``math.exp`` over the array, bit for bit
+the scalar values.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -806,7 +809,9 @@ class _Segment(NamedTuple):
     """One parameter segment of the step grid: from ``a`` to ``b`` under
     ``params``, in ``n`` steps after the ``off`` steps of the segments
     before it, its closing step ``h_last`` long.  State j is the state
-    after step j, so the segment marches states ``off + 1`` to ``off + n``."""
+    after step j, so the segment marches states ``off + 1`` to ``off + n``,
+    whose own clock is ``a + k * dt`` k steps in and ``b`` after the closing
+    step, from state ``off``, which keeps the clock it was marched to."""
 
     a: float
     b: float
@@ -833,20 +838,11 @@ def _trapezoid(h, f):
     return 0.5 * h * (f[:-1] + f[1:])
 
 
-def _clock(grid: Sequence[_Segment], j: int, dt: float) -> float:
-    """Own clock of state ``j``: 0 at the start, else ``a + k * dt`` k steps
-    into the first segment that state j does not outlast, and that
-    segment's end ``b`` on its closing step.  So a segment's closing step
-    stays its own when a segment of no steps follows it."""
-    holder = next(seg for seg in grid if j <= seg.off + seg.n)
-    k = j - holder.off
-    return holder.b if k == holder.n > 0 else holder.a + k * dt
-
-
-def _at_step(exc: Exception, grid: Sequence[_Segment], step: int, dt: float) -> Exception:
-    """``exc`` renamed for the march: its step and the clock it started from,
-    that of state ``step - 1``.  An overflow becomes NonFiniteInput."""
-    where = f"step {step} from clock {_clock(grid, step - 1, dt):.6g}"
+def _at_step(exc: Exception, step: int, clock: float) -> Exception:
+    """``exc`` renamed for the march: its step and ``clock``, the own clock
+    of state ``step - 1``, which the step started from.  An overflow
+    becomes NonFiniteInput."""
+    where = f"step {step} from clock {clock:.6g}"
     if isinstance(exc, OverflowError):
         # math.exp of a runaway log-chart coordinate, in a rate or the dilation
         return NonFiniteInput(f"{where}: a value overflowed ({exc})")
@@ -879,9 +875,12 @@ def integrate(
     marched, tested and kept in turn: the march loop only steps, keeping
     the segment's states, two floats each in one flat list, and then
     :func:`_walk` tests them, raises the first failing one and builds the
-    segment's kept rows.  The march's own failure is raised only once every
-    state it stored passes, so neither stride nor horizon changes which
-    failure a run reports, and no segment after a failing state is marched.
+    segment's kept rows.  Each walk hands the next both clocks of its last
+    state, or those it was handed where it holds none, so a failure after a
+    switch at 1e-12 starts from clock 0.  The march's own failure is raised
+    only once every state it stored passes, so neither stride nor horizon
+    changes which failure a run reports, and no segment after a failing
+    state is marched.
     """
     if not isinstance(spec, RunSpec):
         raise ScenarioError(f"spec must be a RunSpec, got {type(spec).__name__}")
@@ -917,8 +916,8 @@ def integrate(
     ys = [*y]
     # per segment: its kept rows' own clock, other clock, (S, I, R), h and states
     parts = []
-    # the other clock at the segment's start
-    carry = 0.0
+    # the own clock and the other clock of the state the segment starts from
+    before = carry = 0.0
     for k, seg in enumerate(grid):
         pars = seg.params
         failure = None
@@ -943,10 +942,10 @@ def integrate(
         states, ys = np.array(ys, dtype=float).reshape(-1, 2), []
         # the first segment holds the start, state 0, before its marched states
         lo = seg.off + (k > 0)
-        carry, part = _walk(spec, rec, grid, seg, states, lo, dil, carry)
+        before, carry, part = _walk(spec, rec, seg, states, lo, dil, before, carry)
         parts.append(part)
         if failure is not None:
-            raise _at_step(failure, grid, lo + len(states), dt) from failure
+            raise _at_step(failure, lo + len(states), before) from failure
         # released before the next segment is marched
         del states
     *cols, coords = zip(*parts)
@@ -960,36 +959,43 @@ def integrate(
 def _walk(
     spec: RunSpec,
     rec: _Record,
-    grid: Sequence[_Segment],
     seg: _Segment,
     states: np.ndarray,
     lo: int,
     start: float,
+    before: float,
     carry: float,
-) -> tuple[float, tuple]:
-    """Test one segment's states and build its kept rows: the other clock's
-    sum at its last state, and the rows' own clock, other clock, (S, I, R),
-    energy and states.
+) -> tuple[float, float, tuple]:
+    """Test one segment's states and build its kept rows: the own clock and
+    the other clock's sum at its last state, and the rows' own clock, other
+    clock, (S, I, R), energy and states.
 
     ``states`` are the segment's from state ``lo`` on, the first segment's
-    start before those it marched.  They get their S, I and R from one
-    elementwise call of the record's ``fractions`` and, those it marched,
-    their dilation from one of its ``dilation``, with the segment's
-    parameters.  A state fails when that call refuses it or
-    overflows, when its dilation is under the floor on a rescaled-clock
-    run, when a fraction is not finite or leaves [0, 1] by more than
-    ``FRACTION_TOL``, or at S <= 0, where the energy's ln S is undefined;
-    :func:`_replay` raises the first failing state.
+    start before those it marched; ``before`` and ``carry`` are both clocks
+    of state ``off``, the one the segment starts from, and come back
+    unchanged where there is no state to walk.  The own clock of the states
+    is written once, ``before`` and then as :class:`_Segment` says, and the
+    kept rows and every failure message read it.
+
+    The states get their S, I and R from one elementwise call of the
+    record's ``fractions`` and, those it marched, their dilation from one
+    of its ``dilation``, with the segment's parameters.  A state fails when
+    the dilation refuses it or overflows, when its dilation is under the
+    floor on a rescaled-clock run, when a fraction is not finite or leaves
+    [0, 1] by more than ``FRACTION_TOL``, or at S <= 0, where the energy's
+    ln S is undefined.  A loop from the first state the arrays fail raises
+    the first failing one.  An array dilation that refuses one state
+    refuses them all, so the loop takes the dilation of each state alone
+    and tests the floor, naming the step and the clock it started from;
+    then it reads the fraction verdict, naming the clock the step reached.
 
     The clock that is not the run's own is the trapezoid rule over every
     step of S*I on an ordinary-time run, of 1/(S*I) on a rescaled-clock
     run: the segment's first step starts from ``start``, the dilation of
-    its remapped start, and ``np.cumsum`` goes on from ``carry``, the
-    previous segment's sum, adding the step sums in step order as a
-    step-by-step march would have.  The kept rows are the start, every
-    state whose step number is a multiple of the stride, and the closing
-    step of every segment.  Their own clock is ``a + k * dt``, k steps into
-    the segment, or ``b`` on its closing step, and their energy is
+    its remapped start, and ``np.cumsum`` goes on from ``carry``, adding
+    the step sums in step order as a step-by-step march would have.  The
+    kept rows are the start, every state whose step number is a multiple
+    of the stride, and the closing step of every segment; their energy is
     :func:`~sirham.hamiltonian.hamiltonian_direct` of their (I, S) under the
     segment's own beta and gamma.
     """
@@ -998,25 +1004,51 @@ def _walk(
     off, pars = seg.off, seg.params
     hi = lo + len(states) - 1
     closes = 0 < seg.n == hi - off
+    # the own clock at states off..hi
+    own = seg.a + np.arange(hi - off + 1) * dt
+    own[0] = before
+    if closes:
+        own[-1] = seg.b
     # a runaway state may be inf - inf here; the tests read every value
     with np.errstate(all="ignore"):
         sir = np.empty((3, len(states)))
         sir[1], sir[0] = rec.fractions(states, pars.beta, pars.gamma)
         sir[2] = 1.0 - sir[0] - sir[1]
         # a NaN fails both comparisons
-        ok = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
-        ok &= sir[0] > 0.0
+        inside = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
+        placed = inside & (sir[0] > 0.0)
+        ok = placed.copy()
         try:
             dil = rec.dilation(states[off + 1 - lo :].T, pars)
         except (RhsDomainError, OverflowError):
-            # the replay finds the refused state from the segment's first
+            # the loop below tests every state from the segment's first
             ok[:] = False
         else:
             if not clock_is_t:
                 ok[off + 1 - lo :] &= ~(dil < RUN_DILATION_FLOOR)
         if not ok.all():
-            _replay(spec, rec, grid, seg, states, sir, lo, lo + int(np.argmin(ok)))
+            for j in range(lo + int(np.argmin(ok)), hi + 1):
+                try:
+                    if j > off:
+                        d = rec.dilation(states[j - lo].tolist(), pars)
+                        if not clock_is_t and d < RUN_DILATION_FLOOR:
+                            raise StepAcrossSingularity(
+                                f"S*I fell to {d:.3e}; "
+                                "the run crossed the singularity of the time map"
+                            )
+                except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
+                    raise _at_step(exc, j, own[j - 1 - off]) from exc
+                if not placed[j - lo]:
+                    s, i, r = sir[:, j - lo]
+                    where = f"step {j} at clock {own[j - off]:.6g}"
+                    if not inside[j - lo]:
+                        raise InvalidFractions(
+                            f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]"
+                        )
+                    raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
         f = np.concatenate(([start], dil))
+        # freed before the quadrature, the walk's peak
+        del dil
         if not clock_is_t:
             f = 1.0 / f
         # the other clock at states off..hi, going on from the last segment's
@@ -1027,48 +1059,9 @@ def _walk(
         rows = np.arange(lo + -lo % stride, hi + 1, stride)
         if closes and hi % stride:
             rows = np.append(rows, hi)
-        prim = seg.a + (rows - off) * dt
-        if closes:
-            prim[-1] = seg.b
         kept = sir[:, rows - lo]
     h = hamiltonian.hamiltonian_direct((kept[1], kept[0]), pars)
-    return carry, (prim, sec[rows - off], kept, h, states[rows - lo])
-
-
-def _replay(
-    spec: RunSpec,
-    rec: _Record,
-    grid: Sequence[_Segment],
-    seg: _Segment,
-    states: np.ndarray,
-    sir: np.ndarray,
-    lo: int,
-    first: int,
-) -> None:
-    """Raise the first state of ``seg``, from state ``first`` on, that
-    fails a test of :func:`_walk`, each state tested alone; ``states`` and
-    ``sir`` hold the segment's states and their fractions from state ``lo``
-    on.  At one state the dilation, taken by the record on that state, and
-    the floor come first, naming the step and the clock it started from;
-    then the fractions, naming the step and the clock it reached."""
-    clock_is_t = spec.formulation.clock == "t"
-    for j in range(first, lo + len(states)):
-        try:
-            if j > seg.off:
-                dil = rec.dilation(states[j - lo].tolist(), seg.params)
-                if not clock_is_t and dil < RUN_DILATION_FLOOR:
-                    raise StepAcrossSingularity(
-                        f"S*I fell to {dil:.3e}; the run crossed the singularity of the time map"
-                    )
-        except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
-            raise _at_step(exc, grid, j, spec.dt) from exc
-        s, i, r = sir[:, j - lo]
-        inside = all(-FRACTION_TOL <= x <= 1.0 + FRACTION_TOL for x in (s, i, r))
-        if not inside or s <= 0.0:
-            where = f"step {j} at clock {_clock(grid, j, spec.dt):.6g}"
-            if not inside:
-                raise InvalidFractions(f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]")
-            raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
+    return own[-1], carry, (own[rows - off], sec[rows - off], kept, h, states[rows - lo])
 
 
 def reconstruct_ordinary_time(traj: Trajectory) -> Trajectory:

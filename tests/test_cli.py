@@ -1024,6 +1024,24 @@ class TestPlotCommand:
         csv.write_text(CSV_HEADER + "\n1,2,three,4,5,6,7\n")
         assert cli("plot", csv, "--out", tmp_path / "x.svg").returncode == 2
 
+    @pytest.mark.parametrize(
+        "data, first",
+        [
+            # a drift column of nan and inf would draw nan and -inf points
+            (["0,0,0.99,0.01,0,0.3,nan", "1,1,0.9,0.1,0,0.3,inf", "2,2,0.8,0.2,0,0.3,inf"], 0),
+            (["0,0,0.99,0.01,0,0.3,0", "1,1,nan,0.1,0,0.3,0"], 1),
+        ],
+        ids=["drift", "fraction"],
+    )
+    def test_a_cell_that_is_not_finite_exits_2(self, tmp_path, data, first):
+        csv = tmp_path / "nan.csv"
+        csv.write_text("\n".join([CSV_HEADER, *data]) + "\n")
+        target = tmp_path / "x.svg"
+        proc = cli("plot", csv, "--out", target)
+        assert proc.returncode == 2
+        assert f"malformed CSV row in {csv}: a cell is not finite: {data[first]}" in proc.stderr
+        assert not target.exists()
+
     def test_wrong_column_count_exits_2(self, tmp_path):
         csv = tmp_path / "narrow.csv"
         csv.write_text(CSV_HEADER + "\n0,0,0.99,0.01,0.0,0.3\n")

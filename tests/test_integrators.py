@@ -1114,6 +1114,14 @@ class TestReconstructOrdinaryTime:
         assert traj.n_samples == 1
         assert reconstruct_ordinary_time(traj).t.tolist() == [0.0]
 
+    def test_two_samples_take_one_trapezoid(self, init, schedule):
+        spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.1, t_end=0.1)
+        traj = integrate(spec, init, schedule)
+        assert traj.n_samples == 2
+        (s0, s1), (i0, i1) = traj.s, traj.i
+        want = 0.5 * (traj.tau[1] - traj.tau[0]) * (1.0 / (s0 * i0) + 1.0 / (s1 * i1))
+        assert reconstruct_ordinary_time(traj).t.tolist() == [0.0, want]
+
     def test_a_sample_below_the_floor_is_refused(self, init, schedule):
         spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.1, t_end=1.0)
         traj = integrate(spec, init, schedule)

@@ -40,6 +40,7 @@ INTEGRATORS = "src/sirham/integrators.py"
 KERNEL_TESTS = "tests/test_kernels.py::"
 MARCH_TESTS = "tests/test_integrators.py::"
 NOT_SHARED = "test_runs_that_march_differently_do_not_share"
+NO_STEPS = "test_a_failure_after_a_segment_of_no_steps_starts_from_clock_0"
 
 
 def implicit_step_test(method: str, formulation: str) -> str:
@@ -165,6 +166,22 @@ MUTANTS = [
             "tests/test_diagnostics.py::TestConservationReport::"
             "test_each_energy_row_is_the_energy_of_its_state",
         ),
+    ),
+    # a failure after a segment of no steps names the clock of the last
+    # state before that segment, not that segment's start
+    Mutant(
+        "own-clock-seeded-with-segment-start",
+        INTEGRATORS,
+        "own[0] = before",
+        "own[0] = seg.a",
+        (MARCH_TESTS + "TestIntegrate::" + NO_STEPS,),
+    ),
+    Mutant(
+        "reconstruct-two-samples-as-one",
+        INTEGRATORS,
+        "if traj.n_samples < 2:",
+        "if traj.n_samples <= 2:",
+        (MARCH_TESTS + "TestReconstructOrdinaryTime::test_two_samples_take_one_trapezoid",),
     ),
     Mutant(
         "rk4-regrouped-sum",
