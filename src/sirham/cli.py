@@ -5,7 +5,8 @@ Exit codes form the contract batch harnesses rely on:
 * 0  success (for ``check``: every graded quantity within tolerance)
 * 1  a check ran to completion and failed its tolerance
 * 2  configuration problem (bad file, bad key, bad grid value or ``--jobs``,
-     run labels that share a CSV name, malformed CSV)
+     run labels that share a CSV name, malformed CSV, an output that
+     cannot be written)
 * 3  numerical failure (domain violation, a trajectory that leaves the
      simplex, Newton divergence, singular clock); a failure inside the
      march names its step and the clock it started from
@@ -457,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         args.scenario = default_scenario_path()
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SirhamError as exc:

@@ -103,11 +103,10 @@ def hamiltonian_direct(z: tuple, params: EpidemicParams) -> float | np.ndarray:
 def gradient_direct(
     z: tuple[float, float], params: EpidemicParams
 ) -> tuple[float, float]:
-    """Gradient of the direct-chart energy, ``(beta, beta - gamma/S)``."""
-    i, s = z
-    if not (math.isfinite(i) and math.isfinite(s) and s > 0.0):
-        raise _domain_error(z)
-    return (params.beta, params.beta - params.gamma / s)
+    """Gradient of the direct-chart energy, ``(beta, beta - gamma/S)``:
+    ``-J`` applied to :func:`hamilton_rhs_direct`, exactly."""
+    rate_i, rate_s = hamilton_rhs_direct(z, params)
+    return (-rate_s, rate_i)
 
 
 def hessian_direct(
@@ -127,7 +126,7 @@ def hamilton_rhs_direct(
 ) -> tuple[float, float]:
     """Canonical rescaled-time rates ``J grad H`` at ``z = (I, S)``.
 
-    ``J`` applied to :func:`gradient_direct` in one frame, with its tests.
+    The one place the chart's gradient and its domain test are written.
     """
     i, s = z
     if not (math.isfinite(i) and math.isfinite(s) and s > 0.0):
@@ -150,11 +149,10 @@ def hamiltonian_log(z: tuple[float, float], params: EpidemicParams) -> float:
 def gradient_log(
     z: tuple[float, float], params: EpidemicParams
 ) -> tuple[float, float]:
-    """Gradient of the log-chart energy, ``(beta*I, beta*S - gamma)``."""
-    li, ls = z
-    if not (math.isfinite(li) and math.isfinite(ls)):
-        raise _domain_error(z)
-    return (params.beta * math.exp(li), params.beta * math.exp(ls) - params.gamma)
+    """Gradient of the log-chart energy, ``(beta*I, beta*S - gamma)``:
+    ``-J`` applied to :func:`hamilton_rhs_log`, exactly."""
+    rate_li, rate_ls = hamilton_rhs_log(z, params)
+    return (-rate_ls, rate_li)
 
 
 def hessian_log(
@@ -173,7 +171,7 @@ def hamilton_rhs_log(
 ) -> tuple[float, float]:
     """Canonical ordinary-time rates ``J grad h`` at ``z = (ln I, ln S)``.
 
-    ``J`` applied to :func:`gradient_log` in one frame, with its tests.
+    The one place the chart's gradient and its domain test are written.
     """
     li, ls = z
     if not (math.isfinite(li) and math.isfinite(ls)):

@@ -71,7 +71,7 @@ A run raises its first failing state in step order, and a failure of the
 march itself only once every state it stored passes.  The walk reads each
 record's ``fractions`` and ``dilation`` elementwise over columns of states;
 the dilation's exponentials stay ``math.exp`` over the array, bit for bit
-the scalar values.
+the scalar values; the array holds only states the fractions place.
 """
 
 from __future__ import annotations
@@ -197,8 +197,10 @@ class _Record(NamedTuple):
     ``dilation(y, params)`` is S*I, the rate of the intrinsic
     clock, of one state or elementwise of a pair of state columns, and
     ``fractions(coords, beta, gamma)`` maps marched coordinates to the
-    (I, S) columns; the walk after a segment's march calls each once, on
-    all the segment's states.  ``remap(y, old, new)`` carries the state across a
+    (I, S) columns.  The dilation does not raise where the walk places a
+    state, its fractions within ``FRACTION_TOL`` of [0, 1] at S > 0, as a
+    reduction's Legendre map is defined where S > 0; the walk's array of
+    dilations reads no other state.  ``remap(y, old, new)`` carries the state across a
     parameter switch: the chart point is continuous, so only reductions
     that carry a parameter-dependent rate as state need more than the
     identity.  ``separable`` says that the rate of the second half of the
@@ -437,6 +439,8 @@ class RunSpec:
             raise ScenarioError(f"t_end must be non-negative, got {self.t_end}")
         if self.sample_stride < 1:
             raise ScenarioError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        if self.sample_stride > MAX_STEPS:
+            raise ScenarioError(f"sample_stride must be at most 2**53, got {self.sample_stride}")
         if self.extended_mode not in ("direct4d", "reconstruct"):
             raise ScenarioError(
                 f"extended_mode must be 'direct4d' or 'reconstruct', got {self.extended_mode!r}"
@@ -978,16 +982,16 @@ def _walk(
     kept rows and every failure message read it.
 
     The states get their S, I and R from one elementwise call of the
-    record's ``fractions`` and, those it marched, their dilation from one
-    of its ``dilation``, with the segment's parameters.  A state fails when
-    the dilation refuses it or overflows, when its dilation is under the
-    floor on a rescaled-clock run, when a fraction is not finite or leaves
-    [0, 1] by more than ``FRACTION_TOL``, or at S <= 0, where the energy's
-    ln S is undefined.  A loop from the first state the arrays fail raises
-    the first failing one.  An array dilation that refuses one state
-    refuses them all, so the loop takes the dilation of each state alone
-    and tests the floor, naming the step and the clock it started from;
-    then it reads the fraction verdict, naming the clock the step reached.
+    record's ``fractions``, with the segment's parameters.  A state fails
+    when the dilation refuses it or overflows, when its dilation is under
+    the floor on a rescaled-clock run, when a fraction is not finite or
+    leaves [0, 1] by more than ``FRACTION_TOL``, or at S <= 0, where the
+    energy's ln S is undefined.  The marched states before the first the
+    fractions fail get their dilation from one call of the record's, which
+    cannot refuse them (:class:`_Record`); the first under the floor fails
+    first.  The first failing state is looked at once: its own dilation,
+    refused, overflowing or under the floor, names the step and the clock
+    it started from; then its fraction verdict, the clock the step reached.
 
     The clock that is not the run's own is the trapezoid rule over every
     step of S*I on an ordinary-time run, of 1/(S*I) on a rescaled-clock
@@ -1017,35 +1021,32 @@ def _walk(
         # a NaN fails both comparisons
         inside = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)
         placed = inside & (sir[0] > 0.0)
-        ok = placed.copy()
-        try:
-            dil = rec.dilation(states[off + 1 - lo :].T, pars)
-        except (RhsDomainError, OverflowError):
-            # the loop below tests every state from the segment's first
-            ok[:] = False
-        else:
-            if not clock_is_t:
-                ok[off + 1 - lo :] &= ~(dil < RUN_DILATION_FLOOR)
-        if not ok.all():
-            for j in range(lo + int(np.argmin(ok)), hi + 1):
-                try:
-                    if j > off:
-                        d = rec.dilation(states[j - lo].tolist(), pars)
-                        if not clock_is_t and d < RUN_DILATION_FLOOR:
-                            raise StepAcrossSingularity(
-                                f"S*I fell to {d:.3e}; "
-                                "the run crossed the singularity of the time map"
-                            )
-                except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
-                    raise _at_step(exc, j, own[j - 1 - off]) from exc
-                if not placed[j - lo]:
-                    s, i, r = sir[:, j - lo]
-                    where = f"step {j} at clock {own[j - off]:.6g}"
-                    if not inside[j - lo]:
-                        raise InvalidFractions(
-                            f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]"
+        # the dilation of the marched states before the first not placed,
+        # where no record's refuses; one under the floor fails first
+        marched = off + 1 - lo
+        first = len(states) if placed.all() else int(np.argmin(placed))
+        dil = rec.dilation(states[marched:first].T, pars)
+        if not clock_is_t and (dil < RUN_DILATION_FLOOR).any():
+            first = marched + int(np.argmax(dil < RUN_DILATION_FLOOR))
+        if first < len(states):
+            j = lo + first
+            try:
+                if j > off:
+                    d = rec.dilation(states[first].tolist(), pars)
+                    if not clock_is_t and d < RUN_DILATION_FLOOR:
+                        raise StepAcrossSingularity(
+                            f"S*I fell to {d:.3e}; "
+                            "the run crossed the singularity of the time map"
                         )
-                    raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
+            except (RhsDomainError, OverflowError, StepAcrossSingularity) as exc:
+                raise _at_step(exc, j, own[j - 1 - off]) from exc
+            s, i, r = sir[:, first]
+            where = f"step {j} at clock {own[j - off]:.6g}"
+            if not inside[first]:
+                raise InvalidFractions(
+                    f"{where}: S = {s:.6g}, I = {i:.6g}, R = {r:.6g} left [0, 1]"
+                )
+            raise NonPositiveCoordinate(f"{where}: ln(S) undefined for S = {s:.6g}")
         f = np.concatenate(([start], dil))
         # freed before the quadrature, the walk's peak
         del dil

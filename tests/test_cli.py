@@ -542,6 +542,35 @@ class TestRunCommand:
         assert "t_end / dt = inf steps; the march counts at most 2**53" in proc.stderr
         assert not (out / "manifest.tsv").exists()
 
+    def test_a_stride_beyond_2_53_exits_2(self, tmp_path):
+        """No run has more than 2**53 steps, so no stride need be larger; a
+        stride of 2**63 would not index the march's states."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN.replace("label: base", "sample_stride: 9223372036854775808"))
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 2
+        assert "run[0]: sample_stride must be at most 2**53, got 9223372036854775808" in proc.stderr
+        assert not (out / "manifest.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "out, label, message",
+        [
+            ("taken", "base", "File exists"),
+            ("taken/sub", "base", "Not a directory"),
+            ("out", "x" * 300, "File name too long"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "label-too-long"],
+    )
+    def test_an_output_that_cannot_be_written_exits_2(self, tmp_path, out, label, message):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN.replace("label: base", f"label: {label}"))
+        (tmp_path / "taken").write_text("")
+        proc = cli("run", scenario, "--out", tmp_path / out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("label", [r'"two\tcols"', r'"line\nbreak"'], ids=["tab", "newline"])
     def test_a_label_with_a_control_character_exits_2(self, tmp_path, label):
         """A tab or a line break in a label would split its manifest row."""
@@ -827,6 +856,16 @@ class TestSweepCommand:
             expected = final_size_oracle(EpidemicParams(beta, 0.1), 0.99, 0.01)
             assert final_s == pytest.approx(expected, abs=1e-3)
 
+    def test_an_out_that_is_a_file_exits_2(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(ONE_RUN)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = cli("sweep", scenario, "--grid", "beta=0.25,0.3", "--out", taken)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "File exists" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     def test_bad_grid_key_exits_2(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(ONE_RUN)
@@ -1046,6 +1085,14 @@ class TestPlotCommand:
         csv = tmp_path / "narrow.csv"
         csv.write_text(CSV_HEADER + "\n0,0,0.99,0.01,0.0,0.3\n")
         assert cli("plot", csv, "--out", tmp_path / "x.svg").returncode == 2
+
+    def test_an_out_under_a_file_exits_2(self, run_csv, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = cli("plot", run_csv, "--out", taken / "x.svg")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Not a directory" in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     def test_missing_file_exits_2(self, tmp_path):
         assert (

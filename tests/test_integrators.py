@@ -8,10 +8,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from sirham import hamiltonian, integrators
+from sirham import dynamics, hamiltonian, integrators
 from sirham import (
     Chart,
     CompartmentState,
@@ -33,6 +33,7 @@ from sirham import (
     reconstruct_ordinary_time,
     recovered_from,
 )
+from sirham.core import FRACTION_TOL
 from sirham.hamiltonian import hamilton_rhs_log
 from sirham.integrators import (
     _RECORDS,
@@ -354,6 +355,8 @@ class TestRunSpec:
             {"dt": math.inf},
             {"t_end": -1.0},
             {"sample_stride": 0},
+            {"sample_stride": 2**53 + 1},
+            {"sample_stride": 2**63},
             {"extended_mode": "hybrid"},
             {"newton_tol": 0.0},
             {"newton_max_iter": 0},
@@ -392,6 +395,13 @@ class TestRunSpec:
             RunSpec(method="rk4", formulation="log_t", dt=dt, t_end=80.0)
         RunSpec(method="rk4", formulation="log_t", dt=80.0 / 2.0**53, t_end=80.0)
         RunSpec(method="rk4", formulation="log_t", dt=dt, t_end=0.0)
+
+    def test_a_stride_of_2_53_keeps_the_start_and_the_end(self, init, schedule):
+        """No run has more than 2**53 steps, so the largest stride accepted
+        keeps what any larger one would."""
+        spec = RunSpec(method="rk4", formulation="log_t", dt=0.1, t_end=1.0, sample_stride=2**53)
+        traj = integrate(spec, init, schedule)
+        assert traj.t.tolist() == [0.0, 1.0]
 
     def test_numeric_fields_are_stored_as_float_and_int(self):
         spec = RunSpec(
@@ -765,6 +775,40 @@ class TestIntegrate:
         ):
             integrate(spec, init, schedule)
 
+    def test_a_dilation_at_the_floor_passes(self, init, schedule, monkeypatch):
+        """The floor is strict, in the array of dilations and in the look at
+        the first failing state alike.  Here the dilation is the floor itself
+        once S < 0.5, and I leaves the simplex at step 311."""
+        rec = _RECORDS[Formulation.RESCALED_TAU]
+
+        def dilation(y, params):
+            at_floor = np.asarray(y[1]) < 0.5
+            return np.where(at_floor, integrators.RUN_DILATION_FLOOR, rec.dilation(y, params))
+
+        monkeypatch.setitem(_RECORDS, Formulation.RESCALED_TAU, rec._replace(dilation=dilation))
+        spec = RunSpec(method="rk4", formulation="rescaled_tau", dt=0.01, t_end=3.2)
+        with pytest.raises(InvalidFractions, match=r"^step 311 at clock 3\.11: S = 0\.057, I = -"):
+            integrate(spec, init, schedule)
+
+    def test_a_failing_state_is_looked_at_once(self, schedule, monkeypatch):
+        """The rate climbs at 13 per unit tau and leaves the simplex at step
+        12, with its dilation still defined; the walk reads the dilation of
+        that state alone once, and of no state before it."""
+        monkeypatch.setattr(dynamics, "rescaled_accel", lambda rate, params: 13.0)
+        rec = _RECORDS[Formulation.SINGLE_ODE_DIRECT]
+        looks = []
+
+        def dilation(y, params):
+            if isinstance(y, list):
+                looks.append(y)
+            return rec.dilation(y, params)
+
+        monkeypatch.setitem(_RECORDS, Formulation.SINGLE_ODE_DIRECT, rec._replace(dilation=dilation))
+        spec = RunSpec(method="rk4", formulation="single_ode_direct", dt=0.001, t_end=0.5)
+        with pytest.raises(InvalidFractions, match=r"^step 12 at clock 0\.012: S = 1\.06383, "):
+            integrate(spec, recovered_from(0.4, 0.01), schedule)
+        assert len(looks) == 1
+
     def test_rescaled_clock_rejects_schedules(self, init):
         sched = ParamSchedule(
             switch_times=(0.0, 30.0),
@@ -886,6 +930,63 @@ def test_every_drawn_run_completes_or_names_its_failure(
     for column in (traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, traj.coords):
         assert np.all(np.isfinite(column))
     assert np.max(np.abs(traj.s + traj.i + traj.r - 1.0)) <= 1e-12
+
+
+#: the coordinates of fractions (S, I) in each distinct record; the walk
+#: reads a record's dilation only where its fractions place a state
+TO_COORDS = {
+    Formulation.BASIC_T: lambda s, i, p: (i, s),
+    Formulation.RESCALED_TAU: lambda s, i, p: (i, s),
+    Formulation.LOG_T: lambda s, i, p: (np.log(i), np.log(s)),
+    Formulation.SINGLE_ODE_DIRECT: lambda s, i, p: (i, p.beta - p.gamma / s),
+    Formulation.SINGLE_ODE_LOG: lambda s, i, p: (np.log(i), p.beta * s - p.gamma),
+}
+
+
+def edge_coords(params):
+    """Raw coordinate pairs at the edges of every record's domain: not
+    finite or 0, beta and -gamma in the rate slot and the floats on either
+    side of them, ln of 1 and the largest argument ``math.exp`` takes."""
+    beta, gamma = params.beta, params.gamma
+    slot = [math.inf, -math.inf, math.nan, 0.0, 1.0, 0.5, math.log(0.5), 709.78, 709.79, -745.2]
+    for x in (beta, -gamma, beta - gamma, 0.0, 709.78):
+        slot += [x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)]
+    return [(a, b) for a in slot for b in slot]
+
+
+#: unshrunk: every example holds the edge coordinates, and shrinking a
+#: failure would take seconds of drawn lists that do not matter
+@settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(
+    beta=st.floats(1e-4, 50.0),
+    gamma=st.floats(1e-4, 50.0),
+    drawn=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0)
+        ).map(lambda si: (si[0], si[1] * (1.0 - si[0]))),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@pytest.mark.parametrize("formulation", list(TO_COORDS), ids=lambda f: f.value)
+def test_the_dilation_is_defined_wherever_the_walk_places_a_state(
+    formulation, beta, gamma, drawn
+):
+    """Every state whose fractions are within FRACTION_TOL of [0, 1], at
+    S > 0, has a dilation that does not refuse or overflow, on a pair of
+    state columns and on each state alone: the walk reads it there only."""
+    assert {id(rec) for rec in _RECORDS.values()} == {id(_RECORDS[f]) for f in TO_COORDS}
+    rec, params = _RECORDS[formulation], EpidemicParams(beta, gamma)
+    with np.errstate(all="ignore"):
+        coords = [TO_COORDS[formulation](s, i, params) for s, i in drawn]
+        states = np.array(coords + edge_coords(params), dtype=float)
+        i, s = rec.fractions(states, beta, gamma)
+        sir = np.array([s, i, 1.0 - s - i])
+    placed = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0) & (sir[0] > 0.0)
+    assert placed.any()
+    rec.dilation(states[placed].T, params)
+    for state in states[placed]:
+        rec.dilation(state.tolist(), params)
 
 
 def _reconstruct_cases():

@@ -176,6 +176,31 @@ MUTANTS = [
         "own[0] = seg.a",
         (MARCH_TESTS + "TestIntegrate::" + NO_STEPS,),
     ),
+    # the walk reads the dilation of every marched state, not only of those
+    # before the first failing one, where each record's is defined
+    Mutant(
+        "walk-reads-every-dilation",
+        INTEGRATORS,
+        "dil = rec.dilation(states[marched:first].T, pars)",
+        "dil = rec.dilation(states[marched:].T, pars)",
+        (
+            KERNEL_TESTS + "test_the_march_equals_the_step_by_step_reference[log_dilation_overflow]",
+            KERNEL_TESTS
+            + "test_the_march_equals_the_step_by_step_reference[rate_reaching_minus_gamma_at_a_switch]",
+            "tests/test_cli.py::TestRunCommand::test_an_overflowing_rate_exits_3_with_its_step",
+        ),
+    ),
+    # the direct rate's dilation refuses from S = 1 on, inside the simplex
+    Mutant(
+        "rate-dilation-refuses-from-s-1",
+        INTEGRATORS,
+        "if np.any(y[1] >= beta):",
+        "if np.any(y[1] >= beta - params.gamma):",
+        (
+            MARCH_TESTS
+            + "test_the_dilation_is_defined_wherever_the_walk_places_a_state[single_ode_direct]",
+        ),
+    ),
     Mutant(
         "reconstruct-two-samples-as-one",
         INTEGRATORS,
