@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
+import errno
 import itertools
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -99,6 +100,8 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
         "run": run,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    import hashlib  # maps OpenSSL's libcrypto, and only ``run`` hashes
+
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -150,6 +153,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         owners[csv_name] = spec.name
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a name the directory refuses is refused before any march or write
+    name_max = os.pathconf(out_dir, "PC_NAME_MAX")
+    for csv_name, label in owners.items():
+        size = len(os.fsencode(csv_name))
+        if size > name_max:
+            raise ScenarioError(
+                f"run {label!r}: its CSV name is {size} bytes, over the {name_max}"
+                f" that {out_dir} allows: {os.strerror(errno.ENAMETOOLONG)}"
+            )
     manifest = []
     failed = False
     for spec, traj, _, started in _each_run(scenario):

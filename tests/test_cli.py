@@ -12,6 +12,7 @@ import contextlib
 import importlib.util
 import io
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -627,6 +628,19 @@ class TestRunCommand:
         assert proc.stderr == "error: runs 'a b' and 'a_b' would both write a_b.csv\n"
         assert not out.exists()
 
+    def test_a_label_too_long_for_a_file_name_exits_2_before_any_write(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        long_label = "label: " + "x" * 300
+        scenario.write_text(
+            TWO_RUNS.replace("label: basic", "label: first").replace("label: log", long_label)
+        )
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: run 'xxx") and proc.stderr.count("\n") == 1
+        assert "File name too long" in proc.stderr
+        assert list(out.iterdir()) == []
+
     def test_a_run_leaving_the_simplex_exits_3(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(LEAVES_THE_SIMPLEX)
@@ -1110,3 +1124,41 @@ class TestUsage:
 
     def test_unknown_subcommand_is_a_usage_error(self):
         assert cli("dance").returncode == 2
+
+
+# ``sirham.cli`` as a fresh process runs it: each command in turn, and the
+# hashing modules it has loaded after each
+FOOTPRINT = """\
+import sys
+from pathlib import Path
+
+from sirham.cli import main
+
+tmp = Path(sys.argv[1])
+for argv in (
+    ["check", tmp / "one.yaml"],
+    ["sweep", tmp / "one.yaml", "--grid", "beta=0.3", "--out", tmp / "sweep", "--jobs", "1"],
+    ["plot", tmp / "sweep" / "point0000.csv", "--out", tmp / "point.svg"],
+    ["run", tmp / "one.yaml", "--out", tmp / "run"],
+):
+    assert main([str(arg) for arg in argv]) == 0, argv
+    print("loaded after", argv[0], sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+class TestFootprint:
+    def test_only_run_loads_hashlib(self, tmp_path):
+        """OpenSSL's libcrypto, which ``hashlib`` maps, is loaded only by the
+        manifest digest of ``run``; the test process has loaded it already,
+        so a child interpreter runs the commands."""
+        (tmp_path / "one.yaml").write_text(ONE_RUN)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after ")]
+        assert loaded[:3] == [f"loaded after {command} []" for command in ("check", "sweep", "plot")]
+        assert loaded[3].startswith("loaded after run [") and "'hashlib'" in loaded[3]

@@ -287,6 +287,29 @@ class TestFinalSizeOracle:
         residual = math.log(s_inf / 0.99) - P.r0 * (s_inf - 0.99 - 0.01)
         assert abs(residual) < 1e-12
 
+    @pytest.mark.parametrize(
+        "pars, s0, i0",
+        [
+            (P, 0.99, 0.01),
+            (EpidemicParams(0.5, 0.1), 0.5, 0.25),
+            (EpidemicParams(2.0, 0.1), 0.99, 0.01),
+        ],
+        ids=["canonical", "r0-5", "r0-20"],
+    )
+    def test_the_bisection_stops_at_its_tolerance(self, monkeypatch, pars, s0, i0):
+        """The bracket starts narrower than 1/r0 < 1, so 50 halvings bring it
+        to 1e-15: with its two ends, at most 52 logarithms."""
+        calls = []
+        log = math.log
+
+        def counted(x):
+            calls.append(x)
+            return log(x)
+
+        monkeypatch.setattr(math, "log", counted)
+        final_size_oracle(pars, s0, i0)
+        assert len(calls) <= 52
+
     def test_nothing_burns_without_infection(self):
         with pytest.raises(NoEpidemic):
             final_size_oracle(P, 0.99, 0.0)

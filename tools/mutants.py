@@ -208,6 +208,38 @@ MUTANTS = [
         "if traj.n_samples <= 2:",
         (MARCH_TESTS + "TestReconstructOrdinaryTime::test_two_samples_take_one_trapezoid",),
     ),
+    # every process that imports the CLI maps OpenSSL, not only ``run``'s
+    Mutant(
+        "digest-hashlib-at-import",
+        "src/sirham/cli.py",
+        "import errno\n",
+        "import errno\nimport hashlib\n",
+        ("tests/test_cli.py::TestFootprint::test_only_run_loads_hashlib",),
+    ),
+    # the first momentum rate's sign: the extended flow leaves C = Q + 2 J P = 0,
+    # and the walk, which appends P = J Q / 2, hides it from the shipped check
+    Mutant(
+        "extended-momentum-rate-sign",
+        "src/sirham/hamiltonian.py",
+        "return (g1, -g0, -0.5 * g0, -0.5 * g1)",
+        "return (g1, -g0, 0.5 * g0, -0.5 * g1)",
+        (
+            "tests/test_hamiltonian.py::TestExtendedSpace::"
+            "test_momentum_rate_keeps_the_constraint_frozen",
+            "tests/test_acceptance.py::test_06_momentum_constraint_tracking",
+        ),
+    ),
+    # the oracle's bisection runs all 200 halvings
+    Mutant(
+        "oracle-stops-on-sum",
+        "src/sirham/diagnostics.py",
+        "if hi - lo <= 1e-15:",
+        "if hi + lo <= 1e-15:",
+        (
+            "tests/test_diagnostics.py::TestFinalSizeOracle::"
+            "test_the_bisection_stops_at_its_tolerance[canonical]",
+        ),
+    ),
     Mutant(
         "rk4-regrouped-sum",
         INTEGRATORS,
