@@ -1162,3 +1162,35 @@ class TestFootprint:
         loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after ")]
         assert loaded[:3] == [f"loaded after {command} []" for command in ("check", "sweep", "plot")]
         assert loaded[3].startswith("loaded after run [") and "'hashlib'" in loaded[3]
+
+
+class TestParserReuse:
+    def test_each_call_of_main_answers_as_a_fresh_process(self, tmp_path):
+        """``main`` builds its parser once per process; a check, a refused
+        sweep, a run and a verbose check, in turn in this process, exit and
+        print as each does in a process of its own."""
+        scenario = tmp_path / "one.yaml"
+        scenario.write_text(ONE_RUN)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        calls = [
+            ["check", scenario],
+            ["sweep", scenario, "--grid", "beta=0.3", "--out", tmp_path / "sweep", "--jobs", "0"],
+            ["run", scenario, "--out", tmp_path / "run"],
+            ["check", scenario, "--verbose"],
+        ]
+        codes = []
+        for argv in ([str(arg) for arg in call] for call in calls):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_module.main(argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "sirham", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (code, out.getvalue(), err.getvalue()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0]
+        assert cli_module._build_parser() is cli_module._build_parser()

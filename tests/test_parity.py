@@ -31,7 +31,7 @@ def changed_copy(tmp_path, *edits):
     return tmp_path
 
 
-CSV_FORMAT = ('"%.17g"', '"%.16g"')
+CSV_FORMAT = ("_CSV_DIGITS = 17", "_CSV_DIGITS = 16")
 DIGEST_LENGTH = ("hexdigest()[:12]", "hexdigest()[:11]")
 
 

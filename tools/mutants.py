@@ -37,6 +37,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 INTEGRATORS = "src/sirham/integrators.py"
+CSV_FORMAT = "src/sirham/csvformat.py"
+CSV_TESTS = "tests/test_csv_format.py::"
 KERNEL_TESTS = "tests/test_kernels.py::"
 MARCH_TESTS = "tests/test_integrators.py::"
 NOT_SHARED = "test_runs_that_march_differently_do_not_share"
@@ -239,6 +241,22 @@ MUTANTS = [
             "tests/test_diagnostics.py::TestFinalSizeOracle::"
             "test_the_bisection_stops_at_its_tolerance[canonical]",
         ),
+    ),
+    # exact halves decided in the fast path, rounding half up, with no fallback
+    Mutant(
+        "csv-tie-without-fallback",
+        CSV_FORMAT,
+        "    r = np.rint(l)\n    bad |= np.abs(l - r) > 0.5 - TIE\n",
+        "    r = np.floor(l + 0.5)\n",
+        (CSV_TESTS + "test_exact_halves_round_half_to_even",),
+    ),
+    # a cell just below a power of ten keeps the exponent of that power
+    Mutant(
+        "csv-power-of-ten-boundary",
+        CSV_FORMAT,
+        "low = (h - lowest) + l < 0.0",
+        "low = h < lowest",
+        (CSV_TESTS + "test_powers_of_ten_and_their_neighbours_are_spelled_as_percent_17g",),
     ),
     Mutant(
         "rk4-regrouped-sum",
