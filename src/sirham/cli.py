@@ -56,8 +56,6 @@ __all__ = ["main"]
 log = logging.getLogger("sirham")
 
 CSV_HEADER = "t,tau,S,I,R,H,H_rel_drift"
-#: significant digits of every CSV cell
-_CSV_DIGITS = 17
 _SWEEP_KEYS = ("beta", "gamma", "dt", "method")
 
 
@@ -82,7 +80,7 @@ def trajectory_csv(traj: Trajectory) -> str:
     """
     drift = _relative_drift(traj.h)
     table = np.column_stack((traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift))
-    return "".join([CSV_HEADER, "\n", format_table(table, _CSV_DIGITS)])
+    return "".join([CSV_HEADER, "\n", format_table(table)])
 
 
 def _safe_name(label: str) -> str:

@@ -1,41 +1,39 @@
-"""Exact ``%.Ng`` text of a float table, spelled by numpy in one pass.
+"""Exact ``%.17g`` text of a float table, spelled by numpy in one pass.
 
-:func:`format_table` gives the bytes that ``"%.{digits}g" % x`` gives for
-every cell, joined by commas and newlines, for 9 <= digits <= 17.  CPython
-spells 17 digits through dtoa's bignum path (Gay, "Correctly rounded
-binary-decimal and decimal-binary conversions", 1990) at about a
-microsecond a cell; here each cell costs a few dozen float64 operations,
-table lookups and one byte deletion, and no Python code runs per cell.
+:func:`format_table` gives the bytes that ``"%.17g" % x`` gives for every
+cell, joined by commas and newlines.  CPython spells 17 digits through
+dtoa's bignum path (Gay, "Correctly rounded binary-decimal and
+decimal-binary conversions", 1990) at about a microsecond a cell; here
+each cell costs a few dozen float64 operations, table lookups and one
+byte deletion, and no Python code runs per cell.
 
-How a cell x with ``2**-1022 <= |x| < 10**(digits - 1)`` is spelled, for
-P = digits and u = 2**-53:
+How a cell x with ``2**-1022 <= |x| < 1e16`` is spelled, for u = 2**-53:
 
 * Exponent.  X, the decimal exponent, is guessed as
   ``floor(log(|x|) / ln 10)`` and never trusted: numpy's SIMD ``log``
-  rounds differently on hosts with AVX-512.  With q = P - 1 - X, the
+  rounds differently on hosts with AVX-512.  With q = 16 - X, the
   double-double ``(h, l)`` is ``|x| * 2**q`` (exact) times ``5**q``, whose
   hi/lo pair comes exactly from Python ints, by Dekker's TwoProduct
-  (Numer. Math. 18 (1971) 224).  X moves down where
-  ``(h - 10**(P-1)) + l < 0``, which catches ``h == 10**(P-1)`` with
-  ``l < 0``, and up where ``(h - 10**P) + l >= 0``; the guess is off by
-  one at most, so one correction suffices.
+  (Numer. Math. 18 (1971) 224).  X moves down where ``(h - 1e16) + l < 0``,
+  which catches ``h == 1e16`` with ``l < 0``, and up where
+  ``(h - 1e17) + l >= 0``; the guess is off by one at most, so one
+  correction suffices.
 * Error bound.  The pair of ``5**q`` is off by at most u**2 of it,
   Dekker's error term e of h is exact, and ``l = fl(e + fl(a lo))`` with
   ``a = |x| 2**q``.  So T = ``|x| 10**q`` differs from ``h + l`` by at most
   ``u**2 T + u |a lo| + u |e + a lo| <= 4 u**2 T (1 + 2u)``, below 5e-15
-  for T < 10**17.  The digits are ``N = rint(h) + rint(f)`` with
-  ``f = l + (h - rint(h))``; ``h - rint(h)`` is exact (0 for P = 17, where
-  h >= 2**53 is an integer) and the sum adds under 4e-15.  So N is T
-  rounded half to even wherever ``|f - rint(f)|`` is farther than ``TIE``
-  (2**-40, about 9e-13, 100 times these errors) from 1/2.
-* Fallback.  ``"%.*g" % (digits, x)`` itself spells every cell within that
-  bound of a tie, every cell whose digits carry to ``10**P``, and nan,
-  ±inf, subnormals and ``|x| >= 10**(P-1)``.  ±0.0 has its own case.
-* Layout.  ``N * 10**(17 - P)`` is split exactly into d0 and eight
-  two-digit groups.  Each cell gets a 48-byte slot: sign, the ``0.000``
-  prefix (for -4 <= X < 0), d0 and its point slot, the eight groups with
-  their point slots, ``e-XX`` (for X < -4) and the separator, each filled
-  from small tables.  Trailing zeros and unused slots are NUL, and
+  for T < 1e17.  h lies in [1e16, 1e17), above 2**53, so it is an
+  integer, and the digits are ``N = h + rint(l)``: T rounded half to even
+  wherever ``|l - rint(l)|`` is farther than ``TIE`` (2**-40, about
+  9e-13, 100 times that error) from 1/2.
+* Fallback.  ``"%.17g" % x`` itself spells every cell within that bound
+  of a tie, every cell whose digits carry to 1e17, and nan, ±inf,
+  subnormals and ``|x| >= 1e16``.  ±0.0 has its own case.
+* Layout.  N is split exactly into d0 and eight two-digit groups.  Each
+  cell gets a 48-byte slot: sign, the ``0.000`` prefix (for -4 <= X < 0),
+  d0 and its point slot, the eight groups with their point slots,
+  ``e-XX`` (for X < -4) and the separator, each filled from small
+  tables.  Trailing zeros and unused slots are NUL, and
   ``bytearray.translate`` deletes the NULs.
 
 Only float64 arithmetic and comparisons, ``floor``, ``rint``, ``log``,
@@ -65,11 +63,11 @@ _X0 = 400
 _GROUP_OFFSET = np.arange(0.0, 800.0, 100.0)[:, None]
 
 
-def format_table(table: np.ndarray, digits: int) -> str:
+def format_table(table: np.ndarray) -> str:
     """The rows of a (rows, columns) float64 table, each cell exactly
-    ``"%.{digits}g" % x``, cells joined by ``,`` and rows ended by ``\\n``."""
+    ``"%.17g" % x``, cells joined by ``,`` and rows ended by ``\\n``."""
     rows = max(1, BLOCK // table.shape[1])
-    return "".join([_block(table[k : k + rows], digits) for k in range(0, len(table), rows)])
+    return "".join([_block(table[k : k + rows]) for k in range(0, len(table), rows)])
 
 
 def _word(data: bytes) -> int:
@@ -77,11 +75,11 @@ def _word(data: bytes) -> int:
 
 
 @functools.cache
-def _tables(digits: int) -> tuple:
-    """The lookup tables for ``digits``, built at first use (about 60 kB).
+def _tables() -> tuple:
+    """The lookup tables, built at first use (about 60 kB).
 
     * ``scale[:, X + _X0]``: 2**q, then 5**q as its hi/lo pair and hi's
-      Dekker halves, for q = digits - 1 - X (q in 0..340);
+      Dekker halves, for q = 16 - X (q in 0..340);
     * ``point[:, X + _X0]``: the digit after which the point goes (99:
       none, the ``0.`` prefix holds it) and the length code of that prefix;
     * ``last``: by 100 g + v, the index of the last nonzero digit that
@@ -99,7 +97,7 @@ def _tables(digits: int) -> tuple:
     tail = np.zeros(len(span), np.int64)
     for col in span:
         x = col - _X0
-        q = min(max(digits - 1 - x, 0), 340)
+        q = min(max(16 - x, 0), 340)
         five = 5**q
         hi = float(five)
         c = _SPLIT * hi
@@ -139,11 +137,11 @@ def _product(ax: np.ndarray, col: np.ndarray, scale: np.ndarray):
     return h, ((ah * hh - h) + ah * hl + al * hh) + al * hl + a * lo
 
 
-def _digits(x: np.ndarray, digits: int, scale: np.ndarray):
+def _digits(x: np.ndarray, scale: np.ndarray):
     """Each cell's decimal exponent, first digit and 16 other digits, as
     eight two-digit groups (8, n), and whether the fallback spells it.
     Zeros read exponent 0 (from the placeholder 1.0) and all digits 0."""
-    lowest, above = 10.0 ** (digits - 1), 10.0**digits
+    lowest, above = 1e16, 1e17
     ax = np.abs(x)
     bad = ~((ax >= 2.2250738585072014e-308) & (ax < lowest))
     zero = None
@@ -165,19 +163,15 @@ def _digits(x: np.ndarray, digits: int, scale: np.ndarray):
         h[moved], l[moved] = hm, lm
         # a guess two off would be a fault: the fallback spells it
         bad[moved[((hm - lowest) + lm < 0.0) | ((hm - above) + lm >= 0.0)]] = True
-    hr = np.rint(h)
-    l += h - hr
     r = np.rint(l)
     bad |= np.abs(l - r) > 0.5 - TIE
-    # N = hr + r, times 10**(17 - digits), as a 1e8 + b: every step is exact
-    unit = 10.0 ** (digits - 9)
-    a = np.floor(hr / unit)
-    b = (hr - a * unit) + r
-    carry = np.floor(b / unit)
+    # N = h + r as a 1e8 + b, h an integer: every step is exact
+    a = np.floor(h / 1e8)
+    b = (h - a * 1e8) + r
+    carry = np.floor(b / 1e8)
     a += carry
-    b -= carry * unit
-    b *= 10.0 ** (17 - digits)
-    bad |= a >= 1e9  # N carried to 10**digits
+    b -= carry * 1e8
+    bad |= a >= 1e9  # N carried to 1e17
     if zero is not None and zero.size:
         a[zero] = b[zero] = 0.0
     d0 = np.floor(a / 1e8)
@@ -194,12 +188,12 @@ def _digits(x: np.ndarray, digits: int, scale: np.ndarray):
     return expo, d0, pairs.reshape(8, -1), bad
 
 
-def _block(block: np.ndarray, digits: int) -> str:
+def _block(block: np.ndarray) -> str:
     """The text of the rows of ``block``."""
-    scale, point, last_of, groups, state, lead, tail = _tables(digits)
+    scale, point, last_of, groups, state, lead, tail = _tables()
     x = block.ravel()
     n = len(x)
-    expo, d0, pairs, bad = _digits(x, digits, scale)
+    expo, d0, pairs, bad = _digits(x, scale)
     if bad.any():
         expo[bad] = 0.0
     col = (expo + _X0).astype(np.intp)
@@ -226,5 +220,5 @@ def _block(block: np.ndarray, digits: int) -> str:
     seps[-1] = ord("\n")
     chars.reshape(block.shape + (48,))[:, :, 45] = seps
     for k in np.flatnonzero(bad).tolist():
-        chars[k, :40] = np.frombuffer((b"%.*g" % (digits, x[k])).ljust(40, b"\0"), np.uint8)
+        chars[k, :40] = np.frombuffer((b"%.17g" % x[k]).ljust(40, b"\0"), np.uint8)
     return slots.translate(None, b"\0").decode("ascii")

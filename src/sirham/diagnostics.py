@@ -150,8 +150,11 @@ def final_size_oracle(params: EpidemicParams, s0: float, i0: float) -> float:
 
         ln(S / s0) = r0 * (S - s0 - i0),
 
-    which is bisected to an interval of 1e-15 (the residual at the
-    returned root is then comfortably below 1e-12).
+    by bisection over (0, 1/r0], where the relation increases from -inf
+    (at 0, never evaluated) and is positive at 1/r0 whenever r0*s0 > 1.
+    The returned value lies within 1e-15 of the root.  The bound is
+    absolute: once the root is small, the steep log term leaves the
+    relation's residual at the returned value far from 0.
 
     Raises
     ------
@@ -172,14 +175,7 @@ def final_size_oracle(params: EpidemicParams, s0: float, i0: float) -> float:
     def relation(s: float) -> float:
         return math.log(s / s0) - r0 * (s - s0 - i0)
 
-    lo = max(0.5 * s0 * math.exp(-r0 * (s0 + i0)), 1e-308)
-    hi = 1.0 / r0
-    f_lo, f_hi = relation(lo), relation(hi)
-    if f_lo >= 0.0 or f_hi <= 0.0:
-        raise ScenarioError(
-            f"final-size bracket failed: relation({lo:.3e}) = {f_lo:.3e}, "
-            f"relation({hi:.3e}) = {f_hi:.3e}"
-        )
+    lo, hi = 0.0, 1.0 / r0
     for _ in range(200):
         if hi - lo <= 1e-15:
             break

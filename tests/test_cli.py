@@ -870,6 +870,16 @@ class TestSweepCommand:
             expected = final_size_oracle(EpidemicParams(beta, 0.1), 0.99, 0.01)
             assert final_s == pytest.approx(expected, abs=1e-3)
 
+    def test_verbose_names_the_run_a_two_run_scenario_sweeps(self, tmp_path):
+        """A sweep repeats the first run only, and ``--verbose`` says so."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(TWO_RUNS)
+        out = tmp_path / "sweep"
+        proc = cli("sweep", scenario, "--grid", "beta=0.25", "--out", out, "--verbose")
+        assert proc.returncode == 0, proc.stderr
+        assert "sweep uses the first run (basic) as template\n" in proc.stderr
+        assert (out / "summary.csv").read_text().splitlines()[1].split(",")[6] == "basic_t"
+
     def test_an_out_that_is_a_file_exits_2(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(ONE_RUN)

@@ -2,7 +2,10 @@
 
 ``trajectory_csv`` spells every cell with numpy (``sirham.csvformat``);
 each case here builds a trajectory from a table and expects exactly the
-per-cell ``"%.17g"`` join of the columns the writer serialises.
+per-cell ``"%.17g"`` join of the columns the writer serialises.  Two cases
+run a child interpreter with numpy's AVX-512 loops switched off: the
+writer's bytes do not depend on them, and a run's CSVs differ only in the
+columns README §Run CSVs names.
 """
 
 import math
@@ -16,7 +19,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from sirham import EpidemicParams, ParamSchedule
-from sirham.cli import CSV_HEADER, trajectory_csv
+from sirham.cli import CSV_HEADER, main, trajectory_csv
 from sirham.csvformat import BLOCK, format_table
 from sirham.diagnostics import _relative_drift
 from sirham.integrators import Formulation, Trajectory
@@ -61,6 +64,15 @@ def neighbours(x: float, reach: int = 2) -> list[float]:
             y = math.nextafter(y, direction)
             out.append(y)
     return out
+
+
+def without_avx512(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a child with numpy's AVX-512 loops switched off."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
@@ -111,19 +123,11 @@ def test_a_table_one_row_past_a_block_is_spelled_as_percent_17g():
     check(columns.ravel().tolist())
 
 
-def test_sixteen_digits_are_spelled_as_percent_16g():
-    """The digit count is one parameter of the writer."""
-    bits = np.random.default_rng(7).integers(0, 2**64, 7 * 3000, dtype=np.uint64)
-    table = bits.view(np.float64).reshape(-1, 7)
-    text = "".join(",".join("%.16g" % x for x in row) + "\n" for row in table.tolist())
-    assert format_table(table, 16) == text
-
-
 CHILD = """\
 import sys
 import numpy as np
 from sirham.csvformat import format_table
-sys.stdout.write(format_table(np.load(sys.argv[1]), 17))
+sys.stdout.write(format_table(np.load(sys.argv[1])))
 """
 
 
@@ -136,11 +140,39 @@ def test_the_bytes_do_not_depend_on_numpy_simd_level(tmp_path):
     table = np.concatenate([bits.view(np.float64), powers, [0.5] * (-len(powers) % 7)])
     table = table.reshape(-1, 7)
     np.save(tmp_path / "table.npy", table)
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path / "table.npy")],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    proc = without_avx512("-c", CHILD, str(tmp_path / "table.npy"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == format_table(table, 17)
+    assert proc.stdout == format_table(table)
+
+
+# the shipped scenario's RK4 settings on the two log charts
+LOG_CHARTS = """\
+init: {s: 0.99, i: 0.01}
+schedule:
+  - {t: 0.0, beta: 0.3, gamma: 0.1}
+run:
+  - {formulation: log_t, method: rk4, dt: 0.001, t_end: 100.0, sample_stride: 100}
+  - {formulation: single_ode_log, method: rk4, dt: 0.001, t_end: 100.0, sample_stride: 100}
+"""
+
+
+def test_across_simd_levels_a_run_differs_only_in_its_computed_columns(tmp_path):
+    """README §Run CSVs: the log charts take their fractions by ``np.exp``
+    and every chart its H by ``np.log``, whose AVX-512 loops round unlike
+    libm's.  A child with those loops switched off writes the same rows,
+    ``t`` and ``tau`` as this process; only S, I, R, H and H_rel_drift may
+    differ.  On a host without AVX-512 both run the same loops, and the
+    case is vacuous."""
+    scenario = tmp_path / "log.yaml"
+    scenario.write_text(LOG_CHARTS)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "here")]) == 0
+    proc = without_avx512("-m", "sirham", "run", str(scenario), "--out", str(tmp_path / "child"))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("log_t-rk4.csv", "single_ode_log-rk4.csv"):
+        here, child = (
+            np.array([line.split(",") for line in (tmp_path / d / name).read_text().splitlines()])
+            for d in ("here", "child")
+        )
+        assert here.shape == child.shape
+        differs = here[0, (here != child).any(axis=0)]
+        assert set(differs) <= {"S", "I", "R", "H", "H_rel_drift"}

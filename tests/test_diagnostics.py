@@ -297,8 +297,8 @@ class TestFinalSizeOracle:
         ids=["canonical", "r0-5", "r0-20"],
     )
     def test_the_bisection_stops_at_its_tolerance(self, monkeypatch, pars, s0, i0):
-        """The bracket starts narrower than 1/r0 < 1, so 50 halvings bring it
-        to 1e-15: with its two ends, at most 52 logarithms."""
+        """The bracket (0, 1/r0] is narrower than 1, so 50 halvings bring it
+        to 1e-15: one logarithm each, at most 50, inside the bound of 52."""
         calls = []
         log = math.log
 
@@ -309,6 +309,13 @@ class TestFinalSizeOracle:
         monkeypatch.setattr(math, "log", counted)
         final_size_oracle(pars, s0, i0)
         assert len(calls) <= 52
+
+    @pytest.mark.parametrize("beta", [72.0, 80.0, 100.0], ids=["r0-720", "r0-800", "r0-1000"])
+    def test_a_root_below_the_normal_doubles_is_found(self, beta):
+        """The root, about s0 exp(-r0), is subnormal at r0 = 720 and below
+        the least double at 800 and 1000: a valid epidemic all the same, so
+        the oracle returns a value within its 1e-15 of it."""
+        assert 0.0 <= final_size_oracle(EpidemicParams(beta, 0.1), 0.99, 0.01) <= 1e-15
 
     def test_nothing_burns_without_infection(self):
         with pytest.raises(NoEpidemic):

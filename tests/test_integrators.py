@@ -577,6 +577,7 @@ class TestIntegrate:
         assert np.all(np.isfinite(traj.i))
         assert np.max(np.abs(traj.s + traj.i + traj.r - 1.0)) <= 1e-12
         assert traj.clock == spec.formulation.clock
+        assert traj.chart == spec.formulation.chart
         assert traj.coords.shape == (traj.n_samples, spec.formulation.dim)
 
     def test_rescaled_clock_fills_ordinary_time(self, init, schedule):

@@ -1,6 +1,7 @@
 """``tools/parity.py`` on a small grid: a tree against itself, against a
-copy whose CSV writer rounds one digit sooner, and against a copy whose
-manifest digest is one hex digit shorter too."""
+copy whose CSV writer negates the drift column (row 0's ``0`` becomes
+``-0``), and against a copy whose manifest digest is one hex digit shorter
+too."""
 
 import shutil
 import subprocess
@@ -31,7 +32,7 @@ def changed_copy(tmp_path, *edits):
     return tmp_path
 
 
-CSV_FORMAT = ("_CSV_DIGITS = 17", "_CSV_DIGITS = 16")
+CSV_FORMAT = ("drift = _relative_drift(traj.h)", "drift = -_relative_drift(traj.h)")
 DIGEST_LENGTH = ("hexdigest()[:12]", "hexdigest()[:11]")
 
 

@@ -242,6 +242,21 @@ MUTANTS = [
             "test_the_bisection_stops_at_its_tolerance[canonical]",
         ),
     ),
+    # the lower bracket clamped to 1e-308 and refused where the relation is
+    # not negative there: a root among the subnormals or below is refused
+    Mutant(
+        "oracle-bracket-clamped-and-tested",
+        "src/sirham/diagnostics.py",
+        "lo, hi = 0.0, 1.0 / r0\n",
+        "lo, hi = max(0.5 * s0 * math.exp(-r0 * (s0 + i0)), 1e-308), 1.0 / r0\n"
+        "    if relation(lo) >= 0.0:\n"
+        "        raise ScenarioError('final-size bracket failed')\n",
+        tuple(
+            "tests/test_diagnostics.py::TestFinalSizeOracle::"
+            f"test_a_root_below_the_normal_doubles_is_found[r0-{r0}]"
+            for r0 in (720, 800, 1000)
+        ),
+    ),
     # exact halves decided in the fast path, rounding half up, with no fallback
     Mutant(
         "csv-tie-without-fallback",
