@@ -108,9 +108,16 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
         "run": run,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    import hashlib  # maps OpenSSL's libcrypto, and only ``run`` hashes
+    # hashlib maps OpenSSL's libcrypto; the interpreter's own SHA-256 does not
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # a build without the built-in hashes
 
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return sha256(blob.encode()).hexdigest()[:12]
 
 
 def _each_run(scenario: Scenario):

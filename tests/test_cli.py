@@ -1155,23 +1155,53 @@ for argv in (
     print("loaded after", argv[0], sorted({"hashlib", "_hashlib"} & set(sys.modules)))
 """
 
+# ``run`` in a fresh process where neither built-in SHA-256 module imports,
+# as on a build that strips them, and the hashing modules it has loaded then
+NO_BUILTIN_SHA256 = """\
+import sys
+
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from sirham.cli import main
+
+assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("loaded after run", sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def fresh_interpreter(script, *args):
+    """``script`` run by a child interpreter that imports this tree's
+    ``sirham``: the test process has loaded ``hashlib`` already."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line for line in proc.stdout.splitlines() if line.startswith("loaded after ")]
+
 
 class TestFootprint:
-    def test_only_run_loads_hashlib(self, tmp_path):
-        """OpenSSL's libcrypto, which ``hashlib`` maps, is loaded only by the
-        manifest digest of ``run``; the test process has loaded it already,
-        so a child interpreter runs the commands."""
+    def test_no_command_maps_openssl(self, tmp_path):
+        """No command loads ``hashlib``, which maps OpenSSL's libcrypto:
+        ``run`` digests its manifest with the interpreter's own SHA-256."""
         (tmp_path / "one.yaml").write_text(ONE_RUN)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", FOOTPRINT, str(tmp_path)],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after ")]
-        assert loaded[:3] == [f"loaded after {command} []" for command in ("check", "sweep", "plot")]
-        assert loaded[3].startswith("loaded after run [") and "'hashlib'" in loaded[3]
+        assert fresh_interpreter(FOOTPRINT, tmp_path) == [
+            f"loaded after {command} []" for command in ("check", "sweep", "plot", "run")
+        ]
+
+    def test_a_build_without_the_builtin_sha256_digests_by_hashlib(self, tmp_path):
+        """Where neither ``_sha2`` nor ``_sha256`` imports, the manifest takes
+        the same digests from ``hashlib``."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(TWO_RUNS)
+        out = tmp_path / "out"
+        loaded = fresh_interpreter(NO_BUILTIN_SHA256, scenario, out)
+        assert loaded == ["loaded after run ['_hashlib', 'hashlib']"]
+        manifest = [line.split("\t") for line in (out / "manifest.tsv").read_text().splitlines()]
+        assert {name: digest for name, digest, *_ in manifest} == {
+            "basic": "e6c39ea17deb", "log": "810b6137311b"
+        }
 
 
 class TestParserReuse:

@@ -230,6 +230,22 @@ class TestConservationReport:
         assert drifts[1] == abs(h[1] - h[0]) / abs(h[0])
         assert 0.0 < drifts[0] < 1e-9 and 0.0 < drifts[2] < 1e-9
 
+    def test_a_sample_at_the_slack_before_a_segment_is_graded_in_it(self):
+        """The second segment of [0, 10] and [10, 20] grades the samples from
+        10 - slack on, slack = 1e-9 * 20.  One sample lies exactly there, and
+        it alone moves that segment's energy, which the later two share."""
+        schedule = ParamSchedule(switch_times=(0.0, 10.0), params=(P, EpidemicParams(0.15, 0.1)))
+        edge = 10.0 - 1e-9 * max(1.0, 20.0)
+        s = np.array([0.9, 0.8, 0.7, 0.6, 0.6])
+        i = np.full(5, 0.1)
+        traj = replace(
+            synthetic([0.0, 5.0, edge, 15.0, 20.0], s, i, 1.0 - s - i, np.ones(5), np.zeros((5, 2))),
+            schedule=schedule,
+        )
+        h = hamiltonian_direct((i[2:], s[2:]), schedule.params[1])
+        drifts = conservation_report(traj).per_segment_rel_h_drift
+        assert drifts[1] == abs(h[1] - h[0]) / abs(h[0]) > 0.0
+
     def test_empty_trajectory_is_rejected(self):
         traj = synthetic([], [], [], [], [], np.zeros((0, 2)))
         with pytest.raises(MissingDiagnostic):

@@ -49,6 +49,9 @@ from finite_differences import JACOBIAN_POINTS, assert_jacobian_matches, central
 
 P = EpidemicParams(beta=0.3, gamma=0.1)
 LOG_START = (math.log(0.01), math.log(0.99))
+# late in the epidemic, where at dt = 0.5 the larger entry of each 2-d
+# step's first Newton residual is the other one than at LOG_START
+LATE_LOG_START = (math.log(0.01), math.log(0.05))
 
 
 def log_rhs(z, params):
@@ -175,6 +178,93 @@ class TestSteppers:
         for step in (step_implicit_midpoint, step_time_fe_cg1, step_symplectic_euler):
             with pytest.raises(NewtonDivergence, match="after 0 iterations, residual norm nan$"):
                 step(nan_second_rate, None, None, (0.5, 0.5), 0.25, max_iter=0)
+
+    @pytest.mark.parametrize(
+        "method,start,larger",
+        [
+            ("symplectic_euler", LOG_START, 0),
+            ("implicit_midpoint", LOG_START, 0),
+            ("implicit_midpoint", LATE_LOG_START, 1),
+            ("variational_midpoint", LATE_LOG_START, 0),
+            ("variational_midpoint", LOG_START, 1),
+            ("time_fe_cg1_gauss2", LOG_START, 0),
+            ("time_fe_cg1_gauss2", LATE_LOG_START, 1),
+        ],
+        ids=[
+            "symplectic_euler",
+            "implicit_midpoint-r0",
+            "implicit_midpoint-r1",
+            "variational_midpoint-r0",
+            "variational_midpoint-r1",
+            "time_fe_cg1_gauss2-r0",
+            "time_fe_cg1_gauss2-r1",
+        ],
+    )
+    def test_a_first_residual_equal_to_tol_stops_at_the_predictor(
+        self, monkeypatch, method, start, larger
+    ):
+        """A residual as large as ``tol`` is a solution: with ``tol`` the
+        larger entry of the first residual, at the explicit-Euler predictor,
+        the step returns the predictor after that one residual.  Where the
+        residual has two entries, each case puts a different one on ``tol``."""
+        dt = 0.5
+        y0, y1 = start
+        f0, f1 = log_rhs(start, P)
+        u0, u1 = y0 + dt * f0, y1 + dt * f1
+        # the first residual by the expressions of the step, and the calls
+        # that make it: rhs stages, or the variational step's gradients
+        gradients = integrators.lagrangian.extended_lagrangian_gradients
+        if method == "symplectic_euler":
+            residual = (u1 - y1 - dt * log_rhs((u0, u1), P)[1],)
+            residual_calls = ["rhs"]
+        elif method == "implicit_midpoint":
+            g0, g1 = log_rhs((0.5 * (y0 + u0), 0.5 * (y1 + u1)), P)
+            residual = (u0 - y0 - dt * g0, u1 - y1 - dt * g1)
+            residual_calls = ["rhs"]
+        elif method == "variational_midpoint":
+            d_mid, d_rate = gradients(
+                (0.5 * (y0 + u0), 0.5 * (y1 + u1)),
+                ((u0 - y0) / dt, (u1 - y1) / dt),
+                P,
+                Chart.LOGARITHMIC,
+            )
+            half = 0.5 * dt
+            residual = (
+                0.5 * y1 + half * d_mid[0] - d_rate[0],
+                -0.5 * y0 + half * d_mid[1] - d_rate[1],
+            )
+            residual_calls = ["gradients"]
+        else:
+            g0 = g1 = 0.0
+            for sigma, rest, w, _ in integrators._CG1_STAGES:
+                f0, f1 = log_rhs((rest * y0 + sigma * u0, rest * y1 + sigma * u1), P)
+                g0 += w * f0
+                g1 += w * f1
+            residual = (u0 - y0 - dt * g0, u1 - y1 - dt * g1)
+            residual_calls = ["rhs", "rhs"]
+        tol = abs(residual[larger])
+        assert all(abs(r) < tol for k, r in enumerate(residual) if k != larger)
+
+        calls = []
+
+        def counted(name, f):
+            def call(*args):
+                calls.append(name)
+                return f(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            integrators.lagrangian, "extended_lagrangian_gradients", counted("gradients", gradients)
+        )
+        step = {
+            "symplectic_euler": step_symplectic_euler,
+            "implicit_midpoint": step_implicit_midpoint,
+            "variational_midpoint": partial(step_variational_midpoint, chart=Chart.LOGARITHMIC),
+            "time_fe_cg1_gauss2": step_time_fe_cg1,
+        }[method]
+        assert step(counted("rhs", log_rhs), log_jac, P, start, dt, tol=tol) == (u0, u1)
+        assert calls == ["rhs", *residual_calls]
 
 
 #: loose enough that the finite-difference bumps of an extended state pass

@@ -36,3 +36,19 @@ def test_an_edit_that_changes_no_value_survives(capsys):
     )
     assert tool.check([same]) == 1
     assert capsys.readouterr().out == f"SURVIVED times-one: {test}\n"
+
+
+def test_a_run_past_its_limit_is_killed_and_not_caught(capsys):
+    """An edit that makes its test sleep is killed at the limit and reported
+    as timed out, never as caught, while the unedited run finishes in time."""
+    tool = load_tool()
+    test = "tests/test_kernels.py::test_marched_states_equal_the_reference[log_t-rk4]"
+    sleeping = tool.Mutant(
+        "sleeps",
+        tool.INTEGRATORS,
+        "    sixth = dt / 6.0\n",
+        "    sixth = dt / 6.0\n    __import__('time').sleep(600)\n",
+        (test,),
+    )
+    assert tool.check([sleeping], limit=5.0) == 1
+    assert capsys.readouterr().out == "TIMED OUT sleeps after 5 s\n"

@@ -13,11 +13,18 @@ for each mutant, makes its edit, runs its tests with pytest and undoes
 the edit.  A mutant is caught when every one of its tests fails, and
 survives otherwise.
 
+Each pytest run is a child forked from this process, which imports the
+test stack once and never ``sirham`` or a test module; the child changes
+into the copy and imports them from there.  A run still going after its
+time limit is killed with the processes it started.
+
 It prints one line per mutant, ``caught NAME`` or ``SURVIVED NAME`` with
-the tests that passed, and exits 1 if any mutant survives.  It exits 2,
-before any edit, where a mutant does not apply: its ``old`` text is not
-found exactly once, it names no test, or one of its tests fails or is not
-collected on the unedited copy.  Names select mutants; with none, all run.  The tool needs
+the tests that passed, or ``TIMED OUT NAME`` for a run that was killed,
+and exits 1 if any mutant survives or times out.  It exits 2, before any
+edit, where a mutant does not apply: its ``old`` text is not found exactly
+once, it names no test, or one of its tests fails, is not collected or
+times out on the unedited copy.  It also exits 2 where ``os.fork`` is
+missing, as on Windows.  Names select mutants; with none, all run.  The tool needs
 git and the standard library; the tests it runs need what the tier-1
 suite needs.
 """
@@ -25,8 +32,10 @@ suite needs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -43,6 +52,10 @@ KERNEL_TESTS = "tests/test_kernels.py::"
 MARCH_TESTS = "tests/test_integrators.py::"
 NOT_SHARED = "test_runs_that_march_differently_do_not_share"
 NO_STEPS = "test_a_failure_after_a_segment_of_no_steps_starts_from_clock_0"
+NEWTON_STOP = "if abs(r0) <= tol and abs(r1) <= tol:"
+STOPS_AT_PREDICTOR = (
+    MARCH_TESTS + "TestSteppers::test_a_first_residual_equal_to_tol_stops_at_the_predictor"
+)
 
 
 def implicit_step_test(method: str, formulation: str) -> str:
@@ -59,6 +72,20 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]
+
+
+def newton_stop_strict(method: str, residual_end: str, entry: int) -> Mutant:
+    """``<=`` → ``<`` in the stopping test of residual entry ``entry`` of the
+    2-d step of ``method``, whose residual line ends with ``residual_end``:
+    an entry equal to ``tol`` no longer stops the iteration."""
+    old = f"{residual_end}\n        {NEWTON_STOP}"
+    return Mutant(
+        f"{method}-stop-strict-r{entry}",
+        INTEGRATORS,
+        old,
+        old.replace(f"abs(r{entry}) <=", f"abs(r{entry}) <"),
+        (f"{STOPS_AT_PREDICTOR}[{method}-r{entry}]",),
+    )
 
 
 MUTANTS = [
@@ -216,7 +243,15 @@ MUTANTS = [
         "src/sirham/cli.py",
         "import errno\n",
         "import errno\nimport hashlib\n",
-        ("tests/test_cli.py::TestFootprint::test_only_run_loads_hashlib",),
+        ("tests/test_cli.py::TestFootprint::test_no_command_maps_openssl",),
+    ),
+    # the manifest digest maps OpenSSL where the interpreter's own SHA-256 is there
+    Mutant(
+        "digest-from-hashlib",
+        "src/sirham/cli.py",
+        "from _sha2 import sha256  # CPython 3.12 and later\n",
+        "from hashlib import sha256\n",
+        ("tests/test_cli.py::TestFootprint::test_no_command_maps_openssl",),
     ),
     # the first momentum rate's sign: the extended flow leaves C = Q + 2 J P = 0,
     # and the walk, which appends P = J Q / 2, hides it from the shipped check
@@ -273,6 +308,34 @@ MUTANTS = [
         "low = h < lowest",
         (CSV_TESTS + "test_powers_of_ten_and_their_neighbours_are_spelled_as_percent_17g",),
     ),
+    # a residual entry equal to tol takes one more Newton update
+    Mutant(
+        "symplectic_euler-stop-strict",
+        INTEGRATORS,
+        "if abs(r) <= tol:",
+        "if abs(r) < tol:",
+        (f"{STOPS_AT_PREDICTOR}[symplectic_euler]",),
+    ),
+    *(
+        newton_stop_strict(method, residual_end, entry)
+        for method, residual_end in (
+            ("implicit_midpoint", "dt * f1"),
+            ("variational_midpoint", "d_rate[1]"),
+            ("time_fe_cg1_gauss2", "dt * a1"),
+        )
+        for entry in (0, 1)
+    ),
+    # a sample at exactly the slack before a segment's start is left out of it
+    Mutant(
+        "segment-mask-strict-start",
+        "src/sirham/diagnostics.py",
+        "mask = (traj.t >= a - slack)",
+        "mask = (traj.t > a - slack)",
+        (
+            "tests/test_diagnostics.py::TestConservationReport::"
+            "test_a_sample_at_the_slack_before_a_segment_is_graded_in_it",
+        ),
+    ),
     Mutant(
         "rk4-regrouped-sum",
         INTEGRATORS,
@@ -305,19 +368,61 @@ def junit_key(node_id: str) -> tuple[str, str]:
     return ".".join([module, *parts[:-1]]), parts[-1]
 
 
-def run_tests(tree: Path, node_ids: list[str]) -> dict[str, bool]:
-    """Whether each test of ``node_ids`` that pytest collected in ``tree`` passed."""
-    report = tree / "junit.xml"
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
-         f"--junitxml={report}", *node_ids],
-        cwd=tree,
-        env=env,
-        capture_output=True,
-        check=False,
+def pytest_in_child(tree: Path, args: list[str]) -> int:
+    """``pytest.main(args)`` run in ``tree`` by a forked child, with the
+    tree's ``sirham`` and tests in place of any this process holds."""
+    os.setpgid(0, 0)
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    os.chdir(tree)
+    ours = str(ROOT) + os.sep
+    for name, module in list(sys.modules.items()):
+        where = getattr(module, "__file__", None) or ""
+        if name != "__main__" and (name.split(".")[0] == "sirham" or where.startswith(ours)):
+            del sys.modules[name]
+    sys.path[:] = [str(tree / "src")] + [
+        entry for entry in sys.path if not os.path.abspath(entry or ".").startswith(ours)
+    ]
+    sys.dont_write_bytecode = True
+    # the interpreters the tests start import the tree's sirham too
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])
     )
+    import pytest
+
+    return int(pytest.main(args))
+
+
+def run_tests(tree: Path, node_ids: list[str], limit: float) -> dict[str, bool] | None:
+    """Whether each test of ``node_ids`` that pytest collected in ``tree``
+    passed, or None where the run took longer than ``limit`` seconds."""
+    report = tree / "junit.xml"
+    args = ["-q", "-p", "no:cacheprovider", "--tb=no", f"--junitxml={report}", *node_ids]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = pytest_in_child(tree, args)
+        finally:
+            os._exit(status)
+    with contextlib.suppress(OSError):  # the child may have done it already
+        os.setpgid(pid, pid)
+    deadline = time.monotonic() + limit
+    finished = False
+    try:
+        while not (finished := os.waitpid(pid, os.WNOHANG)[0] == pid):
+            if time.monotonic() > deadline:
+                return None
+            time.sleep(0.005)
+    finally:
+        if not finished:
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            report.unlink(missing_ok=True)
     results = {}
     if report.exists():
         for case in ET.parse(report).iter("testcase"):
@@ -328,8 +433,22 @@ def run_tests(tree: Path, node_ids: list[str]) -> dict[str, bool]:
     return {node: results[junit_key(node)] for node in node_ids if junit_key(node) in results}
 
 
-def check(mutants: list[Mutant]) -> int:
-    """Run ``mutants`` on a copy of the tree; the exit status."""
+def check(mutants: list[Mutant], limit: float = 60.0) -> int:
+    """Run ``mutants`` on a copy of the tree, each run of pytest killed after
+    ``limit`` seconds; the exit status."""
+    if not hasattr(os, "fork"):
+        print("os.fork is missing here, and each run of pytest is a forked child")
+        return 2
+    # the test stack, imported once for every forked run: pytest, the plugins
+    # it loads and the packages the tests import.  Never sirham or a test
+    # module, which each run imports from the edited copy.
+    import hypothesis  # noqa: F401
+    import numpy  # noqa: F401
+    import pytest
+    import yaml  # noqa: F401
+
+    pytest.PytestPluginManager().load_setuptools_entrypoints("pytest11")
+
     with tempfile.TemporaryDirectory(prefix="sirham-mutants-") as tmp:
         tree = Path(tmp)
         copy_tree(tree)
@@ -344,7 +463,10 @@ def check(mutants: list[Mutant]) -> int:
                 print(f"{mutant.name}: names no test")
                 return 2
         named = sorted({node for mutant in mutants for node in mutant.tests})
-        unedited = run_tests(tree, named)
+        unedited = run_tests(tree, named, limit)
+        if unedited is None:
+            print(f"the unedited copy ran past {limit:g} s")
+            return 2
         broken = [node for node in named if not unedited.get(node, False)]
         if broken:
             print("failing or not collected before any edit: " + ", ".join(broken))
@@ -354,9 +476,13 @@ def check(mutants: list[Mutant]) -> int:
             path = tree / mutant.path
             path.write_text(texts[mutant.path].replace(mutant.old, mutant.new))
             try:
-                outcome = run_tests(tree, list(mutant.tests))
+                outcome = run_tests(tree, list(mutant.tests), limit)
             finally:
                 path.write_text(texts[mutant.path])
+            if outcome is None:
+                survivors += 1
+                print(f"TIMED OUT {mutant.name} after {limit:g} s")
+                continue
             # a test that the edit keeps from being collected fails too
             passed = [node for node in mutant.tests if outcome.get(node, False)]
             if passed:
