@@ -75,8 +75,8 @@ def trajectory_csv(traj: Trajectory) -> str:
     vectorised pass whose bytes do not depend on numpy's SIMD level.  It
     rounds half to even wherever its double-double digits are farther than
     2**-40 from a tie (its error is below 5e-15), and ``"%.17g" % x`` itself
-    spells the cells it cannot decide: near-ties, nan, ±inf, subnormals
-    and ``|x| >= 1e16``.
+    spells the cells it cannot decide: ±0, cells whose decimal exponent it
+    guesses wrong, near-ties, nan, ±inf, subnormals and ``|x| >= 1e16``.
     """
     drift = _relative_drift(traj.h)
     table = np.column_stack((traj.t, traj.tau, traj.s, traj.i, traj.r, traj.h, drift))
@@ -108,7 +108,15 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
         "run": run,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    # hashlib maps OpenSSL's libcrypto; the interpreter's own SHA-256 does not
+    return _sha256_constructor()(blob.encode()).hexdigest()[:12]
+
+
+@functools.cache
+def _sha256_constructor():
+    """The SHA-256 constructor of ``_spec_digest``, looked up at its first
+    call: ``hashlib`` maps OpenSSL's libcrypto, and the interpreter's own
+    SHA-256 does not.  A failed import is not cached, so each later call
+    would search ``sys.path`` again."""
     try:
         from _sha2 import sha256  # CPython 3.12 and later
     except ImportError:
@@ -116,8 +124,7 @@ def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
             from _sha256 import sha256  # CPython 3.10 and 3.11
         except ImportError:
             from hashlib import sha256  # a build without the built-in hashes
-
-    return sha256(blob.encode()).hexdigest()[:12]
+    return sha256
 
 
 def _each_run(scenario: Scenario):

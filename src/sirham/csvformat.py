@@ -14,21 +14,22 @@ How a cell x with ``2**-1022 <= |x| < 1e16`` is spelled, for u = 2**-53:
   rounds differently on hosts with AVX-512.  With q = 16 - X, the
   double-double ``(h, l)`` is ``|x| * 2**q`` (exact) times ``5**q``, whose
   hi/lo pair comes exactly from Python ints, by Dekker's TwoProduct
-  (Numer. Math. 18 (1971) 224).  X moves down where ``(h - 1e16) + l < 0``,
-  which catches ``h == 1e16`` with ``l < 0``, and up where
-  ``(h - 1e17) + l >= 0``; the guess is off by one at most, so one
-  correction suffices.
+  (Numer. Math. 18 (1971) 224).  The guess stands only where ``h + l``
+  lies in [1e16, 1e17): ``(h - 1e16) + l < 0``, which catches ``h == 1e16``
+  with ``l < 0``, or ``(h - 1e17) + l >= 0`` sends the cell to the
+  fallback.  So one product is taken per cell.
 * Error bound.  The pair of ``5**q`` is off by at most u**2 of it,
   Dekker's error term e of h is exact, and ``l = fl(e + fl(a lo))`` with
   ``a = |x| 2**q``.  So T = ``|x| 10**q`` differs from ``h + l`` by at most
   ``u**2 T + u |a lo| + u |e + a lo| <= 4 u**2 T (1 + 2u)``, below 5e-15
-  for T < 1e17.  h lies in [1e16, 1e17), above 2**53, so it is an
-  integer, and the digits are ``N = h + rint(l)``: T rounded half to even
-  wherever ``|l - rint(l)|`` is farther than ``TIE`` (2**-40, about
-  9e-13, 100 times that error) from 1/2.
-* Fallback.  ``"%.17g" % x`` itself spells every cell within that bound
-  of a tie, every cell whose digits carry to 1e17, and nan, ±inf,
-  subnormals and ``|x| >= 1e16``.  ±0.0 has its own case.
+  for T < 1e17.  Where the guess stands, h lies in [1e16, 1e17], above
+  2**53, so it is an integer, and the digits are ``N = h + rint(l)``: T
+  rounded half to even wherever ``|l - rint(l)|`` is farther than ``TIE``
+  (2**-40, about 9e-13, 100 times that error) from 1/2.
+* Fallback.  ``"%.17g" % x`` itself spells every cell whose exponent
+  guess misses, every cell within that bound of a tie, every cell whose
+  digits carry to 1e17, and ±0.0, nan, ±inf, subnormals and
+  ``|x| >= 1e16``.
 * Layout.  N is split exactly into d0 and eight two-digit groups.  Each
   cell gets a 48-byte slot: sign, the ``0.000`` prefix (for -4 <= X < 0),
   d0 and its point slot, the eight groups with their point slots,
@@ -140,29 +141,17 @@ def _product(ax: np.ndarray, col: np.ndarray, scale: np.ndarray):
 def _digits(x: np.ndarray, scale: np.ndarray):
     """Each cell's decimal exponent, first digit and 16 other digits, as
     eight two-digit groups (8, n), and whether the fallback spells it.
-    Zeros read exponent 0 (from the placeholder 1.0) and all digits 0."""
+    A cell the fallback spells reads placeholder digits: those of 1.0 for
+    ±0.0, nan, ±inf, subnormals and huge cells, and d0 0 or 10 for a cell
+    next to a power of ten whose exponent guess misses."""
     lowest, above = 1e16, 1e17
     ax = np.abs(x)
     bad = ~((ax >= 2.2250738585072014e-308) & (ax < lowest))
-    zero = None
-    if bad.any():
-        np.copyto(ax, 1.0, where=bad)
-        zero = np.flatnonzero(x == 0.0)
-        bad[zero] = False
+    np.copyto(ax, 1.0, where=bad)
     expo = np.floor(np.log(ax) * _INV_LN10)
     col = (expo + _X0).astype(np.intp)
     h, l = _product(ax, col, scale)
-    low = (h - lowest) + l < 0.0
-    high = (h - above) + l >= 0.0
-    moved = np.flatnonzero(low | high)
-    if moved.size:
-        expo[low] -= 1.0
-        expo[high] += 1.0
-        col[moved] = (expo[moved] + _X0).astype(np.intp)
-        hm, lm = _product(ax[moved], col[moved], scale)
-        h[moved], l[moved] = hm, lm
-        # a guess two off would be a fault: the fallback spells it
-        bad[moved[((hm - lowest) + lm < 0.0) | ((hm - above) + lm >= 0.0)]] = True
+    bad |= ((h - lowest) + l < 0.0) | ((h - above) + l >= 0.0)
     r = np.rint(l)
     bad |= np.abs(l - r) > 0.5 - TIE
     # N = h + r as a 1e8 + b, h an integer: every step is exact
@@ -172,8 +161,6 @@ def _digits(x: np.ndarray, scale: np.ndarray):
     a += carry
     b -= carry * 1e8
     bad |= a >= 1e9  # N carried to 1e17
-    if zero is not None and zero.size:
-        a[zero] = b[zero] = 0.0
     d0 = np.floor(a / 1e8)
     half = np.empty((2, len(x)))
     np.subtract(a, d0 * 1e8, out=half[0])

@@ -7,6 +7,7 @@ They call ``main`` in-process; ``TestUsage`` and the acceptance suite's
 ``test_10`` spawn ``python -m sirham`` for the entry point itself.
 """
 
+import builtins
 import concurrent.futures
 import contextlib
 import importlib.util
@@ -112,6 +113,17 @@ schedule:
 run:
   - {method: rk4, formulation: rescaled_tau, dt: 0.002, t_end: 3.2}
   - {method: rk4, formulation: extended_4d_direct, dt: 0.002, t_end: 3.2}
+"""
+
+
+# dt = 5 at gamma = 0.5 carries explicit Euler's I through zero in step 1:
+# I becomes -1.5 I0, which the simplex test passes down to -FRACTION_TOL
+NEGATIVE_I = """\
+init: {{s: 0.99, i: {i0}}}
+schedule:
+  - {{t: 0.0, beta: 0.3, gamma: 0.5}}
+run:
+  - {{method: explicit_euler, formulation: basic_t, dt: 5.0, t_end: 10.0, label: base}}
 """
 
 
@@ -678,6 +690,37 @@ class TestRunCommand:
         assert not (out / "base.csv").exists()
         assert (out / "manifest.tsv").read_text().split("\t")[2] == "InvalidFractions"
 
+    def test_a_negative_fraction_within_the_tolerance_is_written(self, tmp_path):
+        """The simplex test is absolute: a fraction as low as -FRACTION_TOL
+        (1e-12) passes, so from I0 = 1e-15 the run exits 0 with a negative I
+        at t = 5, and tau falls over the step after it."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(NEGATIVE_I.format(i0="1.0e-15"))
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = (out / "base.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:5] for row in rows] == [
+            ["0", "0", "0.98999999999999999", "1.0000000000000001e-15", "0.0099999999999990097"],
+            ["5", "2.4378750000000002e-15", "0.98999999999999855", "-1.5000000000000047e-17",
+             "0.010000000000001468"],
+            ["10", "2.4013068750000001e-15", "0.98999999999999855", "2.2500000000003694e-19",
+             "0.010000000000001452"],
+        ]
+
+    def test_the_same_sign_flip_beyond_the_tolerance_exits_3(self, tmp_path):
+        """The march that writes a negative I from I0 = 1e-15 is refused from
+        I0 = 1e-10, where its I of -1.5e-12 lies beyond -FRACTION_TOL."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(NEGATIVE_I.format(i0="1.0e-10"))
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: run base: step 1 at clock 5: S = 0.99, I = -1.5e-12, R = 0.01 left [0, 1]\n"
+        )
+        assert not (out / "base.csv").exists()
+
     def test_an_overflowing_rate_exits_3_with_its_step(self, tmp_path):
         # at beta = 3, dt = 10 throws ln I so far within step 1 that the
         # exp(ln I) of a later stage overflows; the start is in the simplex
@@ -1202,6 +1245,25 @@ class TestFootprint:
         assert {name: digest for name, digest, *_ in manifest} == {
             "basic": "e6c39ea17deb", "log": "810b6137311b"
         }
+
+    def test_a_second_digest_attempts_no_import(self, monkeypatch):
+        """The SHA-256 constructor is looked up once per process: an import
+        that failed, as ``_sha2`` fails on 3.10 and 3.11, is not cached, and
+        would search ``sys.path`` again on each run."""
+        scenario = parse_scenario(yaml.safe_load(TWO_RUNS))
+        first = [cli_module._spec_digest(scenario, spec) for spec in scenario.runs]
+        attempted = []
+
+        def spy(name, *args, **kwargs):
+            attempted.append(name)
+            return real_import(name, *args, **kwargs)
+
+        real_import = builtins.__import__
+        monkeypatch.setattr(builtins, "__import__", spy)
+        again = [cli_module._spec_digest(scenario, spec) for spec in scenario.runs]
+        monkeypatch.undo()
+        assert attempted == []
+        assert first == again == ["e6c39ea17deb", "810b6137311b"]
 
 
 class TestParserReuse:

@@ -253,6 +253,14 @@ MUTANTS = [
         "from hashlib import sha256\n",
         ("tests/test_cli.py::TestFootprint::test_no_command_maps_openssl",),
     ),
+    # each digest imports its SHA-256 again: a failed import searches sys.path
+    Mutant(
+        "digest-resolved-each-call",
+        "src/sirham/cli.py",
+        "@functools.cache\ndef _sha256_constructor():",
+        "def _sha256_constructor():",
+        ("tests/test_cli.py::TestFootprint::test_a_second_digest_attempts_no_import",),
+    ),
     # the first momentum rate's sign: the extended flow leaves C = Q + 2 J P = 0,
     # and the walk, which appends P = J Q / 2, hides it from the shipped check
     Mutant(
@@ -304,8 +312,16 @@ MUTANTS = [
     Mutant(
         "csv-power-of-ten-boundary",
         CSV_FORMAT,
-        "low = (h - lowest) + l < 0.0",
-        "low = h < lowest",
+        "(h - lowest) + l < 0.0",
+        "h < lowest",
+        (CSV_TESTS + "test_powers_of_ten_and_their_neighbours_are_spelled_as_percent_17g",),
+    ),
+    # a cell whose exponent guess misses is spelled from its wrong exponent
+    Mutant(
+        "csv-guess-miss-without-fallback",
+        CSV_FORMAT,
+        "    bad |= ((h - lowest) + l < 0.0) | ((h - above) + l >= 0.0)\n",
+        "",
         (CSV_TESTS + "test_powers_of_ten_and_their_neighbours_are_spelled_as_percent_17g",),
     ),
     # a residual entry equal to tol takes one more Newton update
