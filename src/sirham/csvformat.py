@@ -1,4 +1,4 @@
-"""Exact ``%.17g`` text of a float table, spelled by numpy in one pass.
+"""Exact ``%.17g`` text of a float table, spelled by numpy in passes.
 
 :func:`format_table` gives the bytes that ``"%.17g" % x`` gives for every
 cell, joined by commas and newlines.  CPython spells 17 digits through
@@ -30,45 +30,70 @@ How a cell x with ``2**-1022 <= |x| < 1e16`` is spelled, for u = 2**-53:
   guess misses, every cell within that bound of a tie, every cell whose
   digits carry to 1e17, and ±0.0, nan, ±inf, subnormals and
   ``|x| >= 1e16``.
-* Layout.  N is split exactly into d0 and eight two-digit groups.  Each
-  cell gets a 48-byte slot: sign, the ``0.000`` prefix (for -4 <= X < 0),
-  d0 and its point slot, the eight groups with their point slots,
-  ``e-XX`` (for X < -4) and the separator, each filled from small
-  tables.  Trailing zeros and unused slots are NUL, and
-  ``bytearray.translate`` deletes the NULs.
+* Layout.  N is split exactly into d0 and four four-digit groups.  Each
+  cell gets a 48-byte slot of six words, each looked up in a small table:
+  the sign, the ``0.000`` prefix (for -4 <= X < 0), d0 and a point; the
+  four groups, each digit followed by a point; and ``e-XX`` (for X < -4)
+  with the separator.  One mask a cell, looked up by the cut (after the
+  last nonzero digit, or after digit X if that comes later) and by X,
+  keeps the digits before the cut and the point after digit X, if a kept
+  digit follows it.  The other bytes are NUL, and ``bytes.translate``
+  deletes them.
+* Passes.  A table is spelled ``BLOCK`` cells at a time, every step
+  writing through ``out=`` into one set of work arrays that the process
+  allocates at its first table and keeps, one call at a time (a lock
+  serialises threads).  So a warm call allocates its
+  text and, one ``CHUNK`` at a time, the slot bytes that ``translate``
+  reads (copied into ``bytes``, whose ``translate`` is faster than
+  ``bytearray``'s) and its output.
 
 Only float64 arithmetic and comparisons, ``floor``, ``rint``, ``log``,
-``signbit``, casts to ``intp`` and ``take`` run over the cells: no int64 or
-small-integer arithmetic, whose loops would map more of numpy's code into a
-process.
+``signbit``, casts to ``intp``, ``take`` and one ``bitwise_and`` of the
+slot words with their masks run over the cells.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import threading
 
 import numpy as np
 
 __all__ = ["format_table"]
 
-#: cells spelled per block: bounds the temporaries (about 300 bytes a cell).
-#: Blocks of 2048 cells raised the benchmark's peak RSS by 0.1-0.35 MB on
-#: the workloads that write CSVs, and made no op faster.
-BLOCK = 1024
+#: cells spelled per pass.  A pass costs about 65 us however short (some
+#: 70 numpy calls) and 0.1 us a cell (2-core x86-64, numpy 2.4), so at 4096
+#: cells the fixed part is a seventh of a full pass.  Its work arrays
+#: (``_work``) then take 0.57 MB, allocated once per process.
+BLOCK = 4096
+#: slot bytes handed to ``translate`` at a time: 48 kB, below glibc's
+#: 128 kB mmap threshold, so neither the copy nor its output is mapped
+#: and faulted in afresh on every call
+CHUNK = 1024
 TIE = 2.0**-40
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 _INV_LN10 = 0.43429448190325176
 #: table column of decimal exponent X
 _X0 = 400
-_GROUP_OFFSET = np.arange(0.0, 800.0, 100.0)[:, None]
+_SLOT = 48
+#: the cut each group's last nonzero digit implies, by group
+_LAST_OFFSET = np.arange(0.0, 32.0, 8.0)[:, None]
+
+
+#: one pass at a time in a process: the passes share the work arrays
+_WORK_LOCK = threading.Lock()
 
 
 def format_table(table: np.ndarray) -> str:
     """The rows of a (rows, columns) float64 table, each cell exactly
     ``"%.17g" % x``, cells joined by ``,`` and rows ended by ``\\n``."""
-    rows = max(1, BLOCK // table.shape[1])
-    return "".join([_block(table[k : k + rows]) for k in range(0, len(table), rows)])
+    cells = np.ravel(table)
+    width = table.shape[1]
+    with _WORK_LOCK:
+        return "".join(
+            [_pass(cells[k : k + BLOCK], k, width) for k in range(0, len(cells), BLOCK)]
+        )
 
 
 def _word(data: bytes) -> int:
@@ -77,25 +102,26 @@ def _word(data: bytes) -> int:
 
 @functools.cache
 def _tables() -> tuple:
-    """The lookup tables, built at first use (about 60 kB).
+    """The lookup tables, built at first use (about 200 kB).
 
     * ``scale[:, X + _X0]``: 2**q, then 5**q as its hi/lo pair and hi's
       Dekker halves, for q = 16 - X (q in 0..340);
-    * ``point[:, X + _X0]``: the digit after which the point goes (99:
-      none, the ``0.`` prefix holds it) and the length code of that prefix;
-    * ``last``: by 100 g + v, the index of the last nonzero digit that
-      two-digit group g holding v implies (0 if v is 0);
-    * ``groups``: by v + 100 (4 k + p), v's two digits and point slots,
-      keeping both digits (k = 0), the first (1) or none (2), with the
-      point after the first (p = 1) or the second digit (2) or nowhere;
-    * ``state``: each group's ``100 (4 k + p)``, by 18 keep + point;
-    * ``lead``: the first word, by 100 sign + 20 prefix + 2 d0 + point;
+    * ``by_x[:, X + _X0]``: kp - 63, where kp is the digit the point
+      follows (17: none, the ``0.`` prefix holds it); the cut that keeps
+      digits 0..X; and 10 times the prefix's length code;
+    * ``last``: by v, the cut that group value v implies in the first group
+      (-1000 if v is 0), the cut being the slot byte after the last digit
+      kept;
+    * ``groups``: by v, its four digits, each followed by a point;
+    * ``masks[w, 18 kc + kp]``: the bytes of slot word w (0 to 4) kept at
+      the cut 7 + 2 kc;
+    * ``lead``: the first word, by 100 sign + 10 prefix + d0;
     * ``tail``: the exponent word, by X + _X0.
     """
     span = range(_X0 + 17)
     scale = np.empty((5, len(span)))
-    point = np.zeros((2, len(span)))
-    tail = np.zeros(len(span), np.int64)
+    by_x = np.empty((3, len(span)))
+    tail = np.zeros(len(span), np.uint64)
     for col in span:
         x = col - _X0
         q = min(max(16 - x, 0), 340)
@@ -104,108 +130,169 @@ def _tables() -> tuple:
         c = _SPLIT * hi
         hh = c - (c - hi)
         scale[:, col] = (2.0**q, hi, float(five - int(hi)), hh, hi - hh)
-        point[:, col] = (x, 0) if x >= 0 else ((99, -x) if x >= -4 else (0, 0))
+        by_x[:, col] = (
+            (17 if -4 <= x < 0 else max(x, 0)) - 63,
+            7 + 2 * max(x, 0),
+            -10 * x if -4 <= x < 0 else 0,
+        )
         if x < -4:
             tail[col] = _word(b"e-%02d" % -x)
-    last = np.array(
-        [2 * g + 2 - (v % 10 == 0) if v else 0 for g in range(8) for v in range(100)], float
-    )
-    groups = np.zeros(1200, np.uint32)
-    for k, p, v in itertools.product(range(3), range(4), range(100)):
-        pair = bytes([48 + v // 10, 46, 48 + v % 10, 46])
-        keep = (k < 2, p == 1, k < 1, p == 2)
-        groups[100 * (4 * k + p) + v] = _word(bytes(c * m for c, m in zip(pair, keep)))
-    g = np.arange(8.0)[:, None]
-    keep, pt = np.repeat(np.arange(17.0), 18), np.tile(np.arange(18.0), 17)
-    state = 100 * (4 * np.clip(2 * g + 2 - keep, 0, 2) + np.clip(pt - 2 * g, 0, 3))
-    lead = np.zeros(200, np.int64)
-    for sign, prefix, d0, dot in itertools.product(range(2), range(5), range(10), range(2)):
+    # digit by digit, so that building them takes no more than they keep
+    v = np.arange(10_000.0)
+    digit = np.empty_like(v)
+    spelled = np.zeros((len(v), 8), np.uint8)
+    last = np.full(len(v), -1000.0)
+    for k in range(4):
+        np.floor(v / 10.0 ** (3 - k), out=digit)
+        np.fmod(digit, 10.0, out=digit)
+        np.copyto(last, 9.0 + 2.0 * k, where=digit != 0.0)
+        digit += 48.0
+        spelled[:, 2 * k] = digit
+    spelled[:, 1::2] = 46
+    groups = spelled.view(np.uint64).ravel()
+    # byte s of a slot is kept if it is the sign, the prefix or d0, a digit
+    # before the cut, or the point after digit kp, if that comes before it
+    s = np.arange(40.0).reshape(5, 1, 1, 8)
+    kc, kp = np.arange(17.0).reshape(17, 1, 1), np.arange(18.0).reshape(18, 1)
+    digit_kept = (s % 2.0 == 0.0) & (s < 7.0 + 2.0 * kc)
+    point_kept = (s % 2.0 == 1.0) & (s == 7.0 + 2.0 * kp) & (kp < kc)
+    kept = (s <= 6.0) | digit_kept | point_kept
+    masks = np.where(kept, 255, 0).astype(np.uint8).view(np.uint64).reshape(5, 18 * 17)
+    lead = np.zeros(200, np.uint64)
+    for sign, prefix, d0 in itertools.product(range(2), range(5), range(10)):
         zeros = b"0." + b"0" * (prefix - 1) if prefix else b""
-        lead[100 * sign + 20 * prefix + 2 * d0 + dot] = _word(
-            (b"-" if sign else b"\0") + zeros.ljust(5, b"\0") + bytes([48 + d0, 46 * dot])
+        lead[100 * sign + 10 * prefix + d0] = _word(
+            (b"-" if sign else b"\0") + zeros.ljust(5, b"\0") + bytes([48 + d0, 46])
         )
-    return scale, point, last, groups, state, lead, tail
+    return scale, by_x, last, groups, masks, lead, tail
 
 
-def _product(ax: np.ndarray, col: np.ndarray, scale: np.ndarray):
-    """``ax * 2**q * 5**q`` as the double-double ``(h, l)``, q by ``col``."""
-    two, hi, lo, hh, hl = scale.take(col, axis=1)
-    a = ax * two
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    h = a * hi
-    return h, ((ah * hh - h) + ah * hl + al * hh) + al * hl + a * lo
+@functools.cache
+def _work() -> tuple:
+    """The work arrays of a pass of ``BLOCK`` cells, allocated at the
+    first call and reused by every later one (138 bytes a cell): 17 rows
+    of 8 bytes a cell, which each step of :func:`_pass` takes in turn as
+    float64, intp, uint64 or slot bytes, and two boolean rows.  A pass of
+    n cells uses the first 17 n items of the rows, so each of its rows is
+    contiguous."""
+    return np.empty(17 * BLOCK), np.empty(2 * BLOCK, bool)
 
 
-def _digits(x: np.ndarray, scale: np.ndarray):
-    """Each cell's decimal exponent, first digit and 16 other digits, as
-    eight two-digit groups (8, n), and whether the fallback spells it.
-    A cell the fallback spells reads placeholder digits: those of 1.0 for
-    ±0.0, nan, ±inf, subnormals and huge cells, and d0 0 or 10 for a cell
-    next to a power of ten whose exponent guess misses."""
-    lowest, above = 1e16, 1e17
-    ax = np.abs(x)
-    bad = ~((ax >= 2.2250738585072014e-308) & (ax < lowest))
-    np.copyto(ax, 1.0, where=bad)
-    expo = np.floor(np.log(ax) * _INV_LN10)
-    col = (expo + _X0).astype(np.intp)
-    h, l = _product(ax, col, scale)
-    bad |= ((h - lowest) + l < 0.0) | ((h - above) + l >= 0.0)
-    r = np.rint(l)
-    bad |= np.abs(l - r) > 0.5 - TIE
-    # N = h + r as a 1e8 + b, h an integer: every step is exact
-    a = np.floor(h / 1e8)
-    b = (h - a * 1e8) + r
-    carry = np.floor(b / 1e8)
-    a += carry
-    b -= carry * 1e8
-    bad |= a >= 1e9  # N carried to 1e17
-    d0 = np.floor(a / 1e8)
-    half = np.empty((2, len(x)))
-    np.subtract(a, d0 * 1e8, out=half[0])
-    half[1] = b
-    quad = np.empty((2, 2, len(x)))
-    np.floor(half / 1e4, out=quad[:, 0])
-    np.subtract(half, quad[:, 0] * 1e4, out=quad[:, 1])
-    quad = quad.reshape(4, -1)
-    pairs = np.empty((4, 2, len(x)))
-    np.floor(quad / 100.0, out=pairs[:, 0])
-    np.subtract(quad, pairs[:, 0] * 100.0, out=pairs[:, 1])
-    return expo, d0, pairs.reshape(8, -1), bad
-
-
-def _block(block: np.ndarray) -> str:
-    """The text of the rows of ``block``."""
-    scale, point, last_of, groups, state, lead, tail = _tables()
-    x = block.ravel()
+def _pass(x: np.ndarray, start: int, width: int) -> str:
+    """The text of ``x``, cells ``start`` to ``start + len(x)`` of a table
+    ``width`` cells wide."""
+    scale, by_x, last, groups, masks, lead, tail = _tables()
+    rows, flags = _work()
     n = len(x)
-    expo, d0, pairs, bad = _digits(x, scale)
-    if bad.any():
-        expo[bad] = 0.0
-    col = (expo + _X0).astype(np.intp)
-    pt, prefix = point.take(col, axis=1)
-    buf = pairs + _GROUP_OFFSET
-    index = buf.astype(np.intp)
-    last = last_of.take(index, out=buf).max(axis=0)
-    # the point follows digit pt only if a nonzero digit follows it
-    pt += 99.0 * np.maximum(pt - last + 1.0, 0.0)
-    keep = np.maximum(last, expo)
-    state.take((keep * 18.0 + np.minimum(pt, 17.0)).astype(np.intp), axis=1, out=buf)
-    buf += pairs
-    np.copyto(index, buf, casting="unsafe")
-    del buf, pairs
-    slots = bytearray(48 * n)
-    words = np.frombuffer(slots, np.int64).reshape(n, 6)
-    words.view(np.uint32)[:, 2:10] = groups.take(index).T
-    first = d0 * 2.0 + (1.0 - np.minimum(pt, 1.0)) + 20.0 * prefix
-    np.add(first, 100.0, out=first, where=np.signbit(x))
-    words[:, 0] = lead.take(first.astype(np.intp))
-    words[:, 5] = tail.take(col)
-    chars = words.view(np.uint8)
-    seps = np.full(block.shape[1], ord(","), np.uint8)
-    seps[-1] = ord("\n")
-    chars.reshape(block.shape + (48,))[:, :, 45] = seps
+    f = rows[: 17 * n].reshape(17, n)
+    u = f.view(np.uint64)
+    bad, flag = flags[: 2 * n].reshape(2, n)
+    col = f[15].view(np.intp)
+    ax, c, r = f[0], f[1], f[0]
+    two, hi, lo, hh, hl = f[2:7]
+    a, ah, al, h, l = f[7:12]
+    np.abs(x, out=ax)
+    np.greater_equal(ax, 2.2250738585072014e-308, out=bad)
+    np.less(ax, 1e16, out=flag)
+    np.logical_and(bad, flag, out=bad)
+    np.logical_not(bad, out=bad)
+    np.copyto(ax, 1.0, where=bad)
+    np.log(ax, out=c)
+    c *= _INV_LN10
+    np.floor(c, out=c)
+    c += _X0
+    np.copyto(col, c, casting="unsafe")
+    scale.take(col, axis=1, out=f[2:7], mode="clip")
+    # (h, l) = |x| 2**q 5**q by Dekker's TwoProduct
+    np.multiply(ax, two, out=a)
+    np.multiply(a, _SPLIT, out=c)
+    np.subtract(c, a, out=ah)
+    np.subtract(c, ah, out=ah)
+    np.subtract(a, ah, out=al)
+    np.multiply(a, hi, out=h)
+    np.multiply(ah, hh, out=l)
+    l -= h
+    for p, q in ((ah, hl), (al, hh), (al, hl), (a, lo)):
+        np.multiply(p, q, out=c)
+        l += c
+    # the guess stands only where h + l lies in [1e16, 1e17)
+    np.subtract(h, 1e16, out=c)
+    c += l
+    np.less(c, 0.0, out=flag)
+    np.logical_or(bad, flag, out=bad)
+    np.subtract(h, 1e17, out=c)
+    c += l
+    np.greater_equal(c, 0.0, out=flag)
+    np.logical_or(bad, flag, out=bad)
+    np.rint(l, out=r)
+    np.subtract(l, r, out=c)
+    np.abs(c, out=c)
+    np.greater(c, 0.5 - TIE, out=flag)
+    np.logical_or(bad, flag, out=bad)
+    # N = h + r as a2 1e8 + b, h an integer: every step is exact.  1e-8 and
+    # 1e-4 round up, so floor(k 10**e 10**-e) is k for an integer k; the
+    # first quotient may be one off, and the carry mends it.
+    a2, half, b, d0 = f[2], f[3:5], f[4], f[5]
+    np.multiply(h, 1e-8, out=a2)
+    np.floor(a2, out=a2)
+    np.multiply(a2, 1e8, out=c)
+    np.subtract(h, c, out=b)
+    b += r
+    np.multiply(b, 1e-8, out=c)
+    np.floor(c, out=c)
+    a2 += c
+    c *= 1e8
+    b -= c
+    np.greater_equal(a2, 1e9, out=flag)  # N carried to 1e17
+    np.logical_or(bad, flag, out=bad)
+    np.multiply(a2, 1e-8, out=d0)
+    np.floor(d0, out=d0)
+    np.multiply(d0, 1e8, out=c)
+    np.subtract(a2, c, out=half[0])
+    # the sign, the prefix and d0; then the exponent
+    first = f[6]
+    by_x[2].take(col, out=first, mode="clip")
+    first += d0
+    np.signbit(x, out=flag)
+    np.add(first, 100.0, out=first, where=flag)
+    np.copyto(f[7].view(np.intp), first, casting="unsafe")
+    lead.take(f[7].view(np.intp), out=u[0], mode="clip")
+    tail.take(col, out=u[16], mode="clip")
+    quads = f[5:9]
+    split = quads.reshape(2, 2, n)
+    np.multiply(half, 1e-4, out=split[:, 0])
+    np.floor(split[:, 0], out=split[:, 0])
+    np.multiply(split[:, 0], 1e4, out=split[:, 1])
+    np.subtract(half, split[:, 1], out=split[:, 1])
+    qi = f[9:13].view(np.intp)
+    np.copyto(qi, quads, casting="unsafe")
+    groups.take(qi, out=u[1:5], mode="clip")
+    # the cut: after the last nonzero digit, or after digit X if later
+    cut, code = f[13], f[14]
+    last.take(qi, out=quads, mode="clip")
+    quads += _LAST_OFFSET
+    np.maximum.reduce(quads, axis=0, out=cut)
+    by_x[1].take(col, out=code, mode="clip")
+    np.maximum(cut, code, out=cut)
+    # each word's mask, by the cut and where the point goes
+    by_x[0].take(col, out=code, mode="clip")
+    np.multiply(cut, 9.0, out=cut)
+    cut += code
+    index = f[5].view(np.intp)
+    np.copyto(index, cut, casting="unsafe")
+    masks.take(index, axis=1, out=u[11:16], mode="clip")
+    slot_words = u[5:11].reshape(n, 6)
+    np.bitwise_and(u[0:5], u[11:16], out=slot_words[:, :5].T)
+    slot_words[:, 5] = u[16]
+    chars = slot_words.view(np.uint8)
     for k in np.flatnonzero(bad).tolist():
-        chars[k, :40] = np.frombuffer((b"%.17g" % x[k]).ljust(40, b"\0"), np.uint8)
-    return slots.translate(None, b"\0").decode("ascii")
+        chars[k, :45] = np.frombuffer((b"%.17g" % x[k]).ljust(45, b"\0"), np.uint8)
+    chars[:, 45] = 44
+    chars[(width - 1 - start) % width :: width, 45] = 10
+    view = memoryview(chars.reshape(-1))
+    return "".join(
+        [
+            bytes(view[k : k + _SLOT * CHUNK]).translate(None, b"\0").decode("ascii")
+            for k in range(0, len(view), _SLOT * CHUNK)
+        ]
+    )

@@ -48,6 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 INTEGRATORS = "src/sirham/integrators.py"
 CSV_FORMAT = "src/sirham/csvformat.py"
 CSV_TESTS = "tests/test_csv_format.py::"
+NO_LEAK = "test_a_table_spelled_after_another_shows_nothing_of_it"
 KERNEL_TESTS = "tests/test_kernels.py::"
 MARCH_TESTS = "tests/test_integrators.py::"
 NOT_SHARED = "test_runs_that_march_differently_do_not_share"
@@ -304,25 +305,54 @@ MUTANTS = [
     Mutant(
         "csv-tie-without-fallback",
         CSV_FORMAT,
-        "    r = np.rint(l)\n    bad |= np.abs(l - r) > 0.5 - TIE\n",
-        "    r = np.floor(l + 0.5)\n",
+        "    np.rint(l, out=r)\n    np.subtract(l, r, out=c)\n    np.abs(c, out=c)\n"
+        "    np.greater(c, 0.5 - TIE, out=flag)\n    np.logical_or(bad, flag, out=bad)\n",
+        "    np.add(l, 0.5, out=r)\n    np.floor(r, out=r)\n",
         (CSV_TESTS + "test_exact_halves_round_half_to_even",),
     ),
     # a cell just below a power of ten keeps the exponent of that power
     Mutant(
         "csv-power-of-ten-boundary",
         CSV_FORMAT,
-        "(h - lowest) + l < 0.0",
-        "h < lowest",
+        "    np.subtract(h, 1e16, out=c)\n    c += l\n    np.less(c, 0.0, out=flag)\n",
+        "    np.less(h, 1e16, out=flag)\n",
         (CSV_TESTS + "test_powers_of_ten_and_their_neighbours_are_spelled_as_percent_17g",),
     ),
     # a cell whose exponent guess misses is spelled from its wrong exponent
     Mutant(
         "csv-guess-miss-without-fallback",
         CSV_FORMAT,
-        "    bad |= ((h - lowest) + l < 0.0) | ((h - above) + l >= 0.0)\n",
+        "    # the guess stands only where h + l lies in [1e16, 1e17)\n"
+        "    np.subtract(h, 1e16, out=c)\n    c += l\n    np.less(c, 0.0, out=flag)\n"
+        "    np.logical_or(bad, flag, out=bad)\n    np.subtract(h, 1e17, out=c)\n    c += l\n"
+        "    np.greater_equal(c, 0.0, out=flag)\n    np.logical_or(bad, flag, out=bad)\n",
         "",
         (CSV_TESTS + "test_powers_of_ten_and_their_neighbours_are_spelled_as_percent_17g",),
+    ),
+    # the exponent word is copied only into slots that have an exponent: the
+    # others keep the bytes their rows held before
+    Mutant(
+        "csv-slots-not-cleared",
+        CSV_FORMAT,
+        "    slot_words[:, 5] = u[16]\n",
+        "    np.copyto(slot_words[:, 5], u[16], where=u[16] != 0)\n",
+        (CSV_TESTS + NO_LEAK,),
+    ),
+    # a pass shorter than BLOCK hands translate BLOCK slots' bytes
+    Mutant(
+        "csv-partial-pass-spells-capacity",
+        CSV_FORMAT,
+        "    view = memoryview(chars.reshape(-1))\n",
+        "    view = memoryview(rows.view(np.uint8)[40 * n :][: _SLOT * BLOCK])\n",
+        (CSV_TESTS + NO_LEAK,),
+    ),
+    # threads run their passes at once over the one set of work arrays
+    Mutant(
+        "csv-passes-without-lock",
+        CSV_FORMAT,
+        "    with _WORK_LOCK:\n",
+        "    if True:\n",
+        (CSV_TESTS + "test_threads_spelling_at_once_each_get_their_own_text",),
     ),
     # a residual entry equal to tol takes one more Newton update
     Mutant(
