@@ -88,11 +88,16 @@ def _safe_name(label: str) -> str:
 
 
 def _spec_digest(scenario: Scenario, spec: RunSpec) -> str:
-    """Stable 12-hex-digit digest of everything that determines a run.
+    """Stable 12-hex-digit digest of the scenario's start and schedule and
+    of the run's fields.
 
     Every ``RunSpec`` field is hashed, enums by their value, except the
     cosmetic ``label`` and the others the march does not read
-    (``integrators._UNMARCHED``), so that one trajectory has one digest.
+    (``integrators._UNMARCHED``), so runs that differ only in those share a
+    digest.  The formulation and both Newton settings are hashed whatever
+    the method reads, so an extended run and its chart's canonical run, or
+    two explicit runs that differ only in ``newton_tol``, write the same
+    CSV under two digests.
     """
     run = {}
     for field in fields(spec):
@@ -136,8 +141,7 @@ def _each_run(scenario: Scenario):
     A run that marches what an earlier run already marched takes that
     march's outcome, its trajectory (``integrators._shared_march``) or its
     SirhamError, and says so under ``--verbose``.  Every march that is run
-    is one call of this module's ``integrate``, by name.  A ScenarioError
-    propagates.
+    is one call of this module's ``integrate``, by name.
     """
     marched: dict[tuple, tuple[RunSpec, Trajectory | SirhamError]] = {}
     for spec in scenario.runs:
@@ -152,8 +156,6 @@ def _each_run(scenario: Scenario):
             continue
         try:
             outcome = integrate(spec, scenario.init, scenario.schedule)
-        except ScenarioError:
-            raise
         except SirhamError as exc:
             outcome = exc
         marched[key] = (spec, outcome)

@@ -65,7 +65,7 @@ __all__ = ["format_table"]
 #: cells spelled per pass.  A pass costs about 65 us however short (some
 #: 70 numpy calls) and 0.1 us a cell (2-core x86-64, numpy 2.4), so at 4096
 #: cells the fixed part is a seventh of a full pass.  Its work arrays
-#: (``_work``) then take 0.57 MB, allocated once per process.
+#: (``_tables``) then take 0.57 MB, allocated once per process.
 BLOCK = 4096
 #: slot bytes handed to ``translate`` at a time: 48 kB, below glibc's
 #: 128 kB mmap threshold, so neither the copy nor its output is mapped
@@ -102,7 +102,8 @@ def _word(data: bytes) -> int:
 
 @functools.cache
 def _tables() -> tuple:
-    """The lookup tables, built at first use (about 200 kB).
+    """The lookup tables (about 200 kB) and the work arrays of a pass,
+    built at the first call and reused by every later one.
 
     * ``scale[:, X + _X0]``: 2**q, then 5**q as its hi/lo pair and hi's
       Dekker halves, for q = 16 - X (q in 0..340);
@@ -116,7 +117,12 @@ def _tables() -> tuple:
     * ``masks[w, 18 kc + kp]``: the bytes of slot word w (0 to 4) kept at
       the cut 7 + 2 kc;
     * ``lead``: the first word, by 100 sign + 10 prefix + d0;
-    * ``tail``: the exponent word, by X + _X0.
+    * ``tail``: the exponent word, by X + _X0;
+    * ``rows`` and ``flags``: the work arrays of a pass of ``BLOCK`` cells
+      (138 bytes a cell): 17 rows of 8 bytes a cell, which each step of
+      :func:`_pass` takes in turn as float64, intp, uint64 or slot bytes,
+      and two boolean rows.  A pass of n cells uses the first 17 n items
+      of the rows, so each of its rows is contiguous.
     """
     span = range(_X0 + 17)
     scale = np.empty((5, len(span)))
@@ -164,25 +170,14 @@ def _tables() -> tuple:
         lead[100 * sign + 10 * prefix + d0] = _word(
             (b"-" if sign else b"\0") + zeros.ljust(5, b"\0") + bytes([48 + d0, 46])
         )
-    return scale, by_x, last, groups, masks, lead, tail
-
-
-@functools.cache
-def _work() -> tuple:
-    """The work arrays of a pass of ``BLOCK`` cells, allocated at the
-    first call and reused by every later one (138 bytes a cell): 17 rows
-    of 8 bytes a cell, which each step of :func:`_pass` takes in turn as
-    float64, intp, uint64 or slot bytes, and two boolean rows.  A pass of
-    n cells uses the first 17 n items of the rows, so each of its rows is
-    contiguous."""
-    return np.empty(17 * BLOCK), np.empty(2 * BLOCK, bool)
+    rows, flags = np.empty(17 * BLOCK), np.empty(2 * BLOCK, bool)
+    return scale, by_x, last, groups, masks, lead, tail, rows, flags
 
 
 def _pass(x: np.ndarray, start: int, width: int) -> str:
     """The text of ``x``, cells ``start`` to ``start + len(x)`` of a table
     ``width`` cells wide."""
-    scale, by_x, last, groups, masks, lead, tail = _tables()
-    rows, flags = _work()
+    scale, by_x, last, groups, masks, lead, tail, rows, flags = _tables()
     n = len(x)
     f = rows[: 17 * n].reshape(17, n)
     u = f.view(np.uint64)

@@ -284,11 +284,7 @@ def pairwise_sup_diff(trajectories: Sequence[Trajectory]) -> np.ndarray:
     masks = [(tr.t >= lo) & (tr.t <= hi) for tr in trajectories]
     coarsest = min(range(len(trajectories)), key=lambda k: int(np.sum(masks[k])))
     grid = trajectories[coarsest].t[masks[coarsest]]
-    curves = [np.interp(grid, tr.t, tr.i) for tr in trajectories]
-    n = len(curves)
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = float(np.max(np.abs(curves[a] - curves[b])))
-            out[a, b] = out[b, a] = d
+    curves = np.array([np.interp(grid, tr.t, tr.i) for tr in trajectories])
+    out = np.array([np.max(np.abs(curves - curve), axis=1) for curve in curves])
+    np.fill_diagonal(out, 0.0)
     return out

@@ -196,7 +196,7 @@ class _Record(NamedTuple):
     (one closure and its kernel on the ``single_ode_*`` reductions).
     ``dilation(y, params)`` is S*I, the rate of the intrinsic
     clock, of one state or elementwise of a pair of state columns, and
-    ``fractions(coords, beta, gamma)`` maps marched coordinates to the
+    ``fractions(coords, params)`` maps marched coordinates to the
     (I, S) columns.  The dilation does not raise where the walk places a
     state, its fractions within ``FRACTION_TOL`` of [0, 1] at S > 0, as a
     reduction's Legendre map is defined where S > 0; the walk's array of
@@ -214,7 +214,7 @@ class _Record(NamedTuple):
     rhs: Callable[[], Rhs]
     jac: Callable[[], Jac]
     dilation: Callable[[tuple, EpidemicParams], float]
-    fractions: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+    fractions: Callable[[np.ndarray, EpidemicParams], tuple]
     remap: Callable[[tuple, EpidemicParams, EpidemicParams], tuple] = lambda y, old, new: y
     separable: bool = False
 
@@ -252,7 +252,7 @@ _DIRECT = _Record(
     rhs=lambda: hamiltonian.hamilton_rhs_direct,
     jac=lambda: _canonical_jac(hamiltonian.hessian_direct),
     dilation=lambda y, params: y[0] * y[1],
-    fractions=lambda coords, beta, gamma: (coords[:, 0], coords[:, 1]),
+    fractions=lambda coords, params: (coords[:, 0], coords[:, 1]),
     separable=True,
 )
 _LOG = _Record(
@@ -260,7 +260,7 @@ _LOG = _Record(
     rhs=lambda: hamiltonian.hamilton_rhs_log,
     jac=lambda: _canonical_jac(hamiltonian.hessian_log),
     dilation=lambda y, params: _exp(y[0] + y[1]),
-    fractions=lambda coords, beta, gamma: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
+    fractions=lambda coords, params: (np.exp(coords[:, 0]), np.exp(coords[:, 1])),
     separable=True,
 )
 
@@ -327,7 +327,7 @@ _RECORDS = {
         _rate_rhs_direct,
         lambda: lambda y, params: ((0.0, 1.0), (0.0, 2.0 * params.r0 * (params.beta - y[1]))),
         _rate_dilation_direct,
-        lambda coords, beta, gamma: (coords[:, 0], gamma / (beta - coords[:, 1])),
+        lambda coords, params: (coords[:, 0], params.gamma / (params.beta - coords[:, 1])),
     ),
     Formulation.SINGLE_ODE_LOG: _single_ode(
         _LOG,
@@ -339,7 +339,7 @@ _RECORDS = {
             (-params.beta * math.exp(y[0]) * (y[1] + params.gamma), -params.beta * math.exp(y[0])),
         ),
         _rate_dilation_log,
-        lambda coords, beta, gamma: (np.exp(coords[:, 0]), (coords[:, 1] + gamma) / beta),
+        lambda coords, params: (np.exp(coords[:, 0]), (coords[:, 1] + params.gamma) / params.beta),
     ),
     Formulation.EXTENDED_4D_DIRECT: _DIRECT,
     Formulation.EXTENDED_4D_LOG: _LOG,
@@ -1016,7 +1016,7 @@ def _walk(
     # a runaway state may be inf - inf here; the tests read every value
     with np.errstate(all="ignore"):
         sir = np.empty((3, len(states)))
-        sir[1], sir[0] = rec.fractions(states, pars.beta, pars.gamma)
+        sir[1], sir[0] = rec.fractions(states, pars)
         sir[2] = 1.0 - sir[0] - sir[1]
         # a NaN fails both comparisons
         inside = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0)

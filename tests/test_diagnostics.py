@@ -452,3 +452,25 @@ class TestPairwiseSupDiff:
         # so the disagreement is far below the interpolation error a finer
         # common grid would show
         assert diff[0, 1] < 1e-6
+
+    def test_matrix_is_the_pair_loop_and_a_nan_curve_leaves_the_diagonal_zero(self):
+        runs = [
+            integrate(RunSpec(method, formulation, dt=dt, t_end=10.0), INIT, SCHEDULE)
+            for method, formulation, dt in (
+                ("rk4", "basic_t", 0.5),
+                ("rk4", "log_t", 0.1),
+                ("explicit_euler", "basic_t", 0.25),
+            )
+        ]
+        i = runs[1].i.copy()
+        i[10] = math.nan
+        runs.append(replace(runs[1], i=i))
+        curves = [np.interp(runs[0].t, tr.t, tr.i) for tr in runs]
+        expected = np.zeros((4, 4))
+        for a in range(4):
+            for b in range(a + 1, 4):
+                expected[a, b] = expected[b, a] = np.max(np.abs(curves[a] - curves[b]))
+        diff = pairwise_sup_diff(runs)
+        assert np.array_equal(diff, expected, equal_nan=True)
+        assert np.all(np.diag(diff) == 0.0)
+        assert np.isnan(diff[3, :3]).all() and not np.isnan(diff[:3, :3]).any()

@@ -699,8 +699,8 @@ class TestIntegrate:
         # every marched state is tested: state 2 is refused though not kept
         rec = _RECORDS[Formulation.LOG_T]
 
-        def poisoned(coords, beta, gamma):
-            i_col, s_col = rec.fractions(coords, beta, gamma)
+        def poisoned(coords, params):
+            i_col, s_col = rec.fractions(coords, params)
             s_col[sample] = math.nan
             return i_col, s_col
 
@@ -1071,7 +1071,7 @@ def test_the_dilation_is_defined_wherever_the_walk_places_a_state(
     with np.errstate(all="ignore"):
         coords = [TO_COORDS[formulation](s, i, params) for s, i in drawn]
         states = np.array(coords + edge_coords(params), dtype=float)
-        i, s = rec.fractions(states, beta, gamma)
+        i, s = rec.fractions(states, params)
         sir = np.array([s, i, 1.0 - s - i])
     placed = ((sir >= -FRACTION_TOL) & (sir <= 1.0 + FRACTION_TOL)).all(axis=0) & (sir[0] > 0.0)
     assert placed.any()

@@ -51,6 +51,7 @@ CSV_TESTS = "tests/test_csv_format.py::"
 NO_LEAK = "test_a_table_spelled_after_another_shows_nothing_of_it"
 KERNEL_TESTS = "tests/test_kernels.py::"
 MARCH_TESTS = "tests/test_integrators.py::"
+SYMMETRIC = "tests/test_structure.py::test_a_symmetric_step_is_undone_by_its_negative"
 NOT_SHARED = "test_runs_that_march_differently_do_not_share"
 NO_STEPS = "test_a_failure_after_a_segment_of_no_steps_starts_from_clock_0"
 NEWTON_STOP = "if abs(r0) <= tol and abs(r1) <= tol:"
@@ -129,6 +130,28 @@ MUTANTS = [
         (
             implicit_step_test("time_fe_cg1_gauss2", "basic_t"),
             implicit_step_test("time_fe_cg1_gauss2", "log_t"),
+        ),
+    ),
+    # the implicit rule at alpha = 0.6, a theta method that is not symmetric
+    Mutant(
+        "midpoint-alpha-0.6",
+        INTEGRATORS,
+        "mid = (0.5 * (y0 + u0), 0.5 * (y1 + u1))\n        f0, f1 = rhs(mid, params)",
+        "mid = (0.4 * y0 + 0.6 * u0, 0.4 * y1 + 0.6 * u1)\n        f0, f1 = rhs(mid, params)",
+        (
+            SYMMETRIC + "[implicit_midpoint-log_t-1e-15]",
+            SYMMETRIC + "[implicit_midpoint-basic_t-1e-12]",
+        ),
+    ),
+    # both Gauss nodes moved by 0.05, off their symmetric positions about 1/2
+    Mutant(
+        "galerkin-nodes-off-symmetric",
+        INTEGRATORS,
+        "_GAUSS2_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)",
+        "_GAUSS2_NODES = (0.55 - math.sqrt(3.0) / 6.0, 0.55 + math.sqrt(3.0) / 6.0)",
+        (
+            SYMMETRIC + "[time_fe_cg1_gauss2-log_t-1e-15]",
+            SYMMETRIC + "[time_fe_cg1_gauss2-basic_t-1e-12]",
         ),
     ),
     Mutant(
