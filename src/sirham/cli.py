@@ -138,10 +138,11 @@ def _each_run(scenario: Scenario):
     raised, whether the run marched, and the ``perf_counter`` time its turn
     began.
 
-    A run that marches what an earlier run already marched takes that
-    march's outcome, its trajectory (``integrators._shared_march``) or its
-    SirhamError, and says so under ``--verbose``.  Every march that is run
-    is one call of this module's ``integrate``, by name.
+    A run whose ``integrators._march_key`` equals an earlier run's marches
+    what that run marched, so it takes that march's outcome, its trajectory
+    relabelled by ``integrators._shared_march`` or its SirhamError, and
+    says so under ``--verbose``.  Every march that is run is one call of
+    this module's ``integrate``, by name.
     """
     marched: dict[tuple, tuple[RunSpec, Trajectory | SirhamError]] = {}
     for spec in scenario.runs:

@@ -41,9 +41,9 @@ Each :class:`Formulation` is defined in one place, its private record in
 map from sampled coordinates to (I, S), and state remap at a parameter
 switch.  The march and the walk after it read only the record and name no
 formulation.  So two runs whose formulations share a record, and whose
-other settings but label and ``extended_mode`` are equal, march the same
-states: :func:`_shared_march` gives the second run its trajectory from the
-first's, and the command line marches each distinct march once.
+other settings that the march reads are equal, march the same states: the
+command line marches each distinct :func:`_march_key` once, and
+:func:`_shared_march` gives a later run its trajectory from the first's.
 
 Every rate and Jacobian is called ``f(y, params)``, and a step scheme
 ``step(rhs[, jac], params, y, dt)`` hands each call the parameters of the
@@ -353,34 +353,32 @@ _UNMARCHED = ("label", "extended_mode")
 def _march_key(spec: RunSpec) -> tuple:
     """What the march of ``spec`` reads: its formulation's record, the
     object itself, with the formulation's clock and chart, and every other
-    ``RunSpec`` field except the :data:`_UNMARCHED`."""
+    ``RunSpec`` field except the :data:`_UNMARCHED` and, on an explicit
+    method, the Newton settings, which :func:`_make_stepper` does not read
+    for it.  Two runs whose keys are equal march the same states from one
+    start and schedule: an extended run and its chart's canonical run at
+    one ``dt``, horizon and stride, say, or two ``rk4`` runs that differ
+    only in ``newton_tol``."""
     form = spec.formulation
-    rest = tuple(
-        getattr(spec, field.name)
-        for field in fields(spec)
-        if field.name not in ("formulation", *_UNMARCHED)
-    )
+    unread = ("formulation", *_UNMARCHED)
+    if spec.method in (Method.EXPLICIT_EULER, Method.RK4):
+        unread += ("newton_tol", "newton_max_iter")
+    rest = tuple(getattr(spec, field.name) for field in fields(spec) if field.name not in unread)
     return (id(_RECORDS[form]), form.clock, form.chart, *rest)
 
 
-def _shared_march(traj: Trajectory, spec: RunSpec) -> Trajectory | None:
-    """The trajectory of ``spec`` taken from ``traj``, when ``spec``
-    marches what the run of ``traj`` marched from the same start and
-    schedule; otherwise None.
+def _shared_march(traj: Trajectory, spec: RunSpec) -> Trajectory:
+    """The trajectory of ``spec`` taken from ``traj``, the trajectory of a
+    run whose :func:`_march_key` equals that of ``spec``.
 
-    Two runs share a march when their :func:`_march_key` is equal: an
-    extended run and its chart's canonical run at one ``dt``, horizon and
-    stride, say, or two runs that differ only in label or mode.  The
-    shared trajectory carries ``spec`` and its formulation, and the marched
-    coordinate block of ``traj`` with the momenta appended again where
-    ``spec`` is extended, as :func:`_walk` appends them.  It holds the
-    other columns of ``traj`` themselves, not copies, and on a 2-d run a
-    view of its coordinates.
+    It carries the formulation of ``spec``, and the marched coordinate
+    block of ``traj`` with the momenta appended again where ``spec`` is
+    extended, as :func:`_walk` appends them.  It holds the other columns of
+    ``traj`` themselves, not copies, and on a 2-d run a view of its
+    coordinates.
     """
-    if traj.spec is None or _march_key(traj.spec) != _march_key(spec):
-        return None
     coords = _with_momenta(traj.coords[:, :2], spec.formulation)
-    return replace(traj, formulation=spec.formulation, spec=spec, coords=coords)
+    return replace(traj, formulation=spec.formulation, coords=coords)
 
 
 def _with_momenta(coords: np.ndarray, form: Formulation) -> np.ndarray:
@@ -489,7 +487,6 @@ class Trajectory:
     h: np.ndarray
     coords: np.ndarray
     schedule: ParamSchedule
-    spec: RunSpec | None = None
 
     @property
     def chart(self) -> Chart:
@@ -776,7 +773,9 @@ def _make_stepper(
     the segment's stepper is built, and bound into it, so a stage costs
     no lookup; a wrapper put in their place before the march starts sees
     every step and every stage.  An implicit step's Newton settings are
-    closure locals, passed by keyword with no dictionary built per step.
+    closure locals, passed by keyword with no dictionary built per step;
+    an explicit stepper is returned before either is read, so
+    :func:`_march_key` leaves them out of its key.
     """
     m = spec.method
     rhs = rec.rhs()
@@ -957,7 +956,7 @@ def integrate(
     t, tau = (prim, sec) if form.clock == "t" else (sec, prim)
     # an extended run marched the coordinate block alone
     coords = _with_momenta(np.concatenate(coords), form)
-    return Trajectory(form, t, tau, s, i, r, h, coords, schedule, spec)
+    return Trajectory(form, t, tau, s, i, r, h, coords, schedule)
 
 
 def _walk(

@@ -479,6 +479,42 @@ class TestRunCommand:
         ]
 
     @pytest.mark.parametrize(
+        "setting, digests",
+        [
+            ("newton_tol: 1.0e-10", ["994e02bfadd2", "45880f1be4ae"]),
+            ("newton_max_iter: 20", ["994e02bfadd2", "14a2776af269"]),
+        ],
+        ids=["newton_tol", "newton_max_iter"],
+    )
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_only_a_method_that_reads_a_newton_setting_marches_for_it(
+        self, tmp_path, monkeypatch, setting, digests, method
+    ):
+        """``rk4`` never runs Newton, so two of its runs that differ only in
+        a Newton setting march once and write one CSV twice, each under its
+        own digest; ``implicit_midpoint`` reads both settings and marches
+        each run."""
+        calls = counted_integrate(monkeypatch)
+        run = f"method: {method}, formulation: log_t, dt: 0.01, t_end: 10.0"
+        scenario = tmp_path / "newton.yaml"
+        scenario.write_text(
+            "init: {s: 0.99, i: 0.01}\n"
+            "schedule:\n  - {t: 0.0, beta: 0.3, gamma: 0.1}\n"
+            f"run:\n  - {{{run}, label: a}}\n  - {{{run}, label: b, {setting}}}\n"
+        )
+        out = tmp_path / "out"
+        proc = cli("run", scenario, "--out", out, "--verbose")
+        assert proc.returncode == 0, proc.stderr
+        shares = "run b shares the march of a" in proc.stderr.splitlines()
+        rows = (out / "manifest.tsv").read_text().splitlines()
+        if method == "rk4":
+            assert calls == ["a"] and shares
+            assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+            assert [row.split("\t")[1] for row in rows] == digests
+        else:
+            assert calls == ["a", "b"] and not shares
+
+    @pytest.mark.parametrize(
         "text, status",
         [
             (

@@ -1126,7 +1126,6 @@ class TestExtendedModes:
         )
         marched = integrate(RunSpec(formulation=base, **kwargs), init, schedule)
         assert rebuilt.formulation is formulation
-        assert rebuilt.spec.formulation is formulation
         for name in ("t", "tau", "s", "i", "r", "h"):
             assert np.array_equal(getattr(rebuilt, name), getattr(marched, name)), name
         assert rebuilt.coords.shape == (marched.n_samples, 4)
@@ -1224,15 +1223,15 @@ def _horizon(formulation):
 
 
 class TestSharedMarch:
-    """``_shared_march``: which runs share a march, and the trajectory a
-    run takes from the one that marched."""
+    """``_march_key``: which runs share a march, and ``_shared_march``: the
+    trajectory a run takes from the one that marched."""
 
     @pytest.mark.parametrize("method,pair,sched,order,stride", list(_twin_cases()))
     def test_a_twin_takes_the_trajectory_of_its_own_march(
         self, init, method, pair, sched, order, stride
     ):
-        """Bit for bit in all seven arrays, with its own formulation and
-        spec, in either order."""
+        """Bit for bit in all seven arrays, with its own formulation, in
+        either order."""
         first, second = TWIN_PAIRS[pair]
         if order == "extended-first":
             first, second = second, first
@@ -1242,12 +1241,11 @@ class TestSharedMarch:
             RunSpec(method=method, formulation=form, dt=dt, t_end=t_end, sample_stride=stride)
             for form in (first, second)
         ]
+        assert integrators._march_key(specs[0]) == integrators._march_key(specs[1])
         marched = integrate(specs[0], init, schedule)
         shared = integrators._shared_march(marched, specs[1])
         own = integrate(specs[1], init, schedule)
-        assert shared is not None
         assert shared.formulation is second
-        assert shared.spec is specs[1]
         assert shared.coords.shape == (own.n_samples, second.dim)
         for name in ("t", "tau", "s", "i", "r", "h", "coords"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
@@ -1259,9 +1257,9 @@ class TestSharedMarch:
         dt, t_end = _horizon(formulation)
         spec = RunSpec(method="rk4", formulation=formulation, dt=dt, t_end=t_end)
         other = replace(spec, label="again", extended_mode="reconstruct")
+        assert integrators._march_key(other) == integrators._march_key(spec)
         marched = integrate(spec, init, schedule)
         shared = integrators._shared_march(marched, other)
-        assert shared.spec is other
         for name in ("t", "tau", "s", "i", "r", "h", "coords"):
             assert np.array_equal(getattr(shared, name), getattr(marched, name)), name
 
@@ -1278,25 +1276,20 @@ class TestSharedMarch:
         ids=lambda change: next(iter(change)),
     )
     @pytest.mark.parametrize("pair", ["same", "twin"])
-    def test_runs_that_march_differently_do_not_share(self, init, schedule, change, pair):
+    def test_runs_that_march_differently_do_not_share(self, change, pair):
         spec = RunSpec(method="implicit_midpoint", formulation="log_t", dt=0.5, t_end=60.0)
-        marched = integrate(spec, init, schedule)
+        key = integrators._march_key(spec)
         form = Formulation.LOG_T if pair == "same" else Formulation.EXTENDED_4D_LOG
-        assert integrators._shared_march(marched, replace(spec, formulation=form)) is not None
-        assert integrators._shared_march(marched, replace(spec, formulation=form, **change)) is None
+        assert integrators._march_key(replace(spec, formulation=form)) == key
+        assert integrators._march_key(replace(spec, formulation=form, **change)) != key
 
     @pytest.mark.parametrize("first,second", ONE_CHART_PAIRS + [p[::-1] for p in ONE_CHART_PAIRS])
-    def test_different_records_of_one_chart_do_not_share(self, init, schedule, first, second):
+    def test_different_records_of_one_chart_do_not_share(self, first, second):
         """Both runs step the same chart at the same dt, horizon and stride,
         through different records."""
         spec = RunSpec(method="rk4", formulation=first, dt=0.01, t_end=2.4)
-        marched = integrate(spec, init, schedule)
-        assert integrators._shared_march(marched, replace(spec, formulation=second)) is None
-
-    def test_a_trajectory_without_a_spec_is_not_shared(self, init, schedule):
-        spec = RunSpec(method="rk4", formulation="log_t", dt=0.5, t_end=60.0)
-        marched = replace(integrate(spec, init, schedule), spec=None)
-        assert integrators._shared_march(marched, spec) is None
+        key = integrators._march_key(replace(spec, formulation=second))
+        assert key != integrators._march_key(spec)
 
 
 class TestReconstructOrdinaryTime:

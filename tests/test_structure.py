@@ -20,7 +20,15 @@ The bounds are derived here from the schemes, not from measured values:
   the exact solve.  The backward step carries the forward step's error
   with gain at most (1 + 1/2) / (1 - 1/2) = 3 and adds its own, so the
   round trip is within (3 + 1) * 4 * (tol + 4 ulp) = 16 tol + 64 ulp, the
-  ulp of max(1, |y0|).
+  ulp of max(1, |y0|).  The bound is graded from the fixed start and from
+  derandomised ``hypothesis`` draws of the start and of beta and gamma,
+  each kept only where h ||Df|| <= 1 at both ends.  A forward step whose
+  Newton iteration stops without converging, or whose iterate or end the
+  chart refuses, has no end there, and its draw is not kept: on
+  ``single_ode_direct`` and ``rescaled_tau`` that happens at h ||Df|| near
+  1 at the start, where a shorter step already ends beyond 1, and where S
+  is drawn within h beta of 0 on ``rescaled_tau``, whose S falls at the
+  rate beta.
 * Explicit Euler's round trip is y - h^2 Df f + O(h^3), and symplectic
   Euler's adjoint is the other symplectic Euler, so both scale as h^2.  The
   h^5 terms of RK4's two local errors cancel, so its round trip scales as
@@ -38,8 +46,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from sirham import EpidemicParams, Formulation, RunSpec
+from sirham.errors import NewtonDivergence, RhsDomainError
 from sirham.integrators import NEWTON_TOL, _make_stepper, _RECORDS
 
 START = (0.05, 0.6)  # (I, S)
@@ -47,6 +58,7 @@ PARAMS = EpidemicParams(beta=0.3, gamma=0.1)
 STEPS = {"t": (0.8, 0.4, 0.2, 0.1), "tau": (0.1, 0.05, 0.025, 0.0125)}
 FORMULATIONS = ("log_t", "basic_t", "rescaled_tau", "single_ode_direct", "single_ode_log")
 CANONICAL = ("log_t", "rescaled_tau")
+SYMMETRIC = ("implicit_midpoint", "variational_midpoint", "time_fe_cg1_gauss2")
 EPS = sys.float_info.epsilon
 
 
@@ -59,17 +71,33 @@ def cases(methods):
     ]
 
 
-def round_trips(method, formulation, tol=NEWTON_TOL):
+def require(condition):
+    assert condition
+
+
+def round_trips(method, formulation, tol=NEWTON_TOL, start=START, params=PARAMS, holds=require):
     """The start, and ``max |y2 - y0|`` of one step of h then one of -h at
-    each h of the clock's ``STEPS``."""
+    each h of the clock's ``STEPS``, from the fractions ``start`` under
+    ``params``.  ``holds`` is handed whether h ||Df|| <= 1 at the start,
+    then at the end of the forward step, at the largest h."""
     form = Formulation(formulation)
     rec, steps = _RECORDS[form], STEPS[form.clock]
-    step = _make_stepper(RunSpec(method, form, dt=1.0, t_end=1.0, newton_tol=tol), rec, PARAMS)
-    jac = rec.jac()
-    y0 = rec.start(*START, PARAMS)
-    for y in (y0, step(y0, steps[0])):
-        (d00, d01), (d10, d11) = jac(y, PARAMS)
-        assert steps[0] * max(abs(d00) + abs(d01), abs(d10) + abs(d11)) <= 1.0
+    step = _make_stepper(RunSpec(method, form, dt=1.0, t_end=1.0, newton_tol=tol), rec, params)
+
+    def small(y):
+        (d00, d01), (d10, d11) = rec.jac()(y, params)
+        return steps[0] * max(abs(d00) + abs(d01), abs(d10) + abs(d11)) <= 1.0
+
+    y0 = rec.start(*start, params)
+    holds(small(y0))
+    try:
+        end = step(y0, steps[0])
+        # the chart's rates refuse an end outside it
+        rec.rhs()(end, params)
+    except (NewtonDivergence, RhsDomainError):
+        # the step has no end in the chart
+        end = None
+    holds(end is not None and small(end))
     return y0, [max(abs(a - b) for a, b in zip(step(step(y0, h), -h), y0)) for h in steps]
 
 
@@ -79,12 +107,27 @@ def rounding(y0):
 
 
 @pytest.mark.parametrize("tol", [1e-15, NEWTON_TOL, 1e-9])
-@pytest.mark.parametrize(
-    "method, formulation",
-    cases(("implicit_midpoint", "variational_midpoint", "time_fe_cg1_gauss2")),
-)
+@pytest.mark.parametrize("method, formulation", cases(SYMMETRIC))
 def test_a_symmetric_step_is_undone_by_its_negative(method, formulation, tol):
     y0, gaps = round_trips(method, formulation, tol)
+    assert max(gaps) <= 16.0 * tol + rounding(y0), gaps
+
+
+@pytest.mark.parametrize("method, formulation", cases(SYMMETRIC))
+@settings(max_examples=25, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(
+    i=st.floats(0.001, 0.5),
+    s=st.floats(0.05, 0.99),
+    beta=st.floats(0.05, 1.0),
+    gamma=st.floats(0.01, 0.5),
+    tol=st.sampled_from([1e-15, NEWTON_TOL, 1e-9]),
+)
+def test_a_symmetric_step_is_undone_from_drawn_starts(method, formulation, i, s, beta, gamma, tol):
+    """The same bound from a drawn start and rates, where h ||Df|| <= 1 at
+    both ends of the forward step."""
+    assume(i + s <= 1.0)
+    params = EpidemicParams(beta=beta, gamma=gamma)
+    y0, gaps = round_trips(method, formulation, tol, (i, s), params, holds=assume)
     assert max(gaps) <= 16.0 * tol + rounding(y0), gaps
 
 

@@ -190,11 +190,32 @@ MUTANTS = [
     Mutant(
         "march-key-without-stride",
         INTEGRATORS,
-        'if field.name not in ("formulation", *_UNMARCHED)',
-        'if field.name not in ("formulation", "sample_stride", *_UNMARCHED)',
+        'unread = ("formulation", *_UNMARCHED)',
+        'unread = ("formulation", "sample_stride", *_UNMARCHED)',
         (
             MARCH_TESTS + f"TestSharedMarch::{NOT_SHARED}[same-sample_stride]",
             MARCH_TESTS + f"TestSharedMarch::{NOT_SHARED}[twin-sample_stride]",
+        ),
+    ),
+    # the Newton settings left out of every method's key, and out of none
+    Mutant(
+        "march-key-without-newton-everywhere",
+        INTEGRATORS,
+        "if spec.method in (Method.EXPLICIT_EULER, Method.RK4):",
+        "if spec.method in Method:",
+        (
+            MARCH_TESTS + f"TestSharedMarch::{NOT_SHARED}[same-newton_tol]",
+            MARCH_TESTS + f"TestSharedMarch::{NOT_SHARED}[twin-newton_max_iter]",
+        ),
+    ),
+    Mutant(
+        "march-key-with-newton-everywhere",
+        INTEGRATORS,
+        "if spec.method in (Method.EXPLICIT_EULER, Method.RK4):",
+        "if spec.method in ():",
+        (
+            "tests/test_cli.py::TestRunCommand::"
+            "test_only_a_method_that_reads_a_newton_setting_marches_for_it[rk4-newton_tol]",
         ),
     ),
     Mutant(
@@ -293,9 +314,8 @@ MUTANTS = [
         "return (g1, -g0, -0.5 * g0, -0.5 * g1)",
         "return (g1, -g0, 0.5 * g0, -0.5 * g1)",
         (
-            "tests/test_hamiltonian.py::TestExtendedSpace::"
-            "test_momentum_rate_keeps_the_constraint_frozen",
-            "tests/test_acceptance.py::test_06_momentum_constraint_tracking",
+            "tests/test_hamiltonian.py::TestExtendedSpace::test_rates_structure",
+            "tests/test_hamiltonian.py::TestExtendedSpace::test_rates_structure_log_chart",
         ),
     ),
     # the oracle's bisection runs all 200 halvings
